@@ -19,14 +19,16 @@ from .exactnum import Rational
 EXACT_SUITE_CAP = 60  # identity checks need n_max**2 exact values
 
 
-def _u_pair_mod(n: int, x: int, p: int):
-    """(U_n, U_{n+1}) mod p for n >= 0 by fast doubling."""
+def lucas_pair_mod(T: int, Q: int, n: int, p: int):
+    """(L_n, L_{n+1}) mod p by fast doubling, for L_{k+1} = T*L_k - Q*L_{k-1},
+    L_0 = 0, L_1 = 1, n >= 0.  Q = 1 gives (U_n(T), U_{n+1}(T))."""
     a, b = 0, 1
+    T, Q = T % p, Q % p
     for bit in bin(n)[2:]:
-        dbl = a * ((2 * b - x * a) % p) % p  # U_{2k} = U_k * C_k
-        odd = (b * b - a * a) % p            # U_{2k+1}
+        dbl = a * (2 * b - T * a) % p  # L_{2k} = L_k * (2 L_{k+1} - T L_k)
+        odd = (b * b - Q * a * a) % p  # L_{2k+1}
         if bit == "1":
-            a, b = odd, (x * odd - dbl) % p
+            a, b = odd, (T * odd - Q * dbl) % p
         else:
             a, b = dbl, odd
     return a, b
@@ -36,14 +38,13 @@ def cheb_u_mod(n: int, x: int, p: int) -> int:
     """U_n(x) mod p; negative n via U_{-n} = -U_n."""
     if n < 0:
         return (-cheb_u_mod(-n, x, p)) % p
-    return _u_pair_mod(n, x % p, p)[0]
+    return lucas_pair_mod(x, 1, n, p)[0]
 
 
 def cheb_c_mod(n: int, x: int, p: int) -> int:
     """C_n(x) mod p; C_n = 2*U_{n+1} - x*U_n, even in n."""
-    n = abs(n)
     x = x % p
-    a, b = _u_pair_mod(n, x, p)
+    a, b = lucas_pair_mod(x, 1, abs(n), p)
     return (2 * b - x * a) % p
 
 
@@ -51,7 +52,7 @@ def cheb_w_mod(m: int, x: int, p: int) -> int:
     """W_{2m+1}(x) mod p; m >= 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    a, b = _u_pair_mod(m, x % p, p)
+    a, b = lucas_pair_mod(x, 1, m, p)
     return (a + b) % p
 
 
@@ -59,7 +60,7 @@ def cheb_v_mod(m: int, x: int, p: int) -> int:
     """V_{2m+1}(x) mod p; m >= 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    a, b = _u_pair_mod(m, x % p, p)
+    a, b = lucas_pair_mod(x, 1, m, p)
     return (b - a) % p
 
 

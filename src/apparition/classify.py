@@ -20,8 +20,9 @@ from typing import Optional
 from .chebyshev import cheb_c_exact
 from .errors import ExcludedParameter
 from .exactnum import divisors, is_r_scaled_square, is_square, rth_root
+from .primes import is_prime
 
-_EXCLUDED = {Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)}
+EXCLUDED = frozenset(Fraction(v) for v in (0, 1, -1, 2, -2))  # degenerate parameters
 _DEFAULT_RS = (2, 3, 5, 7, 11, 13)
 
 TOWER_HALVING_CAP = 8     # circular tower recognition depth
@@ -61,17 +62,6 @@ class ParamClass:
     circular_primitive: bool = False
     two_generic: bool = False
     per_r: dict = field(default_factory=dict)
-
-
-def _is_prime(r: int) -> bool:
-    if r < 2:
-        return False
-    i = 2
-    while i * i <= r:
-        if r % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def cheb_preimages(r: int, t) -> list:
@@ -125,7 +115,7 @@ def r_facts(t, r: int) -> RFacts:
 def classify(t, rs=_DEFAULT_RS) -> ParamClass:
     """Classify t exactly; raises ExcludedParameter on 0, +-1, +-2."""
     t = Fraction(t)
-    if t in _EXCLUDED:
+    if t in EXCLUDED:
         raise ExcludedParameter(f"t = {t} is excluded")
     delta = t * t - 4
     out = ParamClass(t=t)
@@ -285,7 +275,7 @@ def predicted_densities(c: ParamClass, r: int, j_max: int) -> Prediction:
     Unsupported parameters yield a record with supported=False rather
     than an exception; the circular tower case is flagged conjectural.
     """
-    if not _is_prime(r):
+    if not is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
@@ -299,7 +289,7 @@ def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
         if depth >= SHIFT_RECURSION_CAP:
             return _unsupported(r, j_max, "shift-depth-exceeded")
         for u in cheb_preimages(r, c.t):
-            if u in _EXCLUDED:
+            if u in EXCLUDED:
                 continue
             sub = _predict(classify(u, rs=()), r, j_max + 1, depth + 1)
             if sub.supported:

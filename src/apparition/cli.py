@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,41 +27,12 @@ from .exactnum import parse_rational
 LIMIT_CAP = 10**8
 
 
-@dataclass
-class RunConfig:
-    command: str
-    t: Optional[Fraction] = None
-    r: int = 2
-    limit: int = 10**6
-    j_max: int = 8
-    fmt: str = "csv"
-    threads: int = 1
-    out: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.limit > LIMIT_CAP:
-            raise ValueError(f"limit capped at {LIMIT_CAP}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
 def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _cmd_classify(args) -> int:
@@ -74,39 +44,31 @@ def _cmd_classify(args) -> int:
 def _cmd_index(args) -> int:
     t = parse_rational(args.t)
     p = int(args.p)
-    if not _is_prime(p) or p == 2:
-        raise ValueError(f"p = {p} is not an odd prime")
     chi = ring.index(t, p)
     print(f"chi({t},{p}) = {chi}")
     return 0
 
 
-def _partition_one(t: Fraction, cfg: RunConfig) -> str:
+def _partition_one(t: Fraction, args) -> str:
     report = partition.compute_partition(
-        t, cfg.r, cfg.limit, j_max=cfg.j_max, threads=cfg.threads
+        t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
-    pred = predicted_densities(classify(t), cfg.r, cfg.j_max)
+    pred = predicted_densities(classify(t), args.r, args.jmax)
     if pred.supported:
         rows = partition.compare(report, pred)
     else:
         rows = partition.counts_rows(report)
         print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return partition.report_to_json(report, rows) + "\n"
     return partition.rows_to_csv(rows)
 
 
 def _cmd_partition(args) -> int:
-    cfg = RunConfig(
-        command="partition",
-        r=args.r,
-        limit=args.limit,
-        j_max=args.jmax,
-        fmt=args.format,
-        threads=args.threads,
-        out=args.out,
-    )
-    cfg.validate()
+    if args.limit > LIMIT_CAP:
+        raise ValueError(f"limit capped at {LIMIT_CAP}")
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
     if args.batch:
         chunks = []
         with open(args.batch, encoding="utf-8") as fh:
@@ -115,12 +77,12 @@ def _cmd_partition(args) -> int:
                 if not line or line.startswith("#"):
                     continue
                 t = parse_rational(line)
-                chunks.append(f"# t={t}\n" + _partition_one(t, cfg))
-        _write("".join(chunks), cfg.out)
+                chunks.append(f"# t={t}\n" + _partition_one(t, args))
+        _write("".join(chunks), args.out)
         return 0
     if args.t is None:
         raise ValueError("either t or --batch is required")
-    _write(_partition_one(parse_rational(args.t), cfg), cfg.out)
+    _write(_partition_one(parse_rational(args.t), args), args.out)
     return 0
 
 

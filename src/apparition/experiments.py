@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import prod
 from typing import Optional
 
 from . import primes, ring
-from .chebyshev import cheb_c_exact, cheb_c_mod, cheb_u_exact, cheb_v_exact, cheb_w_exact
-from .classify import classify
+from .chebyshev import (
+    cheb_c_exact,
+    cheb_c_mod,
+    cheb_u_exact,
+    cheb_v_exact,
+    cheb_w_exact,
+    lucas_pair_mod,
+)
+from .classify import EXCLUDED, classify
 from .errors import (
     BadPrime,
     NotCircular,
@@ -57,27 +64,13 @@ class CheckReport:
         )
 
 
-def _reduce(q: Fraction, p: int) -> int:
-    v = q.numerator % p
-    if q.denominator > 1:
-        v = v * pow(q.denominator, -1, p) % p
-    return v
-
-
-def _v(n: int, r: int) -> int:
-    j = 0
-    while n % r == 0:
-        n //= r
-        j += 1
-    return j
-
-
 def _admissible(limit: int, *dens: int):
-    skip = set()
-    for d in dens:
-        skip.update(primes.factorize(d))
+    """Odd primes p <= limit dividing none of dens; no factoring, so any size."""
+    skip = prod(dens)
+    if skip == 0:
+        raise ValueError("degenerate parameter: a modulus to skip is 0")
     for p in primes.iter_primes(limit, start=3):
-        if p not in skip:
+        if skip % p:
             yield p
 
 
@@ -113,7 +106,7 @@ def verify_twin(t, limit: int) -> CheckReport:
     for p in _admissible(limit, t.denominator):
         chi = ring.index(t, p)
         got = ring.index(-t, p)
-        v = _v(chi, 2)
+        v = primes.valuation(chi, 2)
         want = 2 * chi if v == 0 else (chi // 2 if v == 1 else chi)
         rep.primes_checked += 1
         if got != want:
@@ -138,7 +131,7 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     for p in _admissible(limit, t.denominator):
         if p == 3:
             continue
-        vs = tuple(_v(ring.index(a, p), 3) for a in triple)
+        vs = tuple(primes.valuation(ring.index(a, p), 3) for a in triple)
         rep.primes_checked += 1
         if sum(1 for v in vs if v == 0) > 1:
             rep.record(p, "at most one v=0", vs)
@@ -172,8 +165,8 @@ def verify_circular(t, limit: int) -> CheckReport:
         if lhs != 4:
             rep.record(n, "C_n(t)^2 + C_n(w)^2 = 4", lhs)
     for p in _admissible(limit, t.denominator, w.denominator):
-        jt = _v(ring.index(t, p), 2)
-        jw = _v(ring.index(w, p), 2)
+        jt = primes.valuation(ring.index(t, p), 2)
+        jw = primes.valuation(ring.index(w, p), 2)
         rep.primes_checked += 1
         ok = (
             ((jt <= 1) == (jw == 2))
@@ -224,20 +217,6 @@ def lucas_index(spec: LucasSpec, p: int) -> int:
         if a == 0:
             return k
     raise AssertionError(f"no zero below p+2 for {spec}, p={p}")
-
-
-def _lucas_pair_mod(T: int, Q: int, n: int, p: int):
-    """(L_n, L_{n+1}) mod p by fast doubling."""
-    a, b = 0, 1
-    T, Q = T % p, Q % p
-    for bit in bin(n)[2:]:
-        dbl = a * (2 * b - T * a) % p
-        odd = (b * b - Q * a * a) % p
-        if bit == "1":
-            a, b = odd, (T * odd - Q * dbl) % p
-        else:
-            a, b = dbl, odd
-    return a, b
 
 
 def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
@@ -305,8 +284,8 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
         rep.primes_checked += 1
         if chi % r == 0:
             k = chi // r
-            l_rk = _lucas_pair_mod(T, Q, r * k, p)[0]
-            l_k = _lucas_pair_mod(T, Q, k, p)[0]
+            l_rk = lucas_pair_mod(T, Q, r * k, p)[0]
+            l_k = lucas_pair_mod(T, Q, k, p)[0]
             if not (l_rk == 0 and l_k != 0):
                 rep.record(p, f"p | B_{k}", f"L_rk={l_rk}, L_k={l_k}")
         for k in range(1, k_max + 1):
@@ -358,7 +337,7 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
             continue
         if family == "subsequence" and p == subseq_r:
             continue
-        tm = _reduce(t, p)
+        tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
         bound = 2 * chi + 2
         if family == "W":
@@ -367,12 +346,12 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
             predicted = chi % 2 == 1
         elif family == "V":
             found = _scan_zero(1, 1, tm, p, bound) is not None
-            predicted = _v(chi, 2) == 1
+            predicted = primes.valuation(chi, 2) == 1
         elif family == "C":
             found = _scan_zero(2, tm, tm, p, bound) is not None
-            predicted = _v(chi, 2) >= 2
+            predicted = primes.valuation(chi, 2) >= 2
         elif family == "S":
-            bm = _reduce(b, p)
+            bm = ring.residue(b, p)
             inv2b = pow(2 * bm, -1, p)
             s0 = 2 * inv2b % p
             s1 = (tm - bm) * inv2b % p
@@ -469,7 +448,7 @@ def splitting_oracle(t, r: int, n: int, j: int, p: int) -> SplittingReport:
     t = Fraction(t)
     if t.denominator % p == 0 or p == r or p == 2:
         raise BadPrime(f"p = {p} inadmissible")
-    tm = _reduce(t, p)
+    tm = ring.residue(t, p)
     variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
     f_roots, ft_roots, phi, g, c_pow = _splitting_counts(tm, r, p, max(n, 1), max(j, 1), variant)
 
@@ -540,12 +519,12 @@ def verify_splitting_theorems(
     for p in _admissible(limit, t.denominator, abs(delta.numerator)):
         if p == r:
             continue
-        tm = _reduce(t, p)
+        tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
         f_roots, ft_roots, phi, g, c_pow = _splitting_counts(tm, r, p, n_max, j_max, variant)
         d_elem = ring.d_elem(m)
-        v = _v(phat, r)
+        v = primes.valuation(phat, r)
         rep.primes_checked += 1
 
         def phi_lin(jj):
@@ -568,7 +547,7 @@ def verify_splitting_theorems(
             if k_thm(j) != group:
                 rep.record(p, f"K_{j} group={group}", f"theorem={k_thm(j)}")
         chi = ring.chi_from_residue(tm, p)
-        vchi = _v(chi, r)
+        vchi = primes.valuation(chi, r)
         in_m_prev = True  # M_0 is everything
         for n in range(1, n_max + 1):
             in_m = (d_elem ** (phat // r ** min(n, v))).is_identity
@@ -631,7 +610,7 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> OrbitReport:
             )
             next_checkpoint *= 10
         rep.primes_checked += 1
-        xm = _reduce(x0, p)
+        xm = ring.residue(x0, p)
         y = xm
         hit: Optional[int] = None
         for n in range(n_max + 1):
@@ -676,7 +655,7 @@ def quadmap_divisor_check(t, limit: int) -> QuadmapReport:
     t = Fraction(t)
     rep = QuadmapReport(t=t, limit=limit)
     for p in _admissible(limit, t.denominator):
-        tm = _reduce(t, p)
+        tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
         y = tm
         found = False
@@ -738,7 +717,7 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> NondivisorReport:
         hint = "a square" if sq else "not a square (half the primes are non-divisors)"
         raise NotUnitDeterminant(f"det(Y) = {det} != 1; det is {hint}")
     b = 2 * y1 - t * y0
-    if b in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)):
+    if b in EXCLUDED:
         raise TorsionTimesPower(f"trace {b} is a torsion trace")
     fwd = [y0, y1]
     for _ in range(64):
@@ -749,40 +728,32 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> NondivisorReport:
     for n, val in enumerate(fwd + back[2:]):
         if val == 0:
             raise TorsionTimesPower(f"sequence element {n} is zero: Y = +-D^k")
-    if r < 3 or not all(r % q for q in range(2, isqrt(r) + 1)):
+    if r == 2 or not primes.is_prime(r):
         raise ValueError("r must be an odd prime")
 
     rep = NondivisorReport(
         t=t, y0=y0, y1=y1, trace=b, r=r, limit=limit,
         expected=Fraction(r - 1, r**3),
     )
-    spf = primes.spf_table(limit + 1) if limit + 1 <= (1 << 22) else None
+    spf = primes.spf_table(limit + 1) if limit + 1 <= primes.SPF_CAP else None
     dens = t.denominator * y0.denominator * y1.denominator
     for p in primes.iter_primes(limit):
         rep.pi_limit += 1
         if p == 2 or dens % p == 0:
             continue
         rep.primes_checked += 1
-        tm = _reduce(t, p)
+        tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
         chi = ring.chi_from_residue(tm, p)
-        fac = primes.factorize(phat) if spf is None else None
-        if fac is None:
-            fac = {}
-            for q in primes.distinct_prime_factors(phat, spf):
-                e, mm = 0, phat
-                while mm % q == 0:
-                    mm //= q
-                    e += 1
-                fac[q] = e
+        fac = {q: primes.valuation(phat, q) for q in primes.distinct_prime_factors(phat, spf)}
         y_elem = ring.elem_from_rationals(m, y0, y1)
         ord_y = ring.element_order(y_elem, fac)
         if y0.numerator % p != 0:  # Y = +-I mod p exactly when p | num(y0)
-            idx_b = ring.chi_from_residue(_reduce(b, p), p, spf)
+            idx_b = ring.chi_from_residue(ring.residue(b, p), p, spf)
             if ord_y != idx_b:
                 rep.order_index_mismatches.append((p, idx_b, ord_y))
-        in_target = _v(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
+        in_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
         if in_target:
             rep.target_count += 1
         if p <= ENUMERATION_CAP:

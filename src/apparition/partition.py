@@ -17,12 +17,10 @@ from math import sqrt
 from typing import Optional
 
 from . import primes
-from .classify import Prediction
+from .classify import EXCLUDED, Prediction
 from .errors import ExcludedParameter, UnsupportedPrediction
-from .ring import chi_from_residue
+from .ring import chi_from_residue, residue
 
-_EXCLUDED_T = {Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)}
-SPF_CAP = 1 << 22  # largest limit for the smallest-factor table fast path
 DEFAULT_J_MAX = 8
 
 
@@ -57,7 +55,8 @@ class ComparisonRow:
 
 
 def _sweep_range(args) -> tuple:
-    tn, td, r, j_max, lo, hi, spf_bound = args
+    t, r, j_max, lo, hi, spf_bound = args
+    td = t.denominator
     spf = primes.spf_table(spf_bound) if spf_bound else None
     counts = [0] * (j_max + 1)
     overflow = 0
@@ -73,12 +72,7 @@ def _sweep_range(args) -> tuple:
         if td % p == 0:
             excluded[p] = "divides_denominator"
             continue
-        tm = tn % p if td == 1 else tn * pow(td, -1, p) % p
-        chi = chi_from_residue(tm, p, spf)
-        j = 0
-        while chi % r == 0:
-            chi //= r
-            j += 1
+        j = primes.valuation(chi_from_residue(residue(t, p), p, spf), r)
         if j <= j_max:
             counts[j] += 1
         else:
@@ -92,15 +86,16 @@ def compute_partition(
 ) -> PartitionReport:
     """Valuation partition of chi(t, p) over primes in [start, limit]."""
     t = Fraction(t)
-    if t in _EXCLUDED_T:
+    if t in EXCLUDED:
         raise ExcludedParameter(f"t = {t} is excluded")
     if limit < 2 or threads < 1 or j_max < 0:
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
-    spf_bound = limit + 1 if limit + 1 <= SPF_CAP else 0
-    tn, td = t.numerator, t.denominator
+    if not primes.is_prime(r):
+        raise ValueError(f"r must be prime, got {r}")
+    spf_bound = limit + 1 if limit + 1 <= primes.SPF_CAP else 0
 
     if threads == 1:
-        chunks = [(tn, td, r, j_max, start, limit, spf_bound)]
+        chunks = [(t, r, j_max, start, limit, spf_bound)]
         results = [_sweep_range(chunks[0])]
     else:
         if spf_bound:
@@ -110,7 +105,7 @@ def compute_partition(
         lo = start
         while lo <= limit:
             hi = min(lo + span - 1, limit)
-            bounds.append((tn, td, r, j_max, lo, hi, spf_bound))
+            bounds.append((t, r, j_max, lo, hi, spf_bound))
             lo = hi + 1
         with multiprocessing.Pool(threads) as pool:
             results = pool.map(_sweep_range, bounds)
@@ -134,13 +129,13 @@ def compute_partition(
 
 
 def merge_reports(a: PartitionReport, b: PartitionReport) -> PartitionReport:
-    """Exact union of two reports over disjoint prime ranges."""
+    """Exact union of two reports over adjacent prime ranges."""
     if (a.t, a.r, a.j_max) != (b.t, b.r, b.j_max):
         raise ValueError("reports are not compatible")
     if a.start > b.start:
         a, b = b, a
-    if a.limit >= b.start:
-        raise ValueError("ranges overlap")
+    if b.start != a.limit + 1:
+        raise ValueError(f"ranges are not adjacent: ends at {a.limit}, next starts at {b.start}")
     return PartitionReport(
         t=a.t, r=a.r, limit=b.limit, j_max=a.j_max,
         j_counts=[x + y for x, y in zip(a.j_counts, b.j_counts)],

@@ -1,9 +1,14 @@
-"""Prime generation and small-integer factorization.
+"""Primes, primality and factoring: the integer primitives under every sweep.
 
-The sweeps only ever factor p - 1 or p + 1 for primes p below the sieve
-limit, so every prime factor needed is at most sqrt(limit + 1) and trial
-division by sieved primes is complete.  A cached smallest-prime-factor
-table accelerates the bulk sweeps for moderate limits.
+- `iter_primes` / `sieve`: a segmented sieve of Eratosthenes over
+  [start, limit], one `_SEGMENT`-wide bytearray at a time.
+- `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24, with a base
+  set proven sufficient for each size of n.
+- `factorize`: trial division by sieved primes up to sqrt(n), refused when
+  sqrt(n) exceeds `FACTOR_SQRT_CAP` so a query cannot sieve gigabytes.
+- `spf_table`: a smallest-prime-factor table for the bulk sweeps up to
+  `SPF_CAP`; `distinct_prime_factors` reads it, or falls back to `factorize`.
+- `valuation`: the exponent v_r(n) of a prime r in n.
 """
 
 from __future__ import annotations
@@ -13,6 +18,19 @@ from math import isqrt
 from typing import Iterator
 
 _SEGMENT = 1 << 17
+SPF_CAP = 1 << 22  # largest limit for the smallest-factor table fast path
+FACTOR_SQRT_CAP = 1 << 24  # sieving base primes to this costs about 50 MB
+
+# (exclusive bound, bases): no strong pseudoprime to all the bases lies below
+# the bound (Pomerance, Selfridge and Wagstaff 1980; Sorenson and Webster,
+# Math. Comp. 2017).
+_MR_TIERS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 # grow-only caches
 _base_primes: list = [2, 3, 5, 7]
@@ -73,10 +91,52 @@ def sieve(limit: int) -> list:
     return list(iter_primes(limit))
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.3*10**24."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        raise ValueError(f"primality of {n} is not decided above {_MR_TIERS[-1][0]}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def valuation(n: int, r: int) -> int:
+    """Exponent of r in the nonzero integer n, for r >= 2."""
+    if n == 0 or r < 2:
+        raise ValueError("need n != 0 and r >= 2")
+    j = 0
+    while n % r == 0:
+        n //= r
+        j += 1
+    return j
+
+
 def factorize(n: int) -> dict:
-    """Complete factorization {prime: exponent} by trial division."""
+    """Complete factorization {prime: exponent} by trial division.
+
+    Raises ValueError when isqrt(n) exceeds FACTOR_SQRT_CAP.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    if isqrt(n) > FACTOR_SQRT_CAP:
+        raise ValueError(f"cannot factor {n}: sqrt(n) exceeds {FACTOR_SQRT_CAP}")
     if _base_limit * _base_limit < n:
         base_primes(isqrt(n))
     out: dict = {}

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
-from .primes import distinct_prime_factors
+from .primes import distinct_prime_factors, is_prime
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,19 @@ class GroupOrder:
     kind: OrderKind
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 2
-    return True
+def residue(q: Fraction, p: int) -> int:
+    """The rational q reduced mod p; p must not divide its denominator."""
+    n, d = q.numerator, q.denominator
+    if d % p == 0:
+        raise DenominatorDivisible(f"{p} divides den({q})")
+    return n % p if d == 1 else n * pow(d, -1, p) % p
 
 
 def reduce_param(t, p: int) -> ModParam:
     """Reduce rational t mod p; p must not divide the denominator."""
-    if not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    t = Fraction(t)
-    if t.denominator % p == 0:
-        raise DenominatorDivisible(f"{p} divides den({t})")
-    tm = t.numerator % p
-    if t.denominator > 1:
-        tm = tm * pow(t.denominator, -1, p) % p
+    tm = residue(Fraction(t), p)
     return ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
 
 
@@ -126,16 +118,7 @@ def d_elem(m: ModParam) -> RingElem:
 
 def elem_from_rationals(m: ModParam, x0, x1) -> RingElem:
     """Reduce rational coordinates mod p (denominators must be prime to p)."""
-    p = m.p
-    vals = []
-    for q in (Fraction(x0), Fraction(x1)):
-        if q.denominator % p == 0:
-            raise DenominatorDivisible(f"{p} divides den({q})")
-        v = q.numerator % p
-        if q.denominator > 1:
-            v = v * pow(q.denominator, -1, p) % p
-        vals.append(v)
-    return RingElem(m, vals[0], vals[1])
+    return RingElem(m, residue(Fraction(x0), m.p), residue(Fraction(x1), m.p))
 
 
 def group_order(m: ModParam) -> GroupOrder:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import apparition
 from apparition import experiments
 from apparition.cli import main
 from apparition.experiments import CheckReport
@@ -74,9 +79,26 @@ def test_partition_batch(tmp_path, capsys):
     assert "# t=3" in out and "# t=2/7" in out
 
 
+def test_index_beyond_factor_bound():
+    # p is prime, but factoring p + 1 would sieve base primes up to 10**9
+    path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apparition.cli", "index", "3", "1000000000000000003"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+
+
 def test_partition_limit_cap(capsys):
     assert main(["partition", "3", "--limit", str(10**9)]) == 1
     capsys.readouterr()
+
+
+def test_partition_rejects_non_prime_r(capsys):
+    assert main(["partition", "3", "--r", "0", "--limit", "100"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_pass(capsys):

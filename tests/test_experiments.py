@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from apparition import experiments as ex
+from apparition.chebyshev import lucas_pair_mod
 from apparition.errors import (
     BadPrime,
     NotCircular,
@@ -40,7 +41,7 @@ def test_lucas_pair_mod():
     for p in (11, 97):
         a, b = 0, 1
         for n in range(50):
-            assert ex._lucas_pair_mod(2, -1, n, p)[0] == a
+            assert lucas_pair_mod(2, -1, n, p)[0] == a
             a, b = b, (2 * b + a) % p
 
 
@@ -48,6 +49,10 @@ def test_verify_prop11():
     assert ex.verify_prop11(3, 3, 2000).passed
     assert ex.verify_prop11(3, 2, 2000).passed
     assert ex.verify_prop11(F(2, 7), 3, 1000).passed
+    # num(U_37(3)) = F_74 is past the factoring bound; skipping needs no factors
+    assert ex.verify_prop11(3, 37, 1000).primes_checked == 165
+    with pytest.raises(ValueError):
+        ex.verify_prop11(0, 2, 100)  # U_2(0) = 0
     # spot: chi(3,7) = 8; t_2 = 7 = 0 mod 7 and chi(0 mod 7) = 4 = 8/2
     assert index(3, 7) == 8 and index(7, 7) == 4
 

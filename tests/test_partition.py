@@ -76,6 +76,18 @@ def test_merge_split_halves():
     assert merged.excluded == full.excluded
     with pytest.raises(ValueError):
         merge_reports(lo, full)  # overlapping ranges
+    gap_lo = compute_partition(3, 2, 100, j_max=5)
+    gap_hi = compute_partition(3, 2, 300, j_max=5, start=200)
+    with pytest.raises(ValueError, match="not adjacent"):
+        merge_reports(gap_lo, gap_hi)
+    with pytest.raises(ValueError, match="not adjacent"):
+        merge_reports(gap_hi, gap_lo)
+
+
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_rejects_non_prime_r(r):
+    with pytest.raises(ValueError, match="r must be prime"):
+        compute_partition(3, r, 100)
 
 
 def test_threads_deterministic():

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 import pytest
 
 from apparition.primes import (
+    FACTOR_SQRT_CAP,
     distinct_prime_factors,
     factorize,
+    is_prime,
     iter_primes,
     primes_in_range,
     sieve,
     spf_table,
+    valuation,
 )
 
 
@@ -51,6 +54,36 @@ def test_factorize_examples():
     assert factorize(10**6 + 1) == {101: 1, 9901: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_bound():
+    with pytest.raises(ValueError):
+        factorize((FACTOR_SQRT_CAP + 1) ** 2)
+    with pytest.raises(ValueError):
+        factorize(10**18 + 4)
+
+
+def test_is_prime_matches_sieve():
+    assert [n for n in range(-5, 2 * 10**6 + 1) if is_prime(n)] == sieve(2 * 10**6)
+
+
+def test_is_prime_tier_boundaries():
+    # strong pseudoprimes to every base of the tier below each boundary
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 3_825_123_056_546_413_051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 3)
+    with pytest.raises(ValueError):
+        is_prime(4 * 10**24 + 37)
+
+
+def test_valuation():
+    assert valuation(48, 2) == 4
+    assert valuation(-54, 3) == 3
+    assert valuation(7, 3) == 0
+    for n, r in ((0, 2), (5, 1)):
+        with pytest.raises(ValueError):
+            valuation(n, r)
 
 
 def test_factorize_reconstruction_range():
