@@ -4,9 +4,10 @@ Conventions: U_0 = 0, U_1 = 1, U_{n+1} = x*U_n - U_{n-1} (second kind);
 C_0 = 2, C_1 = x, same recursion (first kind, trace normalization);
 W_{2m+1} = U_{m+1} + U_m and V_{2m+1} = U_{m+1} - U_m.
 
-Modular evaluation uses pair fast-doubling so the index can be huge
-(orbit checks need n up to ~10**12); exact evaluation walks the
-recursion with Fractions and is meant for small n only.
+Modular evaluation uses pair fast-doubling, on (U_n, U_{n+1}) or on
+(C_n, C_{n+1}), so the index can be huge (orbit checks need n up to
+~10**12); exact evaluation walks the recursion with Fractions and is
+meant for small n only.
 """
 
 from __future__ import annotations
@@ -42,10 +43,16 @@ def cheb_u_mod(n: int, x: int, p: int) -> int:
 
 
 def cheb_c_mod(n: int, x: int, p: int) -> int:
-    """C_n(x) mod p; C_n = 2*U_{n+1} - x*U_n, even in n."""
+    """C_n(x) mod p, even in n, by the (C_k, C_{k+1}) trace ladder:
+    C_{2k} = C_k**2 - 2 and C_{2k+1} = C_k*C_{k+1} - x, 2 mults per bit."""
     x = x % p
-    a, b = lucas_pair_mod(x, 1, abs(n), p)
-    return (2 * b - x * a) % p
+    a, b = 2, x
+    for bit in bin(abs(n))[2:]:
+        if bit == "1":
+            a, b = (a * b - x) % p, (b * b - 2) % p
+        else:
+            a, b = (a * a - 2) % p, (a * b - x) % p
+    return a
 
 
 def cheb_w_mod(m: int, x: int, p: int) -> int:

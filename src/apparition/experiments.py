@@ -163,7 +163,7 @@ def verify_circular(t, limit: int) -> CheckReport:
     for n in range(1, 30, 2):
         lhs = cheb_c_exact(n, t) ** 2 + cheb_c_exact(n, w) ** 2
         if lhs != 4:
-            rep.record(n, "C_n(t)^2 + C_n(w)^2 = 4", lhs)
+            rep.record(0, f"C_{n}(t)^2 + C_{n}(w)^2 = 4 (n={n})", lhs)
     for p in _admissible(limit, t.denominator, w.denominator):
         jt = primes.valuation(ring.index(t, p), 2)
         jw = primes.valuation(ring.index(w, p), 2)

@@ -1,9 +1,10 @@
 """Empirical valuation partition of the index over all primes up to N.
 
 For each admissible odd prime p <= N (p != r, p not dividing den(t)) the
-sweep computes chi(t, p) and buckets p by the r-adic valuation of chi;
-primes dividing the numerator of t**2 - 4 stay in the count (their index
-is p or 2p).  Work is sharded over contiguous prime ranges, so reports
+sweep computes the r-adic valuation of chi(t, p) directly, with
+`ring.chi_valuation`, which factors nothing, and buckets p by it; primes
+dividing the numerator of t**2 - 4 stay in the count (their index is p
+or 2p).  Work is sharded over contiguous prime ranges, so reports
 merge by exact addition and any worker count gives identical output.
 """
 
@@ -19,7 +20,8 @@ from typing import Optional
 from . import primes
 from .classify import EXCLUDED, Prediction
 from .errors import ExcludedParameter, UnsupportedPrediction
-from .ring import chi_from_residue, residue
+from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
+from .ring import chi_valuation, residue
 
 DEFAULT_J_MAX = 8
 
@@ -55,9 +57,8 @@ class ComparisonRow:
 
 
 def _sweep_range(args) -> tuple:
-    t, r, j_max, lo, hi, spf_bound = args
+    t, r, j_max, lo, hi = args
     td = t.denominator
-    spf = primes.spf_table(spf_bound) if spf_bound else None
     counts = [0] * (j_max + 1)
     overflow = 0
     total = 0
@@ -72,7 +73,7 @@ def _sweep_range(args) -> tuple:
         if td % p == 0:
             excluded[p] = "divides_denominator"
             continue
-        j = primes.valuation(chi_from_residue(residue(t, p), p, spf), r)
+        j = chi_valuation(residue(t, p), p, r)
         if j <= j_max:
             counts[j] += 1
         else:
@@ -92,20 +93,16 @@ def compute_partition(
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
     if not primes.is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
-    spf_bound = limit + 1 if limit + 1 <= primes.SPF_CAP else 0
 
     if threads == 1:
-        chunks = [(t, r, j_max, start, limit, spf_bound)]
-        results = [_sweep_range(chunks[0])]
+        results = [_sweep_range((t, r, j_max, start, limit))]
     else:
-        if spf_bound:
-            primes.spf_table(spf_bound)  # warm before fork
         bounds = []
         span = max((limit - start + 1) // (threads * 4), 1)
         lo = start
         while lo <= limit:
             hi = min(lo + span - 1, limit)
-            bounds.append((t, r, j_max, lo, hi, spf_bound))
+            bounds.append((t, r, j_max, lo, hi))
             lo = hi + 1
         with multiprocessing.Pool(threads) as pool:
             results = pool.map(_sweep_range, bounds)

@@ -6,8 +6,10 @@
   set proven sufficient for each size of n.
 - `factorize`: trial division by sieved primes up to sqrt(n), refused when
   sqrt(n) exceeds `FACTOR_SQRT_CAP` so a query cannot sieve gigabytes.
-- `spf_table`: a smallest-prime-factor table for the bulk sweeps up to
-  `SPF_CAP`; `distinct_prime_factors` reads it, or falls back to `factorize`.
+- `spf_table`: a smallest-prime-factor table up to `SPF_CAP` for
+  `experiments.nondivisor_density`, which needs chi of every prime below
+  its limit; `distinct_prime_factors` reads it, or falls back to
+  `factorize`.  The partition sweep factors nothing.
 - `valuation`: the exponent v_r(n) of a prime r in n.
 """
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .chebyshev import cheb_c_mod
 from .errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
-from .primes import distinct_prime_factors, is_prime
+from .primes import distinct_prime_factors, is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def element_order(a: RingElem, order_bound: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast chi kernel (used directly by the prime sweeps)
+# fast chi kernels (used directly by the prime sweeps)
 # ---------------------------------------------------------------------------
 
 
@@ -192,17 +193,6 @@ def _mult_order(x: int, p: int, bound: int, qs) -> int:
     return o
 
 
-def _c_is_two(x: int, e: int, p: int) -> bool:
-    """C_e(x) == 2 mod p, by the (C_m, C_{m+1}) ladder: 2 mults per bit."""
-    a, b = 2, x
-    for bit in bin(e)[2:]:
-        if bit == "1":
-            a, b = (a * b - x) % p, (b * b - 2) % p
-        else:
-            a, b = (a * a - 2) % p, (a * b - x) % p
-    return a == 2
-
-
 def _norm1_order(x: int, p: int, bound: int, qs) -> int:
     """Order of the trace-x, det-1 element in the inert (field) case.
 
@@ -211,7 +201,7 @@ def _norm1_order(x: int, p: int, bound: int, qs) -> int:
     """
     o = bound
     for q in qs:
-        while o % q == 0 and _c_is_two(x, o // q, p):
+        while o % q == 0 and cheb_c_mod(o // q, x, p) == 2:
             o //= q
     return o
 
@@ -228,6 +218,28 @@ def chi_from_residue(tm: int, p: int, spf=None) -> int:
         return _mult_order(xi, p, bound, distinct_prime_factors(bound, spf))
     bound = p + 1
     return _norm1_order(tm, p, bound, distinct_prime_factors(bound, spf))
+
+
+def chi_valuation(tm: int, p: int, r: int) -> int:
+    """v_r(chi) for the residue tm = t mod p, with nothing factored.
+
+    With n = p -+ 1 the group order and m its r-free part, xi**m has order
+    r**v_r(chi) for the eigenvalue xi of D.  C_e(tm) = xi**e + xi**-e is 2
+    exactly when xi**e = 1, so v_r(chi) is the number of steps y -> C_r(y)
+    that take y = C_m(tm) to 2.
+    """
+    d = (tm * tm - 4) % p
+    if d == 0:
+        return valuation(p if tm == 2 else 2 * p, r)
+    m = p - 1 if pow(d, (p - 1) >> 1, p) == 1 else p + 1
+    while m % r == 0:
+        m //= r
+    y = cheb_c_mod(m, tm, p)
+    j = 0
+    while y != 2:
+        y = cheb_c_mod(r, y, p)
+        j += 1
+    return j
 
 
 def index(t, p: int, spf=None) -> int:

@@ -227,7 +227,7 @@ def test_criterion_17_chebyshev_orbit():
 
 
 def test_criterion_18_nondivisor_density():
-    spf_table(10**6 + 1)  # shared with earlier sweeps; warm for clean timing
+    spf_table(10**6 + 1)  # the factor table nondivisor_density reads; warm for clean timing
     t0 = time.perf_counter()
     rep = ex.nondivisor_density(F(3), F(-8, 19), F(-33, 19), 7, 10**6)
     elapsed = time.perf_counter() - t0

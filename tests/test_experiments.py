@@ -83,6 +83,18 @@ def test_verify_circular():
     assert index(F(6, 5), 7) == 8 and index(F(8, 5), 7) == 8
 
 
+def test_verify_circular_identity_failure_is_not_a_prime(monkeypatch):
+    # a broken C_n makes every Pythagorean check fail; the Chebyshev index n
+    # belongs in the expected text, never in the prime column
+    monkeypatch.setattr(ex, "cheb_c_exact", lambda n, x: F(0))
+    rep = ex.verify_circular(F(6, 5), 50)
+    odd_ns = set(range(1, 30, 2))
+    assert rep.violation_count == len(odd_ns)
+    assert not {p for p, _, _ in rep.violations} & odd_ns
+    for n in odd_ns:
+        assert any(f"(n={n})" in expected for _, expected, _ in rep.violations)
+
+
 def test_verify_bridge():
     assert ex.verify_bridge(FIB, 2000).passed
     assert ex.verify_bridge(PELL, 2000).passed

@@ -14,6 +14,7 @@ from apparition.partition import (
     report_to_json,
     rows_to_csv,
 )
+from apparition import primes
 from apparition.primes import sieve
 from apparition.ring import index
 
@@ -94,6 +95,25 @@ def test_threads_deterministic():
     one = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=1)
     two = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=2)
     assert one == two
+
+
+def test_sweep_never_factors(monkeypatch):
+    # the sweep needs only v_r(chi): no factor table, no trial division,
+    # below the old table bound and just above 2**22
+    def sweeps():
+        return [
+            compute_partition(3, 2, limit, start=start, threads=1)
+            for start, limit in ((2, 10**4), (2**22 + 1, 2**22 + 2 * 10**4))
+        ]
+
+    before = sweeps()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partition sweep factored")
+
+    for name in ("factorize", "distinct_prime_factors", "spf_table"):
+        monkeypatch.setattr(primes, name, refuse)
+    assert sweeps() == before
 
 
 def test_compare_exact_match_is_zero():

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from apparition.chebyshev import cheb_c_mod
 from apparition.errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
-from apparition.primes import factorize, sieve
+from apparition.primes import factorize, iter_primes, sieve, valuation
 from apparition.ring import (
     GroupOrder,
     ModParam,
     OrderKind,
     RingElem,
+    chi_from_residue,
+    chi_valuation,
     d_elem,
     elem_from_rationals,
     element_order,
@@ -20,6 +22,7 @@ from apparition.ring import (
     index,
     index_by_scan,
     reduce_param,
+    residue,
 )
 
 ODD_PRIMES = [p for p in sieve(300) if p > 2]
@@ -111,6 +114,43 @@ def test_oracle_equivalence(t):
         if t.denominator % p == 0:
             continue
         assert index(t, p) == index_by_scan(t, p), (t, p)
+
+
+def test_chi_valuation_matches_scan_oracle():
+    # the ts of acceptance criterion 1; each scan is shared by the four r
+    ts = [F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3)]
+    rs = (2, 3, 5, 7)
+    delta_zero = p_is_r = 0
+    for t in ts:
+        for p in iter_primes(2000, start=3):
+            if t.denominator % p == 0:
+                continue
+            tm = residue(t, p)
+            chi = index_by_scan(t, p)
+            delta_zero += (tm * tm - 4) % p == 0
+            p_is_r += p in rs
+            for r in rs:
+                assert chi_valuation(tm, p, r) == valuation(chi, r), (t, p, r)
+    assert delta_zero and p_is_r
+
+
+def test_chi_valuation_edge_cases():
+    # delta = 0: t = 3, p = 5 has chi = 2p = 10; t = -3, p = 5 has chi = p = 5
+    assert index_by_scan(3, 5) == 10 and index_by_scan(-3, 5) == 5
+    assert [chi_valuation(3, 5, r) for r in (2, 3, 5)] == [1, 0, 1]
+    assert [chi_valuation(2, 5, r) for r in (2, 3, 5)] == [0, 0, 1]
+    # p == r off the delta = 0 line: r does not divide p -+ 1, so v_r(chi) = 0
+    assert index_by_scan(3, 7) == 8 and chi_valuation(3, 7, 7) == 0
+    assert chi_valuation(3, 7, 2) == 3
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_chi_valuation_above_spf_cap(r):
+    # primes near 10**8, where chi_from_residue factors p -+ 1 by trial division
+    t = F(2, 7)
+    for p in iter_primes(10**8, start=10**8 - 10**4):
+        tm = residue(t, p)
+        assert chi_valuation(tm, p, r) == valuation(chi_from_residue(tm, p), r), p
 
 
 @settings(max_examples=80, deadline=None)
