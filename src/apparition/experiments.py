@@ -259,7 +259,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     for k in range(1, k_max + 1):
         q, rem = divmod(lucas[r * k], lucas[k])
         if rem != 0:
-            rep.record(k, f"L_{r*k}/L_{k} integer", f"remainder {rem}")
+            rep.record(0, f"L_{r*k}/L_{k} integer (k={k})", f"remainder {rem}")
             q = Fraction(lucas[r * k], lucas[k])
         bs.append(q)
         if r == 2:
@@ -275,7 +275,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
                 s = k // 2
                 want = Fraction(Q) ** ((r - 1) * s) * cheb_u_exact(r, cheb_c_exact(s, t))
         if Fraction(q) != want:
-            rep.record(k, f"closed form {want}", q)
+            rep.record(0, f"closed form {want} (k={k})", q)
 
     for p in _admissible(limit, 2 * abs(Q)):
         if p == r:

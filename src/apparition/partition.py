@@ -1,11 +1,25 @@
 """Empirical valuation partition of the index over all primes up to N.
 
 For each admissible odd prime p <= N (p != r, p not dividing den(t)) the
-sweep computes the r-adic valuation of chi(t, p) directly, with
-`ring.chi_valuation`, which factors nothing, and buckets p by it; primes
-dividing the numerator of t**2 - 4 stay in the count (their index is p
-or 2p).  Work is sharded over contiguous prime ranges, so reports
-merge by exact addition and any worker count gives identical output.
+sweep computes the r-adic valuation of chi(t, p) directly, with the
+factor-free kernel `ring.chi_valuation_from_characters`, and buckets p by
+it; primes dividing the numerator of t**2 - 4 stay in the count (their
+index is p or 2p).
+
+The kernel needs two quadratic characters.  With t = a/b, both are
+characters of integers: ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2
+(split, p - 1, or inert, p + 1), and ((t + 2)/p) = (plus2/p) for
+plus2 = (a + 2b)*b (for r = 2, whether D_t is a square in its group).  By
+quadratic reciprocity (N/p) depends only on p mod 4|N| for p not dividing
+2N, so the sweep reads them from dicts keyed by that residue class instead
+of running Euler's criterion per prime.  A class that holds a prime
+dividing 2N holds that prime alone, so its entry is right too.
+
+The sweep walks its range one `primes._SEGMENT`-wide piece at a time
+(`primes.prime_segments`) and starts the caches afresh in each, so memory
+stays bounded by one segment's primes however wide the range or large the
+periods.  Work is sharded over contiguous prime ranges, so reports merge
+by exact addition and any worker count gives identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from . import primes
 from .classify import EXCLUDED, Prediction
 from .errors import ExcludedParameter, UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation, residue
+from .ring import chi_valuation_from_characters, legendre
 
 DEFAULT_J_MAX = 8
 
@@ -58,27 +72,47 @@ class ComparisonRow:
 
 def _sweep_range(args) -> tuple:
     t, r, j_max, lo, hi = args
-    td = t.denominator
+    a, b = t.numerator, t.denominator
+    # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not dividing
+    # b; each depends only on p mod its period (quadratic reciprocity)
+    disc = a * a - 4 * b * b
+    plus2 = (a + 2 * b) * b
+    disc_period, plus2_period = 4 * abs(disc), 4 * abs(plus2)
     counts = [0] * (j_max + 1)
     overflow = 0
     total = 0
     excluded = {}
-    for p in primes.primes_in_range(lo, hi):
-        if p == 2:
-            excluded[p] = "is_two"
-            continue
-        if p == r:
-            excluded[p] = "equals_r"
-            continue
-        if td % p == 0:
-            excluded[p] = "divides_denominator"
-            continue
-        j = chi_valuation(residue(t, p), p, r)
-        if j <= j_max:
-            counts[j] += 1
-        else:
-            overflow += 1
-        total += 1
+    for segment in primes.prime_segments(lo, hi):
+        # residue class -> character, for this segment's primes only; a
+        # class holding a prime dividing 2 * disc or plus2 holds no other
+        disc_chars: dict = {}
+        plus2_chars: dict = {}
+        for p in segment:
+            if p == 2:
+                excluded[p] = "is_two"
+                continue
+            if p == r:
+                excluded[p] = "equals_r"
+                continue
+            if b % p == 0:
+                excluded[p] = "divides_denominator"
+                continue
+            key = p % disc_period
+            delta_char = disc_chars.get(key)
+            if delta_char is None:
+                delta_char = disc_chars[key] = legendre(disc, p)
+            plus2_char = 0
+            if r == 2:
+                key = p % plus2_period
+                plus2_char = plus2_chars.get(key)
+                if plus2_char is None:
+                    plus2_char = plus2_chars[key] = legendre(plus2, p)
+            j = chi_valuation_from_characters(t, p, r, delta_char, plus2_char)
+            if j <= j_max:
+                counts[j] += 1
+            else:
+                overflow += 1
+            total += 1
     return counts, overflow, total, excluded
 
 

@@ -1,7 +1,8 @@
 """Primes, primality and factoring: the integer primitives under every sweep.
 
-- `iter_primes` / `sieve`: a segmented sieve of Eratosthenes over
-  [start, limit], one `_SEGMENT`-wide bytearray at a time.
+- `prime_segments` / `iter_primes` / `sieve`: a segmented sieve of
+  Eratosthenes over [start, limit], one `_SEGMENT`-wide bytearray at a
+  time, with the base primes up to sqrt(limit) sieved once.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24, with a base
   set proven sufficient for each size of n.
 - `factorize`: trial division by sieved primes up to sqrt(n), refused when
@@ -16,6 +17,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -65,25 +67,29 @@ def primes_in_range(lo: int, hi: int) -> list:
         return []
     lo = max(lo, 2)
     base = base_primes(isqrt(hi))
-    size = hi - lo + 1
-    mask = bytearray([1]) * size
+    mask = bytearray([1]) * (hi - lo + 1)
     for q in base:
         start = max(q * q, ((lo + q - 1) // q) * q)
         if start > hi:
             continue
-        mask[start - lo :: q] = b"\x00" * len(range(start, hi + 1, q))
-    if lo == 1:
-        mask[0] = 0
-    return [lo + i for i in range(size) if mask[i]]
+        mask[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), mask))
+
+
+def prime_segments(lo: int, hi: int) -> Iterator[list]:
+    """The primes of [lo, hi] as one ascending list per `_SEGMENT`-wide piece."""
+    if 2 <= hi and lo <= hi:
+        base_primes(isqrt(hi))  # sieved once: no segment re-sieves a longer base
+    while lo <= hi:
+        seg_hi = min(lo + _SEGMENT - 1, hi)
+        yield primes_in_range(lo, seg_hi)
+        lo = seg_hi + 1
 
 
 def iter_primes(limit: int, start: int = 2) -> Iterator[int]:
     """Yield primes in [start, limit] ascending, one segment at a time."""
-    lo = max(start, 2)
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        yield from primes_in_range(lo, hi)
-        lo = hi + 1
+    for segment in prime_segments(max(start, 2), limit):
+        yield from segment
 
 
 def sieve(limit: int) -> list:

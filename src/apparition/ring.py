@@ -7,6 +7,12 @@ cyclic group of order p-1 or p+1 according to the quadratic character of
 delta = t**2 - 4 mod p (order p or 2p when delta vanishes), and the index
 of appearance chi(t, p) is the order of D in that group.
 
+`chi_valuation_from_characters` is the one v_r(chi) kernel: given the
+character of delta (which group) and, for r = 2, that of t + 2 (whether
+D is a square in it), it needs one trace ladder, or none when r = 2 and
+t + 2 is a non-square.  `chi_valuation` feeds it Euler's criterion for a
+single prime; the partition sweep feeds it cached characters.
+
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
 
@@ -42,8 +48,9 @@ class GroupOrder:
     kind: OrderKind
 
 
-def residue(q: Fraction, p: int) -> int:
-    """The rational q reduced mod p; p must not divide its denominator."""
+def residue(q, p: int) -> int:
+    """The rational q (int or Fraction) reduced mod p; p must not divide
+    its denominator."""
     n, d = q.numerator, q.denominator
     if d % p == 0:
         raise DenominatorDivisible(f"{p} divides den({q})")
@@ -122,12 +129,18 @@ def elem_from_rationals(m: ModParam, x0, x1) -> RingElem:
     return RingElem(m, residue(Fraction(x0), m.p), residue(Fraction(x1), m.p))
 
 
+def legendre(x: int, p: int) -> int:
+    """The Legendre symbol (x/p) for an odd prime p: 1, -1, or 0 when p | x."""
+    e = pow(x, (p - 1) >> 1, p)  # Euler's criterion
+    return e if e <= 1 else -1
+
+
 def group_order(m: ModParam) -> GroupOrder:
-    """Order of the determinant-one group mod p (Euler criterion on delta)."""
+    """Order of the determinant-one group mod p (the character of delta)."""
     p = m.p
     if m.delta_mod == 0:
         return GroupOrder(p if m.t_mod == 2 else 2 * p, OrderKind.DELTA_ZERO)
-    if pow(m.delta_mod, (p - 1) >> 1, p) == 1:
+    if legendre(m.delta_mod, p) == 1:
         return GroupOrder(p - 1, OrderKind.SPLIT)
     return GroupOrder(p + 1, OrderKind.INERT)
 
@@ -169,7 +182,7 @@ def _sqrt_mod(a: int, p: int) -> int:
         q >>= 1
         s += 1
     z = 2
-    while pow(z, (p - 1) >> 1, p) != p - 1:
+    while legendre(z, p) != -1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) >> 1, p)
@@ -211,7 +224,7 @@ def chi_from_residue(tm: int, p: int, spf=None) -> int:
     d = (tm * tm - 4) % p
     if d == 0:
         return p if tm == 2 else 2 * p
-    if pow(d, (p - 1) >> 1, p) == 1:
+    if legendre(d, p) == 1:
         bound = p - 1
         # split: order of the eigenvalue (t + sqrt(delta))/2 in F_p*
         xi = (tm + _sqrt_mod(d, p)) * ((p + 1) >> 1) % p
@@ -223,23 +236,53 @@ def chi_from_residue(tm: int, p: int, spf=None) -> int:
 def chi_valuation(tm: int, p: int, r: int) -> int:
     """v_r(chi) for the residue tm = t mod p, with nothing factored.
 
-    With n = p -+ 1 the group order and m its r-free part, xi**m has order
-    r**v_r(chi) for the eigenvalue xi of D.  C_e(tm) = xi**e + xi**-e is 2
-    exactly when xi**e = 1, so v_r(chi) is the number of steps y -> C_r(y)
-    that take y = C_m(tm) to 2.
+    Both quadratic characters come from Euler's criterion here; the
+    partition sweep reads them from its caches instead and calls
+    `chi_valuation_from_characters` directly.
     """
-    d = (tm * tm - 4) % p
-    if d == 0:
+    delta_char = legendre(tm * tm - 4, p)
+    plus2_char = legendre(tm + 2, p) if r == 2 else 0
+    return chi_valuation_from_characters(tm, p, r, delta_char, plus2_char)
+
+
+def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char: int) -> int:
+    """v_r(chi) for t (int or Fraction, p not dividing its denominator),
+    given delta_char = ((t**2 - 4)/p) and, when r = 2, plus2_char = ((t + 2)/p).
+
+    delta_char = 0 means t = +-2 mod p and chi = p or 2p.  Otherwise D_t
+    lies in a cyclic group of order n = p - delta_char; with m the r-free
+    part of n, xi**m has order r**v_r(chi) for the eigenvalue xi of D.
+    C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is the
+    number of steps y -> C_r(y) that take y = C_m(t) to 2.
+
+    For r = 2 the ladder is often not needed.  When p splits,
+    xi = (xi + 1)**2 / (t + 2) in F_p; when it is inert, xi = (xi + 1)**(1 - p)
+    and N(xi + 1) = t + 2, and the norm-one power z**(1 - p) is a square of
+    the norm-one group exactly when z is a square in F_{p^2}, i.e. when N(z)
+    is a square in F_p.  Either way xi is a square in its group exactly
+    when ((t + 2)/p) = 1; when it is -1, xi keeps the whole 2-part of the
+    group order, so v_2(chi) = v_2(p -+ 1).
+    """
+    if delta_char == 0:
+        tm = residue(t, p)
         return valuation(p if tm == 2 else 2 * p, r)
-    m = p - 1 if pow(d, (p - 1) >> 1, p) == 1 else p + 1
-    while m % r == 0:
-        m //= r
-    y = cheb_c_mod(m, tm, p)
-    j = 0
-    while y != 2:
-        y = cheb_c_mod(r, y, p)
-        j += 1
-    return j
+    m = p - delta_char
+    if r == 2:
+        v = (m & -m).bit_length() - 1
+        if plus2_char == -1:
+            return v
+        m >>= v
+    else:
+        v = 0
+        while m % r == 0:
+            m //= r
+            v += 1
+    y = cheb_c_mod(m, residue(t, p), p)
+    for j in range(v + 1):
+        if y == 2:
+            return j
+        y = (y * y - 2) % p if r == 2 else cheb_c_mod(r, y, p)
+    raise ValueError(f"characters ({delta_char}, {plus2_char}) do not fit t = {t} mod {p}")
 
 
 def index(t, p: int, spf=None) -> int:

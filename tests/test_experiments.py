@@ -116,6 +116,19 @@ def test_ballot_values():
     assert index(-3, 11) == 10 and bs[4] == 11
 
 
+def test_ballot_closed_form_failure_is_not_a_prime(monkeypatch):
+    # broken closed forms fail for every k; the sequence index k belongs in
+    # the expected text, never in the prime column
+    monkeypatch.setattr(ex, "cheb_v_exact", lambda m, x: F(0))
+    monkeypatch.setattr(ex, "cheb_c_exact", lambda n, x: F(0))
+    ks = range(1, 13)
+    rep = ex.ballot_check(FIB, 2, 50, k_max=len(ks))
+    assert rep.violation_count == len(ks)
+    assert {p for p, _, _ in rep.violations} == {0}
+    for k in ks:
+        assert any(f"(k={k})" in expected for _, expected, _ in rep.violations)
+
+
 def test_ballot_r3():
     rep = ex.ballot_check(FIB, 3, 1000, k_max=15)
     assert rep.passed, rep.violations[:3]

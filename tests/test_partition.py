@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -15,8 +16,8 @@ from apparition.partition import (
     rows_to_csv,
 )
 from apparition import primes
-from apparition.primes import sieve
-from apparition.ring import index
+from apparition.primes import iter_primes, sieve, valuation
+from apparition.ring import chi_valuation, index, index_by_scan, legendre, residue
 
 
 def test_example_t3_r2():
@@ -114,6 +115,70 @@ def test_sweep_never_factors(monkeypatch):
     for name in ("factorize", "distinct_prime_factors", "spf_table"):
         monkeypatch.setattr(primes, name, refuse)
     assert sweeps() == before
+
+
+def test_sweep_is_segmented(monkeypatch):
+    # the sweep sieves, and caches characters, one segment at a time; over
+    # several segments it agrees with the single-prime kernel
+    start, limit = 10**6, 10**6 + 3 * primes._SEGMENT + 17
+    widths = []
+    sieve_range = primes.primes_in_range
+
+    def recording(lo, hi):
+        widths.append(hi - lo + 1)
+        return sieve_range(lo, hi)
+
+    monkeypatch.setattr(primes, "primes_in_range", recording)
+    for t, r in ((F(-7, 2), 2), (F(2, 7), 3)):
+        widths.clear()
+        rep = compute_partition(t, r, limit, start=start, j_max=6)
+        assert len(widths) == 4 and sum(widths) == limit - start + 1
+        assert max(widths) <= primes._SEGMENT
+        counts = [0] * 8
+        for p in iter_primes(limit, start=start):
+            if t.denominator % p:
+                counts[min(chi_valuation(residue(t, p), p, r), 7)] += 1
+        assert rep.j_counts + [rep.overflow] == counts, (t, r)
+
+
+# the ts of acceptance criterion 1 (with the square-disc cases 5/2 and 10/3),
+# a further negative t, and a t of large height whose character caches
+# never hit below 3000
+KERNEL_TS = [
+    F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3),
+    F(-7, 2), F(123456789, 1000003),
+]
+
+
+@lru_cache(maxsize=None)
+def _scan_chis(t):
+    return {p: index_by_scan(t, p) for p in iter_primes(3000, start=3) if t.denominator % p}
+
+
+@pytest.mark.parametrize("t", KERNEL_TS, ids=str)
+def test_sweep_matches_scan_oracle(t):
+    chis = _scan_chis(t)
+    for r in (2, 3, 5, 7):
+        rep = compute_partition(t, r, 3000)
+        counts = [0] * (rep.j_max + 2)
+        for p, chi in chis.items():
+            if p != r:
+                counts[min(valuation(chi, r), rep.j_max + 1)] += 1
+        assert rep.j_counts + [rep.overflow] == counts, r
+        assert rep.total == sum(counts)
+
+
+@pytest.mark.parametrize("t", KERNEL_TS, ids=str)
+def test_r2_square_lemma(t):
+    # ((t + 2)/p) = -1 makes xi a non-square in its cyclic group of order
+    # p - ((t**2 - 4)/p), so v_2(chi) is the whole 2-part of that order
+    nonsquare = 0
+    for p, chi in _scan_chis(t).items():
+        tm = residue(t, p)
+        if legendre(tm + 2, p) == -1:
+            nonsquare += 1
+            assert valuation(chi, 2) == valuation(p - legendre(tm * tm - 4, p), 2), p
+    assert nonsquare > 100
 
 
 def test_compare_exact_match_is_zero():

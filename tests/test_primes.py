@@ -1,3 +1,5 @@
+import random
+from bisect import bisect_left, bisect_right
 from math import isqrt
 
 from hypothesis import given
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 import pytest
 
+from apparition import primes
 from apparition.primes import (
     FACTOR_SQRT_CAP,
+    _simple_sieve,
     distinct_prime_factors,
     factorize,
     is_prime,
@@ -46,6 +50,39 @@ def test_segmented_matches_direct():
     assert primes_in_range(1000, 2000) == [p for p in sieve(2000) if p >= 1000]
     assert primes_in_range(0, 1) == []
     assert primes_in_range(9999990, 10000010) == [9999991]  # straddles a segment boundary
+
+
+def test_primes_in_range_matches_simple_sieve():
+    bound = 300_000
+    ref = _simple_sieve(bound)
+
+    def expect(lo, hi):
+        return ref[bisect_left(ref, lo) : bisect_right(ref, hi)]
+
+    rng = random.Random(20241030)
+    for _ in range(300):
+        lo = rng.randrange(bound)
+        hi = min(lo + rng.randrange(3000), bound)
+        assert primes_in_range(lo, hi) == expect(lo, hi), (lo, hi)
+    for lo in (0, 1, 2):
+        for hi in (0, 1, 2, 3, 4, 30, 1000):
+            assert primes_in_range(lo, hi) == expect(lo, hi), (lo, hi)
+    assert primes_in_range(10, 9) == [] and primes_in_range(1000, 3) == []
+    for n in (2, 3, 4, 97, 100, 99991, 299_993):
+        assert primes_in_range(n, n) == expect(n, n), n
+
+
+def test_base_primes_sieved_once_per_range(monkeypatch):
+    # a sweep whose segments end at growing sqrt(hi) must not re-sieve the
+    # base primes for each segment
+    monkeypatch.setattr(primes, "_base_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(primes, "_base_limit", 10)
+    calls = []
+    simple = primes._simple_sieve
+    monkeypatch.setattr(primes, "_simple_sieve", lambda n: calls.append(n) or simple(n))
+    lo, hi = 10**8 - 4 * primes._SEGMENT, 10**8
+    assert list(iter_primes(hi, start=lo)) == primes_in_range(lo, hi)
+    assert calls == [isqrt(hi)]
 
 
 def test_factorize_examples():

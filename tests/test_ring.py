@@ -14,6 +14,7 @@ from apparition.ring import (
     RingElem,
     chi_from_residue,
     chi_valuation,
+    chi_valuation_from_characters,
     d_elem,
     elem_from_rationals,
     element_order,
@@ -21,6 +22,7 @@ from apparition.ring import (
     identity,
     index,
     index_by_scan,
+    legendre,
     reduce_param,
     residue,
 )
@@ -142,6 +144,26 @@ def test_chi_valuation_edge_cases():
     # p == r off the delta = 0 line: r does not divide p -+ 1, so v_r(chi) = 0
     assert index_by_scan(3, 7) == 8 and chi_valuation(3, 7, 7) == 0
     assert chi_valuation(3, 7, 2) == 3
+
+
+def test_legendre():
+    squares = {x * x % 23 for x in range(1, 23)}
+    assert [legendre(x, 23) for x in range(23)] == [0] + [1 if x in squares else -1 for x in range(1, 23)]
+    assert legendre(-1, 23) == -1 and legendre(-1, 29) == 1 and legendre(46, 23) == 0
+
+
+def test_chi_valuation_rejects_wrong_characters():
+    # t = 3, p = 11 splits (delta = 5 = 4**2) with chi = 5; the inert
+    # character puts D in a group of order 12 that it does not lie in
+    assert legendre(5, 11) == 1 and chi_valuation(3, 11, 3) == 0
+    with pytest.raises(ValueError, match="do not fit"):
+        chi_valuation_from_characters(3, 11, 3, -1, 0)
+    # t = 3, p = 19: t + 2 = 5 is a square (9**2), so the r = 2 ladder runs;
+    # a wrong delta character then cannot reach 2 within v_2(p -+ 1) steps
+    assert legendre(5, 19) == 1 and legendre(3 * 3 - 4, 19) == 1
+    assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
+    with pytest.raises(ValueError, match="do not fit"):
+        chi_valuation_from_characters(3, 19, 2, -1, 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
