@@ -41,22 +41,11 @@ def main():
         ex.verify_splitting_theorems(F(3), 2, cap),
         ex.verify_splitting_theorems(F(10, 3), 3, cap),
         ex.quadmap_divisor_check(F(5), n),
+        ex.chebyshev_orbit_divisors(F(3), 2, 20, n),
     ]
-    failed = 0
     for rep in reports:
-        line = rep.summary() if hasattr(rep, "summary") else (
-            f"{'PASS' if rep.passed else 'FAIL'} quadmap(t={rep.t}): "
-            f"{len(rep.violations)} violations"
-        )
-        print(line)
-        failed += 0 if rep.passed else 1
-    orb = ex.chebyshev_orbit_divisors(F(3), 2, 20, n)
-    print(
-        f"{'PASS' if orb.passed else 'FAIL'} chebyshev-orbit(x0=3, k=2): "
-        f"{len(orb.divisors)} divisors, fraction {orb.fraction:.5f}"
-    )
-    failed += 0 if orb.passed else 1
-    sys.exit(2 if failed else 0)
+        print(rep.summary())
+    sys.exit(0 if all(rep.passed for rep in reports) else 2)
 
 
 if __name__ == "__main__":

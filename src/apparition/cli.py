@@ -129,23 +129,9 @@ def _cmd_dynamics(args) -> int:
         rep = experiments.chebyshev_orbit_divisors(
             parse_rational(args.x0), args.k, args.nmax, args.limit
         )
-        status = "PASS" if rep.passed else "FAIL"
-        print(
-            f"{status} chebyshev-orbit(x0={rep.x0}, k={rep.k}): "
-            f"{len(rep.divisors)} divisors / {rep.primes_checked} primes "
-            f"(fraction {rep.fraction:.6f}), {len(rep.violations)} violations"
-        )
-        for bound, count, frac in rep.checkpoints:
-            print(f"  N={bound}: {count} divisors, fraction {frac:.6f}")
-        return 0 if rep.passed else 2
-    rep = experiments.quadmap_divisor_check(parse_rational(args.t), args.limit)
-    status = "PASS" if rep.passed else "FAIL"
-    print(
-        f"{status} quadmap(t={rep.t}): {len(rep.divisors)} divisors / "
-        f"{rep.primes_checked} primes (density {rep.density:.6f}), "
-        f"{len(rep.violations)} violations"
-    )
-    return 0 if rep.passed else 2
+    else:
+        rep = experiments.quadmap_divisor_check(parse_rational(args.t), args.limit)
+    return _report_exit(rep, None)
 
 
 def _cmd_nondivisor(args) -> int:
@@ -156,19 +142,7 @@ def _cmd_nondivisor(args) -> int:
         args.r,
         args.limit,
     )
-    status = "PASS" if rep.passed else "FAIL"
-    print(
-        f"{status} nondivisor(t={rep.t}, Y=[{rep.y0}, {rep.y1}], r={rep.r}): "
-        f"|T| = {rep.target_count} of {rep.pi_limit} primes, "
-        f"ratio {rep.ratio:.6f} vs expected {rep.expected} "
-        f"({float(rep.expected):.6f})"
-    )
-    if rep.criterion_disagreements:
-        print(f"  note: {len(rep.criterion_disagreements)} literal-vs-subgroup criterion disagreements")
-    if not rep.passed:
-        for p, e, a in (rep.order_index_mismatches + rep.scan_divisor_conflicts)[:10]:
-            print(f"  violation p={p}: expected {e}, got {a}")
-    return 0 if rep.passed else 2
+    return _report_exit(rep, None)
 
 
 # let argparse accept negative rationals like -8/19 as positionals

@@ -2,9 +2,9 @@
 
 Every suite here checks a relation that holds for *all* admissible primes
 (isomorphism identities, divisor-set characterizations, polynomial
-splitting equivalences), so a passing run has zero violations; the only
-statistical outputs are the density fields of the orbit, quadratic-map
-and non-divisor reports.
+splitting equivalences), so a passing run has zero violations.  Every
+suite returns a `CheckReport`; the only statistical outputs are the
+`metrics` of the orbit, quadratic-map and non-divisor suites.
 """
 
 from __future__ import annotations
@@ -40,12 +40,28 @@ VIOLATION_CAP = 100
 
 @dataclass
 class CheckReport:
-    """Violation ledger for an exact per-prime suite."""
+    """Violation ledger for a per-prime suite.
+
+    `divisors` lists the primes a dynamics suite found dividing its
+    sequence; `metrics` holds its named statistics (densities, counts,
+    checkpoints), which also read as attributes: `rep.density` is
+    `rep.metrics["density"]`.
+    """
 
     name: str
     primes_checked: int = 0
     violations: list = field(default_factory=list)  # (p, expected, actual)
     violation_count: int = 0
+    divisors: list = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
+
+    def __getattr__(self, name: str):
+        # only reached for names that are not fields; reading __dict__
+        # directly keeps copy and pickle (which probe a bare instance) safe
+        metrics = self.__dict__.get("metrics", {})
+        if name in metrics:
+            return metrics[name]
+        raise AttributeError(f"{type(self).__name__} has no attribute or metric {name!r}")
 
     @property
     def passed(self) -> bool:
@@ -58,10 +74,16 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
+        line = (
             f"{status} {self.name}: {self.primes_checked} primes checked, "
             f"{self.violation_count} violations"
         )
+        if self.metrics:
+            line += "; " + ", ".join(
+                f"{k} {v:.6f}" if isinstance(v, float) else f"{k} {v}"
+                for k, v in self.metrics.items()
+            )
+        return line
 
 
 def _admissible(limit: int, *dens: int):
@@ -72,6 +94,15 @@ def _admissible(limit: int, *dens: int):
     for p in primes.iter_primes(limit, start=3):
         if skip % p:
             yield p
+
+
+def _require_prime(r: int) -> None:
+    if not primes.is_prime(r):
+        raise ValueError(f"r must be prime, got {r}")
+
+
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +116,7 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     Valid away from primes dividing num(U_r(t)), where the conjugation
     between the two rings degenerates.
     """
+    _require_prime(r)
     t = Fraction(t)
     t_r = cheb_c_exact(r, t)
     u_r = cheb_u_exact(r, t)
@@ -243,6 +275,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     B_{2s} = Q^s C_s(t).  Certificates: r | chi implies p | B_{chi/r}, and
     p | B_k for k <= k_max implies r | chi.
     """
+    _require_prime(r)
     if k_max > 60:
         raise ValueError("k_max capped at 60 (exact values)")
     t = spec.t
@@ -322,6 +355,8 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = Fraction(t)
     family = family.upper() if family.upper() in {"W", "V", "C", "S"} else family.lower()
+    if family == "subsequence":
+        _require_prime(subseq_r)
     skip_extra = 1
     b = None
     if family == "S":
@@ -510,6 +545,7 @@ def verify_splitting_theorems(
     have r ∤ chi; leaving M at level n with r^{n+m-1} || phat forces
     v_r(chi) = m.
     """
+    _require_prime(r)
     if limit > 3000:
         raise PrimeTooLarge("limit capped at 3000 for the splitting suite")
     t = Fraction(t)
@@ -572,42 +608,24 @@ def verify_splitting_theorems(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OrbitReport:
-    x0: Fraction
-    k: int
-    n_max: int
-    limit: int
-    primes_checked: int = 0
-    divisors: list = field(default_factory=list)      # (p, n)
-    violations: list = field(default_factory=list)
-    checkpoints: list = field(default_factory=list)   # (bound, divisors, fraction)
-    fraction: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> OrbitReport:
+def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> CheckReport:
     """Primes dividing the orbit x0 -> C_k(x0) -> C_{k**2}(x0) -> ...
 
     Any divisor p of the n-th orbit element has chi(x0, p) = 4*k**n, so
     D^{k^n} must have order 4 and p >= 4*k**n - 1; both are checked
-    exactly.  The running divisor fraction is recorded at powers of ten
-    (the density-zero trend).
+    exactly.  `divisors` holds (p, n) pairs; the metrics are the divisor
+    `fraction` and its running value at each power of ten below the limit
+    ("N=1000": ...), the density-zero trend.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     x0 = Fraction(x0)
-    rep = OrbitReport(x0=x0, k=k, n_max=n_max, limit=limit)
+    rep = CheckReport(name=f"chebyshev-orbit(x0={x0}, k={k})")
+    checkpoints = {}
     next_checkpoint = 1000
     for p in _admissible(limit, x0.denominator):
         while p > next_checkpoint:
-            rep.checkpoints.append(
-                (next_checkpoint, len(rep.divisors),
-                 len(rep.divisors) / rep.primes_checked if rep.primes_checked else 0.0)
-            )
+            checkpoints[f"N={next_checkpoint}"] = _ratio(len(rep.divisors), rep.primes_checked)
             next_checkpoint *= 10
         rep.primes_checked += 1
         xm = ring.residue(x0, p)
@@ -622,38 +640,25 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> OrbitReport:
             continue
         rep.divisors.append((p, hit))
         if p < 4 * k**hit - 1:
-            rep.violations.append((p, f"p >= 4*{k}**{hit}-1", p))
+            rep.record(p, f"p >= 4*{k}**{hit}-1", p)
         m = ring.ModParam(p=p, t_mod=xm, delta_mod=(xm * xm - 4) % p)
         a = ring.d_elem(m) ** (k**hit)
         if not ((a * a) == -ring.identity(m)):
-            rep.violations.append((p, "ord(D^{k^n}) = 4", "(D^e)^2 != -I"))
-    rep.fraction = len(rep.divisors) / rep.primes_checked if rep.primes_checked else 0.0
-    rep.checkpoints.append((limit, len(rep.divisors), rep.fraction))
+            rep.record(p, "ord(D^{k^n}) = 4", "(D^e)^2 != -I")
+    rep.metrics = {"fraction": _ratio(len(rep.divisors), rep.primes_checked), **checkpoints}
     return rep
 
 
-@dataclass
-class QuadmapReport:
-    t: Fraction
-    limit: int
-    primes_checked: int = 0
-    divisors: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    density: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def quadmap_divisor_check(t, limit: int) -> QuadmapReport:
+def quadmap_divisor_check(t, limit: int) -> CheckReport:
     """Orbit of t under x -> x**2 - 2 returns to t mod p iff chi(t, p) is odd.
 
     The orbit values are C_{2^n}(t), and a return forces D^(2^n -+ 1) = I;
     the scan is capped at p steps, which covers pre-period plus period.
+    `divisors` holds the primes with a return; the metrics are `t` and
+    their `density`.
     """
     t = Fraction(t)
-    rep = QuadmapReport(t=t, limit=limit)
+    rep = CheckReport(name=f"quadmap(t={t})")
     for p in _admissible(limit, t.denominator):
         tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
@@ -668,8 +673,8 @@ def quadmap_divisor_check(t, limit: int) -> QuadmapReport:
         if found:
             rep.divisors.append(p)
         if found != (chi % 2 == 1):
-            rep.violations.append((p, f"divisor iff chi odd (chi={chi})", found))
-    rep.density = len(rep.divisors) / rep.primes_checked if rep.primes_checked else 0.0
+            rep.record(p, f"divisor iff chi odd (chi={chi})", found)
+    rep.metrics = {"t": t, "density": _ratio(len(rep.divisors), rep.primes_checked)}
     return rep
 
 
@@ -678,37 +683,19 @@ def quadmap_divisor_check(t, limit: int) -> QuadmapReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NondivisorReport:
-    t: Fraction
-    y0: Fraction
-    y1: Fraction
-    trace: Fraction
-    r: int
-    limit: int
-    primes_checked: int = 0
-    pi_limit: int = 0
-    target_count: int = 0
-    ratio: float = 0.0
-    expected: Fraction = Fraction(0)
-    order_index_mismatches: list = field(default_factory=list)
-    scan_divisor_conflicts: list = field(default_factory=list)
-    criterion_disagreements: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.order_index_mismatches and not self.scan_divisor_conflicts
-
-
-def nondivisor_density(t, y0, y1, r: int, limit: int) -> NondivisorReport:
+def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     """Density of the witness set T = {r || phat, r ∤ chi, r | ord(Y)}.
 
     Every member of T is a guaranteed non-divisor of the sequence Y
     (its order is not a divisor of chi, nor is -Y's, and the group is
-    cyclic); the expected density is (r-1)/r**3.  For p <= 10**4 the
-    membership is double-checked by an honest zero scan, and the literal
-    criterion "ord(Y) | 2*chi" is compared against the subgroup criterion,
-    with disagreements recorded rather than resolved.
+    cyclic); the expected density is (r-1)/r**3.  The metrics are
+    `target_count` = |T|, `pi_limit` = pi(limit), their `ratio`, the
+    `expected` density and the `trace` of Y.  Violations are primes where
+    ord(Y) differs from chi(trace, p), and, for p <= 10**4, primes where an
+    honest zero scan contradicts the subgroup divisor criterion or finds a
+    member of T dividing Y.  There the literal criterion "ord(Y) | 2*chi"
+    is compared against the subgroup criterion too, and its disagreements
+    are counted in `criterion_disagreements` rather than resolved.
     """
     t, y0, y1 = Fraction(t), Fraction(y0), Fraction(y1)
     det = y1 * y1 - t * y0 * y1 + y0 * y0
@@ -731,14 +718,12 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> NondivisorReport:
     if r == 2 or not primes.is_prime(r):
         raise ValueError("r must be an odd prime")
 
-    rep = NondivisorReport(
-        t=t, y0=y0, y1=y1, trace=b, r=r, limit=limit,
-        expected=Fraction(r - 1, r**3),
-    )
+    rep = CheckReport(name=f"nondivisor(t={t}, Y=[{y0}, {y1}], r={r})")
+    pi_limit = target_count = disagreements = 0
     spf = primes.spf_table(limit + 1) if limit + 1 <= primes.SPF_CAP else None
     dens = t.denominator * y0.denominator * y1.denominator
     for p in primes.iter_primes(limit):
-        rep.pi_limit += 1
+        pi_limit += 1
         if p == 2 or dens % p == 0:
             continue
         rep.primes_checked += 1
@@ -752,20 +737,27 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> NondivisorReport:
         if y0.numerator % p != 0:  # Y = +-I mod p exactly when p | num(y0)
             idx_b = ring.chi_from_residue(ring.residue(b, p), p, spf)
             if ord_y != idx_b:
-                rep.order_index_mismatches.append((p, idx_b, ord_y))
+                rep.record(p, f"ord(Y) = chi(trace) = {idx_b}", ord_y)
         in_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
         if in_target:
-            rep.target_count += 1
+            target_count += 1
         if p <= ENUMERATION_CAP:
             scan_div = _scan_zero(y_elem.x0, y_elem.x1, tm, p, 2 * chi + 2) is not None
             ord_neg = ring.element_order(-y_elem, fac)
             subgroup_div = chi % ord_y == 0 or chi % ord_neg == 0
             literal_div = (2 * chi) % ord_y == 0
             if scan_div != subgroup_div:
-                rep.scan_divisor_conflicts.append((p, "scan vs subgroup", scan_div))
+                rep.record(p, f"scan agrees with subgroup criterion ({subgroup_div})", scan_div)
             elif in_target and scan_div:
-                rep.scan_divisor_conflicts.append((p, "target member divides Y", True))
+                rep.record(p, "target member divides no element", "scan found a zero")
             if literal_div != subgroup_div:
-                rep.criterion_disagreements.append((p, ord_y, chi))
-    rep.ratio = rep.target_count / rep.pi_limit if rep.pi_limit else 0.0
+                disagreements += 1
+    rep.metrics = {
+        "target_count": target_count,
+        "pi_limit": pi_limit,
+        "ratio": _ratio(target_count, pi_limit),
+        "expected": Fraction(r - 1, r**3),
+        "trace": b,
+        "criterion_disagreements": disagreements,
+    }
     return rep

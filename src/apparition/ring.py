@@ -170,67 +170,23 @@ def element_order(a: RingElem, order_bound: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """Square root of a quadratic residue mod an odd prime (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p & 3 == 3:
-        return pow(a, (p + 1) >> 2, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q >>= 1
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) >> 1, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _mult_order(x: int, p: int, bound: int, qs) -> int:
-    """Order of x in F_p* given distinct primes qs of the bound."""
-    o = bound
-    for q in qs:
-        while o % q == 0 and pow(x, o // q, p) == 1:
-            o //= q
-    return o
-
-
-def _norm1_order(x: int, p: int, bound: int, qs) -> int:
-    """Order of the trace-x, det-1 element in the inert (field) case.
-
-    In a field, a norm-one element z satisfies z**e = 1 iff its trace
-    C_e(x) equals 2, so the whole order computation runs on traces.
-    """
-    o = bound
-    for q in qs:
-        while o % q == 0 and cheb_c_mod(o // q, x, p) == 2:
-            o //= q
-    return o
-
-
 def chi_from_residue(tm: int, p: int, spf=None) -> int:
-    """chi for the residue tm = t mod p.  spf: optional factor table."""
+    """chi for the residue tm = t mod p.  spf: optional factor table.
+
+    Away from delta = 0, chi divides the group order n = p -+ 1.  With xi
+    an eigenvalue of D, C_e(t) - 2 = (xi**e - 1)**2 / xi**e, so D**e = I
+    exactly when C_e(t) = 2, whether xi lies in F_p (split) or in F_{p^2}
+    (inert): primes are divided out of n while the trace stays 2, with
+    no square root.
+    """
     d = (tm * tm - 4) % p
     if d == 0:
         return p if tm == 2 else 2 * p
-    if legendre(d, p) == 1:
-        bound = p - 1
-        # split: order of the eigenvalue (t + sqrt(delta))/2 in F_p*
-        xi = (tm + _sqrt_mod(d, p)) * ((p + 1) >> 1) % p
-        return _mult_order(xi, p, bound, distinct_prime_factors(bound, spf))
-    bound = p + 1
-    return _norm1_order(tm, p, bound, distinct_prime_factors(bound, spf))
+    o = p - legendre(d, p)
+    for q in distinct_prime_factors(o, spf):
+        while o % q == 0 and cheb_c_mod(o // q, tm, p) == 2:
+            o //= q
+    return o
 
 
 def chi_valuation(tm: int, p: int, r: int) -> int:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import apparition
 from apparition import experiments
 from apparition.cli import main
@@ -150,3 +152,38 @@ def test_nondivisor(capsys):
 def test_nondivisor_rejected(capsys):
     assert main(["nondivisor", "3", "1", "3", "--r", "7", "--limit", "100"]) == 1
     capsys.readouterr()
+
+
+def test_dynamics_and_nondivisor_print_one_summary(capsys):
+    assert main(["dynamics", "quadmap", "5", "--limit", "100"]) == 0
+    rep = experiments.quadmap_divisor_check(5, 100)
+    assert capsys.readouterr().out == rep.summary() + "\n"
+    assert main(["nondivisor", "3", "-8/19", "-33/19", "--r", "7", "--limit", "300"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("PASS nondivisor(t=3, Y=[-8/19, -33/19], r=7): ")
+    assert "expected 6/343" in out and "criterion_disagreements" in out
+
+
+def test_dynamics_failure_exit_code(monkeypatch, capsys):
+    rep = CheckReport(name="quadmap(t=5)", primes_checked=1, metrics={"density": 0.5})
+    rep.record(7, "x", "y")
+    monkeypatch.setattr(experiments, "quadmap_divisor_check", lambda t, limit: rep)
+    assert main(["dynamics", "quadmap", "5", "--limit", "10"]) == 2
+    assert capsys.readouterr().out.startswith("FAIL quadmap(t=5): 1 primes checked, 1 violations")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "prop11", "3", "--r", "4"],
+        ["verify", "splitting", "3", "--r", "4"],
+        ["verify", "ballot", "--r", "4"],
+        ["verify", "sequences", "3", "--family", "subsequence", "--r", "0"],
+        ["verify", "sequences", "3", "--family", "subsequence", "--r", "9"],
+    ],
+)
+def test_verify_rejects_non_prime_r(argv, capsys):
+    assert main(argv + ["--limit", "200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: r must be prime") and "Traceback" not in err

@@ -12,11 +12,20 @@ from apparition.errors import (
     PrimeTooLarge,
     TorsionTimesPower,
 )
-from apparition.primes import distinct_prime_factors, iter_primes
-from apparition.ring import _mult_order, index
+from apparition.primes import factorize, iter_primes
+from apparition.ring import index
 
 FIB = ex.LucasSpec(1, -1)
 PELL = ex.LucasSpec(2, -1)
+
+
+def _order_mod(x: int, p: int) -> int:
+    """ord_p(x) for a prime p not dividing x: strip primes of p - 1 while x**o stays 1."""
+    o = p - 1
+    for q in factorize(p - 1):
+        while o % q == 0 and pow(x, o // q, p) == 1:
+            o //= q
+    return o
 
 
 def test_lucas_spec():
@@ -219,7 +228,7 @@ def test_quadmap_reducible_oracle():
     assert rep.passed
     odd_order = set()
     for p in iter_primes(2000, start=3):
-        if _mult_order(2 % p, p, p - 1, distinct_prime_factors(p - 1)) % 2 == 1:
+        if _order_mod(2, p) % 2 == 1:
             odd_order.add(p)
     assert set(rep.divisors) == odd_order
 
@@ -256,3 +265,54 @@ def test_nondivisor_divisor_spot():
     for _ in range(4):
         seq.append((3 * seq[-1] - seq[-2]) % 7)
     assert seq[2] == 0  # divisor certificate
+
+
+def test_report_caps_violations_but_counts_all():
+    rep = ex.CheckReport(name="cap")
+    for p in range(150):
+        rep.record(p, "x", "y")
+    assert len(rep.violations) == ex.VIOLATION_CAP == 100
+    assert rep.violation_count == 150 and not rep.passed
+    assert rep.violations[-1] == (99, "x", "y")
+
+
+def test_report_metrics_read_as_attributes():
+    rep = ex.CheckReport(name="m", metrics={"fraction": 0.25, "t": F(5)})
+    assert rep.fraction == 0.25 and rep.t == F(5)
+    assert rep.divisors == []  # a field, not a metric
+    with pytest.raises(AttributeError):
+        rep.density
+    assert not hasattr(ex.CheckReport(name="bare"), "fraction")
+
+
+def test_report_copy_and_pickle():
+    import copy
+    import pickle
+
+    rep = ex.quadmap_divisor_check(5, 200)
+    rep.record(7, "e", "a")
+    for clone in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert clone == rep and clone.metrics is not rep.metrics
+        assert clone.density == rep.density and clone.summary() == rep.summary()
+
+
+def test_report_summary_without_metrics_is_unchanged():
+    rep = ex.CheckReport(name="twin(t=3)", primes_checked=5)
+    assert rep.summary() == "PASS twin(t=3): 5 primes checked, 0 violations"
+
+
+def test_report_summary_appends_metrics():
+    rep = ex.quadmap_divisor_check(5, 100)
+    assert rep.summary() == (
+        f"PASS quadmap(t=5): {rep.primes_checked} primes checked, 0 violations; "
+        f"t 5, density {rep.density:.6f}"
+    )
+
+
+def test_dynamics_failures_go_through_record(monkeypatch):
+    # an odd chi for every prime makes each non-divisor a violation
+    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p, spf=None: 1)
+    rep = ex.quadmap_divisor_check(5, 2000)
+    assert rep.violation_count > ex.VIOLATION_CAP
+    assert len(rep.violations) == ex.VIOLATION_CAP
+
