@@ -86,6 +86,12 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+def _check_limit(limit: int) -> None:
+    # below 3 no odd prime is checked, and the suite would pass vacuously
+    if not 3 <= limit <= LIMIT_CAP:
+        raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {limit}")
+
+
 def _report_exit(rep, out: Optional[str]) -> int:
     print(rep.summary())
     if out:
@@ -97,6 +103,7 @@ def _report_exit(rep, out: Optional[str]) -> int:
 
 def _cmd_verify(args) -> int:
     limit = args.limit
+    _check_limit(limit)
     if args.suite == "prop11":
         rep = experiments.verify_prop11(parse_rational(args.t), args.r, limit)
     elif args.suite == "twin":
@@ -125,6 +132,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    _check_limit(args.limit)
     if args.kind == "chebyshev":
         rep = experiments.chebyshev_orbit_divisors(
             parse_rational(args.x0), args.k, args.nmax, args.limit
@@ -135,6 +143,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_nondivisor(args) -> int:
+    _check_limit(args.limit)
     rep = experiments.nondivisor_density(
         parse_rational(args.t),
         parse_rational(args.y0),
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=10**4)
     p.add_argument("--T", type=int, default=1)
     p.add_argument("--Q", type=int, default=-1)
-    p.add_argument("--family", default="W")
+    p.add_argument("--family", choices=experiments.SEQUENCE_FAMILIES, default="W")
     p.add_argument("--nmax", type=int, default=2)
     p.add_argument("--jmax", type=int, default=3)
     p.add_argument("--kmax", type=int, default=30)
@@ -224,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (or --help)
+        return 1 if exc.code else 0
     if args.command == "dynamics" and args.kind == "quadmap" and args.t is None:
         args.t = args.x0  # positional doubles as t for quadmap
     try:

@@ -36,6 +36,7 @@ from .exactnum import is_square
 
 ENUMERATION_CAP = 10_000  # full residue scans are O(p)
 VIOLATION_CAP = 100
+SEQUENCE_FAMILIES = ("W", "V", "C", "S", "subsequence")
 
 
 @dataclass
@@ -355,6 +356,8 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = Fraction(t)
     family = family.upper() if family.upper() in {"W", "V", "C", "S"} else family.lower()
+    if family not in SEQUENCE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if family == "subsequence":
         _require_prime(subseq_r)
     skip_extra = 1
@@ -392,11 +395,9 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
             s1 = (tm - bm) * inv2b % p
             found = _scan_zero(s0, s1, tm, p, bound) is not None
             predicted = chi % 3 == 0
-        elif family == "subsequence":
+        else:  # subsequence
             found = _scan_zero(0, 1, tm, p, bound, stride=subseq_r, offset=1) is not None
             predicted = chi % subseq_r != 0
-        else:
-            raise ValueError(f"unknown family {family!r}")
         rep.primes_checked += 1
         if found != predicted:
             rep.record(p, f"divisor={predicted}", f"scan={found}")

@@ -4,7 +4,9 @@ For each admissible odd prime p <= N (p != r, p not dividing den(t)) the
 sweep computes the r-adic valuation of chi(t, p) directly, with the
 factor-free kernel `ring.chi_valuation_from_characters`, and buckets p by
 it; primes dividing the numerator of t**2 - 4 stay in the count (their
-index is p or 2p).
+index is p or 2p).  The kernel runs a trace ladder only where the group
+order p -+ 1 leaves v_r(chi) open: not when r does not divide it, and for
+r = 2 not when t + 2 is a non-square or the 2-part of p -+ 1 is 2.
 
 The kernel needs two quadratic characters.  With t = a/b, both are
 characters of integers: ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2

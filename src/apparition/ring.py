@@ -9,9 +9,11 @@ of appearance chi(t, p) is the order of D in that group.
 
 `chi_valuation_from_characters` is the one v_r(chi) kernel: given the
 character of delta (which group) and, for r = 2, that of t + 2 (whether
-D is a square in it), it needs one trace ladder, or none when r = 2 and
-t + 2 is a non-square.  `chi_valuation` feeds it Euler's criterion for a
-single prime; the partition sweep feeds it cached characters.
+D is a square in it), it needs one trace ladder, or none when the group
+order alone decides: r does not divide p -+ 1, or r = 2 with the 2-part
+of p -+ 1 equal to 2 (or t + 2 a non-square).  `chi_valuation` feeds it
+Euler's criterion for a single prime; the partition sweep feeds it cached
+characters.
 
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
@@ -218,6 +220,13 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     is a square in F_p.  Either way xi is a square in its group exactly
     when ((t + 2)/p) = 1; when it is -1, xi keeps the whole 2-part of the
     group order, so v_2(chi) = v_2(p -+ 1).
+
+    Two verdicts need no ladder because chi divides n.  For odd r with
+    v_r(n) = 0, v_r(chi) = 0.  For r = 2 with ((t + 2)/p) = 1 and
+    v_2(n) = 1, D lies in the squares of a cyclic group whose 2-part is 2,
+    a subgroup of odd order n/2, so v_2(chi) = 0.  These verdicts, like the
+    non-square one, trust the characters; every path that runs the ladder
+    still rejects characters that do not fit t.
     """
     if delta_char == 0:
         tm = residue(t, p)
@@ -227,12 +236,16 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
         v = (m & -m).bit_length() - 1
         if plus2_char == -1:
             return v
+        if v == 1:
+            return 0
         m >>= v
     else:
         v = 0
         while m % r == 0:
             m //= r
             v += 1
+        if v == 0:
+            return 0
     y = cheb_c_mod(m, residue(t, p), p)
     for j in range(v + 1):
         if y == 2:

@@ -8,7 +8,7 @@ import pytest
 
 import apparition
 from apparition import experiments
-from apparition.cli import main
+from apparition.cli import LIMIT_CAP, main
 from apparition.experiments import CheckReport
 
 
@@ -187,3 +187,42 @@ def test_verify_rejects_non_prime_r(argv, capsys):
     assert main(argv + ["--limit", "200"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: r must be prime") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "twin", "3", "--limit", "-5"],
+        ["verify", "prop11", "3", "--r", "3", "--limit", "2"],
+        ["verify", "bridge", "--limit", "0"],
+        ["verify", "sequences", "3", "--limit", "2"],
+        ["dynamics", "chebyshev", "3", "--limit", "2"],
+        ["dynamics", "quadmap", "5", "--limit", "-1"],
+        ["nondivisor", "3", "-8/19", "-33/19", "--limit", "2"],
+        ["verify", "prop11", "3", "--r", "3", "--limit", str(LIMIT_CAP + 1)],
+        ["verify", "twin", "3", "--limit", str(LIMIT_CAP + 1)],
+        ["verify", "cubic", "2/7", "--limit", str(LIMIT_CAP + 1)],
+        ["verify", "circular", "6/5", "--limit", str(LIMIT_CAP + 1)],
+        ["verify", "bridge", "--limit", str(LIMIT_CAP + 1)],
+        ["verify", "ballot", "--limit", str(10**12)],
+    ],
+)
+def test_limit_out_of_range(argv, capsys):
+    # a limit below 3 checks no odd prime; above LIMIT_CAP, as for partition
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: limit must be in [3, {LIMIT_CAP}]")
+    assert captured.out == ""
+
+
+def test_limit_three_checks_one_prime(capsys):
+    assert main(["verify", "twin", "3", "--limit", "3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS twin(t=3): 1 primes checked")
+
+
+def test_sequences_rejects_unknown_family(capsys):
+    assert main(["verify", "sequences", "3", "--family", "foo", "--limit", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'foo'" in err and "Traceback" not in err
+    with pytest.raises(ValueError, match="unknown family 'foo'"):
+        experiments.sequence_divisor_check(3, "foo", 2)

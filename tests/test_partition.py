@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,7 @@ from apparition.partition import (
     report_to_json,
     rows_to_csv,
 )
-from apparition import primes
+from apparition import primes, ring
 from apparition.primes import iter_primes, sieve, valuation
 from apparition.ring import chi_valuation, index, index_by_scan, legendre, residue
 
@@ -141,12 +142,44 @@ def test_sweep_is_segmented(monkeypatch):
         assert rep.j_counts + [rep.overflow] == counts, (t, r)
 
 
+@pytest.mark.parametrize("r", [2, 5, 7])
+def test_ladder_only_where_group_order_leaves_v_open(monkeypatch, r):
+    # chi divides n = p - (disc/p), so the kernel runs its C_m ladder only
+    # when r | n, and for r = 2 only when t + 2 is a square and 4 | n; the
+    # steps y -> C_r(y) call cheb_c_mod with index r, which the r-free m
+    # never equals
+    t, limit = 3, 3000
+    ladders = []
+    cheb_c_mod = ring.cheb_c_mod
+
+    def counting(n, x, p):
+        if n != r:
+            ladders.append(p)
+        return cheb_c_mod(n, x, p)
+
+    monkeypatch.setattr(ring, "cheb_c_mod", counting)
+    rep = compute_partition(t, r, limit)
+    needed = []
+    for p in iter_primes(limit, start=3):
+        delta_char = legendre(t * t - 4, p)
+        if p == r or delta_char == 0:
+            continue
+        n = p - delta_char
+        if r == 2:
+            if legendre(t + 2, p) == 1 and n % 4 == 0:
+                needed.append(p)
+        elif n % r == 0:
+            needed.append(p)
+    assert ladders == needed
+    assert 0 < len(needed) < rep.total
+
+
 # the ts of acceptance criterion 1 (with the square-disc cases 5/2 and 10/3),
-# a further negative t, and a t of large height whose character caches
-# never hit below 3000
+# a further negative t, a t of large height whose character caches never
+# hit below 3000, and the showcase ts 7 (t + 2 = 9 a square), 3/2 and 48/25
 KERNEL_TS = [
     F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3),
-    F(-7, 2), F(123456789, 1000003),
+    F(-7, 2), F(123456789, 1000003), F(7), F(3, 2), F(48, 25),
 ]
 
 
@@ -168,6 +201,10 @@ def test_sweep_matches_scan_oracle(t):
         assert rep.total == sum(counts)
 
 
+def _is_rational_square(q):
+    return q >= 0 and all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator))
+
+
 @pytest.mark.parametrize("t", KERNEL_TS, ids=str)
 def test_r2_square_lemma(t):
     # ((t + 2)/p) = -1 makes xi a non-square in its cyclic group of order
@@ -178,7 +215,29 @@ def test_r2_square_lemma(t):
         if legendre(tm + 2, p) == -1:
             nonsquare += 1
             assert valuation(chi, 2) == valuation(p - legendre(tm * tm - 4, p), 2), p
-    assert nonsquare > 100
+    if _is_rational_square(t + 2):
+        assert nonsquare == 0
+    else:
+        assert nonsquare > 100
+
+
+@pytest.mark.parametrize("t", KERNEL_TS, ids=str)
+def test_r2_square_lemma_odd_order(t):
+    # ((t + 2)/p) = 1 makes xi a square in its cyclic group of order
+    # n = p - ((t**2 - 4)/p); when v_2(n) = 1 the squares have odd order,
+    # so v_2(chi) = 0.  When 4 - t**2 is a rational square, (delta/p) is
+    # (-1/p) and 4 | n for every p, so the case never arises
+    hits = 0
+    for p, chi in _scan_chis(t).items():
+        tm = residue(t, p)
+        n = p - legendre(tm * tm - 4, p)
+        if n != p and legendre(tm + 2, p) == 1 and valuation(n, 2) == 1:
+            hits += 1
+            assert valuation(chi, 2) == 0, p
+    if _is_rational_square(4 - t * t):
+        assert hits == 0
+    else:
+        assert hits > 100
 
 
 def test_compare_exact_match_is_zero():
