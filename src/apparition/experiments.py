@@ -253,10 +253,14 @@ def lucas_index(spec: LucasSpec, p: int) -> int:
 
 
 def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
-    """Classical index of appearance == chi(t, p) for t = (T**2-2Q)/Q."""
-    if spec.delta == 0:
-        raise ValueError("degenerate spec: T**2 = 4Q")
+    """Classical index of appearance == chi(t, p) for t = (T**2-2Q)/Q.
+
+    An excluded t (T**2 = 4Q gives t = 2; T = 0 gives t = -2) has no
+    index to compare, so it is refused with a ValueError.
+    """
     t = spec.t
+    if t in EXCLUDED:
+        raise ValueError(f"degenerate spec: t = (T**2-2Q)/Q = {t} is excluded")
     rep = CheckReport(name=f"bridge(T={spec.T}, Q={spec.Q})")
     for p in _admissible(limit, 2 * abs(spec.Q) * abs(spec.delta) * t.denominator):
         got = lucas_index(spec, p)
@@ -277,8 +281,8 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     p | B_k for k <= k_max implies r | chi.
     """
     _require_prime(r)
-    if k_max > 60:
-        raise ValueError("k_max capped at 60 (exact values)")
+    if not 1 <= k_max <= 60:
+        raise ValueError(f"k_max must be in [1, 60] (exact values), got {k_max}")
     t = spec.t
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"ballot(T={T}, Q={Q}, r={r})")
@@ -547,6 +551,8 @@ def verify_splitting_theorems(
     v_r(chi) = m.
     """
     _require_prime(r)
+    if j_max < 1 or n_max < 0:
+        raise ValueError(f"need j_max >= 1 and n_max >= 0, got j_max={j_max}, n_max={n_max}")
     if limit > 3000:
         raise PrimeTooLarge("limit capped at 3000 for the splitting suite")
     t = Fraction(t)
@@ -618,8 +624,8 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> CheckReport:
     `fraction` and its running value at each power of ten below the limit
     ("N=1000": ...), the density-zero trend.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if k < 2 or n_max < 0:
+        raise ValueError(f"need k >= 2 and n_max >= 0, got k={k}, n_max={n_max}")
     x0 = Fraction(x0)
     rep = CheckReport(name=f"chebyshev-orbit(x0={x0}, k={k})")
     checkpoints = {}
@@ -691,68 +697,87 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     (its order is not a divisor of chi, nor is -Y's, and the group is
     cyclic); the expected density is (r-1)/r**3.  The metrics are
     `target_count` = |T|, `pi_limit` = pi(limit), their `ratio`, the
-    `expected` density and the `trace` of Y.  Violations are primes where
-    ord(Y) differs from chi(trace, p), and, for p <= 10**4, primes where an
-    honest zero scan contradicts the subgroup divisor criterion or finds a
-    member of T dividing Y.  There the literal criterion "ord(Y) | 2*chi"
-    is compared against the subgroup criterion too, and its disagreements
-    are counted in `criterion_disagreements` rather than resolved.
+    `expected` density and the `trace` of Y.
+
+    Membership in T reads three r-adic valuations and factors nothing.
+    One character ((t**2 - 4)/p) gives v = v_r(phat); the v_r(chi) kernel
+    gives v_r(chi(t, p)), and v_r(ord Y) = v_r(chi(b, p)) for the trace b
+    of Y, whose b**2 - 4 = y0**2 (t**2 - 4) has the same character.  When
+    p | num(y0), Y = +-I and v_r(ord Y) = 0.
+
+    At every prime with r | phat (and every p <= 10**4), v_r(ord Y) is also
+    found from `RingElem` powers, Y**(n/r**v) for n = p -+ 1 (2p when
+    p | t**2 - 4) and then r-th powers, and a mismatch with the kernel is
+    a violation.  For p <= 10**4 the full orders are computed too, by
+    factoring phat: violations there are primes where ord(Y)
+    differs from chi(b, p), where the full orders and the kernel place p
+    differently in T, or where an honest zero scan contradicts the
+    subgroup divisor criterion or finds a member of T dividing Y.  There
+    the literal criterion "ord(Y) | 2*chi" is compared against the
+    subgroup criterion too, and its disagreements are counted in
+    `criterion_disagreements` rather than resolved.
     """
     t, y0, y1 = Fraction(t), Fraction(y0), Fraction(y1)
     det = y1 * y1 - t * y0 * y1 + y0 * y0
     if det != 1:
-        sq = is_square(det)
-        hint = "a square" if sq else "not a square (half the primes are non-divisors)"
+        hint = "a square" if is_square(det) else "not a square (half the primes are non-divisors)"
         raise NotUnitDeterminant(f"det(Y) = {det} != 1; det is {hint}")
     b = 2 * y1 - t * y0
     if b in EXCLUDED:
         raise TorsionTimesPower(f"trace {b} is a torsion trace")
-    fwd = [y0, y1]
-    for _ in range(64):
-        fwd.append(t * fwd[-1] - fwd[-2])
-    back = [y1, y0]
-    for _ in range(64):
-        back.append(t * back[-1] - back[-2])
-    for n, val in enumerate(fwd + back[2:]):
-        if val == 0:
-            raise TorsionTimesPower(f"sequence element {n} is zero: Y = +-D^k")
+    for sign, (u, w) in ((1, (y0, y1)), (-1, (y0, t * y0 - y1))):  # y_0, y_(+-1), ...
+        for n in range(66):
+            if u == 0:
+                raise TorsionTimesPower(f"sequence element {sign * n} is zero: Y = +-D^k")
+            u, w = w, t * w - u
     if r == 2 or not primes.is_prime(r):
         raise ValueError("r must be an odd prime")
 
     rep = CheckReport(name=f"nondivisor(t={t}, Y=[{y0}, {y1}], r={r})")
     pi_limit = target_count = disagreements = 0
-    spf = primes.spf_table(limit + 1) if limit + 1 <= primes.SPF_CAP else None
+    disc = t.numerator**2 - 4 * t.denominator**2  # den(t)**2 * (t**2 - 4)
     dens = t.denominator * y0.denominator * y1.denominator
+    kernel = ring.chi_valuation_from_characters
     for p in primes.iter_primes(limit):
         pi_limit += 1
         if p == 2 or dens % p == 0:
             continue
         rep.primes_checked += 1
+        delta_char = ring.legendre(disc, p)
+        n = p - delta_char if delta_char else 2 * p  # a multiple of ord(Y)
+        v = primes.valuation(n, r)
+        if v == 0 and p > ENUMERATION_CAP:
+            continue
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
-        phat = ring.group_order(m).value
-        chi = ring.chi_from_residue(tm, p)
-        fac = {q: primes.valuation(phat, q) for q in primes.distinct_prime_factors(phat, spf)}
         y_elem = ring.elem_from_rationals(m, y0, y1)
-        ord_y = ring.element_order(y_elem, fac)
-        if y0.numerator % p != 0:  # Y = +-I mod p exactly when p | num(y0)
-            idx_b = ring.chi_from_residue(ring.residue(b, p), p, spf)
+        y_scalar = y0.numerator % p == 0  # Y = +-I mod p
+        v_ord = 0 if y_scalar else kernel(b, p, r, delta_char, 0)  # 0 when v = 0
+        z, v_pow = y_elem ** (n // r**v), 0
+        while not z.is_identity and v_pow <= v:
+            z, v_pow = z**r, v_pow + 1
+        if v_pow != v_ord:
+            rep.record(p, f"v_r(ord Y) = v_r(chi(trace)) = {v_ord}", v_pow)
+        in_target = v == 1 and v_ord > 0 and kernel(tm, p, r, delta_char, 0) == 0
+        target_count += in_target
+        if p <= ENUMERATION_CAP:
+            phat = ring.group_order(m).value
+            fac = primes.factorize(n)  # not phat: for t = 2 mod p, chi | p but ord(Y) | 2p
+            chi = ring.chi_from_residue(tm, p)
+            ord_y = ring.element_order(y_elem, fac)
+            idx_b = ord_y if y_scalar else ring.chi_from_residue(ring.residue(b, p), p)
             if ord_y != idx_b:
                 rep.record(p, f"ord(Y) = chi(trace) = {idx_b}", ord_y)
-        in_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
-        if in_target:
-            target_count += 1
-        if p <= ENUMERATION_CAP:
+            full_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
+            if full_target != in_target:
+                rep.record(p, f"full orders place p in T: {full_target}", in_target)
             scan_div = _scan_zero(y_elem.x0, y_elem.x1, tm, p, 2 * chi + 2) is not None
-            ord_neg = ring.element_order(-y_elem, fac)
-            subgroup_div = chi % ord_y == 0 or chi % ord_neg == 0
-            literal_div = (2 * chi) % ord_y == 0
+            subgroup_div = chi % ord_y == 0 or chi % ring.element_order(-y_elem, fac) == 0
             if scan_div != subgroup_div:
                 rep.record(p, f"scan agrees with subgroup criterion ({subgroup_div})", scan_div)
             elif in_target and scan_div:
                 rep.record(p, "target member divides no element", "scan found a zero")
-            if literal_div != subgroup_div:
-                disagreements += 1
+            disagreements += ((2 * chi) % ord_y == 0) != subgroup_div
     rep.metrics = {
         "target_count": target_count,
         "pi_limit": pi_limit,

@@ -7,10 +7,12 @@
   set proven sufficient for each size of n.
 - `factorize`: trial division by sieved primes up to sqrt(n), refused when
   sqrt(n) exceeds `FACTOR_SQRT_CAP` so a query cannot sieve gigabytes.
-- `spf_table`: a smallest-prime-factor table up to `SPF_CAP` for
-  `experiments.nondivisor_density`, which needs chi of every prime below
-  its limit; `distinct_prime_factors` reads it, or falls back to
-  `factorize`.  The partition sweep factors nothing.
+- `distinct_prime_factors`: the primes of `factorize`, ascending, for
+  `ring.index`.  The partition sweep and the membership test of the
+  non-divisor suite factor nothing: they read v_r(chi) from the ring
+  kernel.
+- `spf_table`: a smallest-prime-factor table, kept for the benchmark
+  tracer; no program path reads it.
 - `valuation`: the exponent v_r(n) of a prime r in n.
 """
 
@@ -22,7 +24,6 @@ from math import isqrt
 from typing import Iterator
 
 _SEGMENT = 1 << 17
-SPF_CAP = 1 << 22  # largest limit for the smallest-factor table fast path
 FACTOR_SQRT_CAP = 1 << 24  # sieving base primes to this costs about 50 MB
 
 # (exclusive bound, bases): no strong pseudoprime to all the bases lies below
@@ -177,14 +178,6 @@ def spf_table(bound: int) -> list:
     return _spf
 
 
-def distinct_prime_factors(n: int, spf=None) -> list:
+def distinct_prime_factors(n: int) -> list:
     """Distinct primes dividing n, ascending."""
-    if spf is not None and n < len(spf):
-        out = []
-        while n > 1:
-            q = spf[n]
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        return out
     return list(factorize(n))

@@ -13,7 +13,8 @@ D is a square in it), it needs one trace ladder, or none when the group
 order alone decides: r does not divide p -+ 1, or r = 2 with the 2-part
 of p -+ 1 equal to 2 (or t + 2 a non-square).  `chi_valuation` feeds it
 Euler's criterion for a single prime; the partition sweep feeds it cached
-characters.
+characters, and the non-divisor suite one character per prime.
+`chi_from_residue` and `index` give chi itself, by factoring p -+ 1.
 
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
@@ -172,8 +173,8 @@ def element_order(a: RingElem, order_bound: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def chi_from_residue(tm: int, p: int, spf=None) -> int:
-    """chi for the residue tm = t mod p.  spf: optional factor table.
+def chi_from_residue(tm: int, p: int) -> int:
+    """chi for the residue tm = t mod p, by factoring the group order.
 
     Away from delta = 0, chi divides the group order n = p -+ 1.  With xi
     an eigenvalue of D, C_e(t) - 2 = (xi**e - 1)**2 / xi**e, so D**e = I
@@ -185,7 +186,7 @@ def chi_from_residue(tm: int, p: int, spf=None) -> int:
     if d == 0:
         return p if tm == 2 else 2 * p
     o = p - legendre(d, p)
-    for q in distinct_prime_factors(o, spf):
+    for q in distinct_prime_factors(o):
         while o % q == 0 and cheb_c_mod(o // q, tm, p) == 2:
             o //= q
     return o
@@ -254,10 +255,14 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     raise ValueError(f"characters ({delta_char}, {plus2_char}) do not fit t = {t} mod {p}")
 
 
-def index(t, p: int, spf=None) -> int:
-    """The index of appearance chi(t, p): order of D_t mod p."""
+def index(t, p: int) -> int:
+    """The index of appearance chi(t, p): order of D_t mod p.
+
+    Factors p -+ 1 (see `primes.factorize` for its cap); a sweep that needs
+    only v_r(chi) calls `chi_valuation` or its kernel instead.
+    """
     m = reduce_param(t, p)
-    return chi_from_residue(m.t_mod, p, spf)
+    return chi_from_residue(m.t_mod, p)
 
 
 def index_by_scan(t, p: int) -> int:

@@ -12,7 +12,7 @@ from apparition import experiments as ex
 from apparition.chebyshev import identity_suite
 from apparition.classify import classify, predicted_densities
 from apparition.partition import compare, compute_partition
-from apparition.primes import factorize, iter_primes, spf_table
+from apparition.primes import factorize, iter_primes
 from apparition.ring import (
     OrderKind,
     d_elem,
@@ -235,7 +235,6 @@ def test_criterion_17_chebyshev_orbit():
 
 
 def test_criterion_18_nondivisor_density():
-    spf_table(10**6 + 1)  # the factor table nondivisor_density reads; warm for clean timing
     t0 = time.perf_counter()
     rep = ex.nondivisor_density(F(3), F(-8, 19), F(-33, 19), 7, 10**6)
     elapsed = time.perf_counter() - t0

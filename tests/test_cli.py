@@ -149,6 +149,30 @@ def test_nondivisor(capsys):
     assert "PASS nondivisor" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("T, Q", [("0", "-1"), ("1", "1"), ("2", "1")])
+def test_bridge_rejects_excluded_t(T, Q, capsys):
+    # T=0, Q=-1 gives t = -2 and T=1, Q=1 gives t = -1: neither has an index
+    assert main(["verify", "bridge", "--T", T, "--Q", Q, "--limit", "100"]) == 1
+    captured = capsys.readouterr()
+    assert "is excluded" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "chebyshev", "3", "--nmax", "-1", "--limit", "100"],
+        ["verify", "ballot", "--r", "3", "--kmax", "0", "--limit", "100"],
+        ["verify", "splitting", "3", "--r", "3", "--jmax", "0", "--limit", "100"],
+        ["verify", "splitting", "3", "--r", "3", "--nmax", "-1", "--limit", "100"],
+    ],
+)
+def test_vacuous_suite_parameters_rejected(argv, capsys):
+    # each of these once printed PASS with nothing checked
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_nondivisor_rejected(capsys):
     assert main(["nondivisor", "3", "1", "3", "--r", "7", "--limit", "100"]) == 1
     capsys.readouterr()

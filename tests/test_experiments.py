@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from apparition import experiments as ex
+from apparition import primes
 from apparition.chebyshev import lucas_pair_mod
+from apparition.classify import EXCLUDED
 from apparition.errors import (
     BadPrime,
     NotCircular,
@@ -110,6 +112,14 @@ def test_verify_bridge():
     assert ex.lucas_index(FIB, 11) == index(-3, 11) == 10
     with pytest.raises(ValueError):
         ex.verify_bridge(ex.LucasSpec(2, 1), 100)  # T**2 = 4Q
+
+
+@pytest.mark.parametrize("T, Q", [(2, 1), (0, -1), (1, 1), (2, 2), (3, 3)])
+def test_verify_bridge_rejects_excluded_t(T, Q):
+    # t = (T**2 - 2Q)/Q in {2, -2, -1, 0, 1}: no index to compare
+    assert ex.LucasSpec(T, Q).t in EXCLUDED
+    with pytest.raises(ValueError, match="is excluded"):
+        ex.verify_bridge(ex.LucasSpec(T, Q), 100)
 
 
 def test_ballot_values():
@@ -243,6 +253,58 @@ def test_nondivisor():
     assert rep.criterion_disagreements
 
 
+def test_nondivisor_summary_pinned():
+    rep = ex.nondivisor_density(3, F(-8, 19), F(-33, 19), 7, 10**5)
+    assert rep.summary() == (
+        "PASS nondivisor(t=3, Y=[-8/19, -33/19], r=7): 9590 primes checked, 0 violations; "
+        "target_count 160, pi_limit 9592, ratio 0.016681, expected 6/343, trace -42/19, "
+        "criterion_disagreements 70"
+    )
+
+
+# summaries at 3*10**4, as the factoring implementation printed them; the
+# Y = [-7/11, -24/11] rows pass p = 7 and the t = 3/2 rows p = 3, where
+# p | num(y0) and Y = I mod p
+NONDIVISOR_3E4 = {
+    (3, F(-8, 19), F(-33, 19), 7): (57, "0.017565", "-42/19", 70),
+    (3, F(-7, 11), F(-24, 11), 3): (233, "0.071803", "-27/11", 67),
+    (3, F(-7, 11), F(-24, 11), 5): (95, "0.029276", "-27/11", 67),
+    (F(3, 2), F(-9, 11), F(-16, 11), 3): (233, "0.071803", "-37/22", 80),
+    (F(3, 2), F(-9, 11), F(-16, 11), 7): (112, "0.034515", "-37/22", 80),
+}
+
+
+def test_nondivisor_factors_only_below_enumeration_cap(monkeypatch):
+    # membership in T comes from the v_r(chi) kernel: no factor table, and
+    # factoring only of the group orders p -+ 1 (or 2p) of the full-order
+    # block below ENUMERATION_CAP
+    factorize = primes.factorize
+
+    def refuse_table(bound):
+        raise AssertionError("the non-divisor suite read the factor table")
+
+    def small_only(n):
+        assert n <= 2 * ex.ENUMERATION_CAP + 2, f"the non-divisor suite factored {n}"
+        return factorize(n)
+
+    monkeypatch.setattr(primes, "spf_table", refuse_table)
+    monkeypatch.setattr(primes, "factorize", small_only)
+    for (t, y0, y1, r), (count, ratio, trace, disagreements) in NONDIVISOR_3E4.items():
+        rep = ex.nondivisor_density(t, y0, y1, r, 3 * 10**4)
+        assert rep.summary() == (
+            f"PASS nondivisor(t={F(t)}, Y=[{y0}, {y1}], r={r}): 3243 primes checked, "
+            f"0 violations; target_count {count}, pi_limit 3245, ratio {ratio}, "
+            f"expected {F(r - 1, r**3)}, trace {trace}, criterion_disagreements {disagreements}"
+        )
+
+
+@pytest.mark.parametrize("y0, y1", [(F(-32, 13), F(-3, 13)), (F(-75, 17), F(-8, 17))])
+def test_nondivisor_t_two_mod_p(y0, y1):
+    # t = 9 = 2 mod 7: D = I + N has order 7, but Y = -(I + cN) has order 14
+    rep = ex.nondivisor_density(9, y0, y1, 3, 200)
+    assert rep.passed and rep.primes_checked == 44
+
+
 def test_nondivisor_rejects():
     with pytest.raises(TorsionTimesPower):
         ex.nondivisor_density(3, 1, 3, 7, 100)  # Y = D
@@ -311,7 +373,7 @@ def test_report_summary_appends_metrics():
 
 def test_dynamics_failures_go_through_record(monkeypatch):
     # an odd chi for every prime makes each non-divisor a violation
-    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p, spf=None: 1)
+    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p: 1)
     rep = ex.quadmap_divisor_check(5, 2000)
     assert rep.violation_count > ex.VIOLATION_CAP
     assert len(rep.violations) == ex.VIOLATION_CAP

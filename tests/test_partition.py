@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from fractions import Fraction as F
 from functools import lru_cache
 from math import isqrt
@@ -16,7 +17,7 @@ from apparition.partition import (
     report_to_json,
     rows_to_csv,
 )
-from apparition import primes, ring
+from apparition import partition, primes, ring
 from apparition.primes import iter_primes, sieve, valuation
 from apparition.ring import chi_valuation, index, index_by_scan, legendre, residue
 
@@ -97,6 +98,18 @@ def test_threads_deterministic():
     one = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=1)
     two = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=2)
     assert one == two
+
+
+def test_spawn_matches_fork(monkeypatch):
+    # a spawned worker starts with empty module caches; a forked one inherits
+    # the parent's, so this fails if a cache changes a result
+    def run(method):
+        monkeypatch.setattr(partition, "multiprocessing", multiprocessing.get_context(method))
+        return report_to_json(compute_partition(3, 2, 300000, threads=2))
+
+    one = report_to_json(compute_partition(3, 2, 300000, threads=1))
+    assert run("fork") == one
+    assert run("spawn") == one
 
 
 def test_sweep_never_factors(monkeypatch):

@@ -143,4 +143,5 @@ def test_factorize_reconstruction_random(n):
 def test_spf_consistency():
     spf = spf_table(5000)
     for n in range(2, 5000):
-        assert distinct_prime_factors(n, spf) == sorted(factorize(n))
+        assert spf[n] == min(factorize(n))
+        assert distinct_prime_factors(n) == sorted(factorize(n))
