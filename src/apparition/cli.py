@@ -92,6 +92,13 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {limit}")
 
 
+def _required(text: Optional[str], name: str) -> Fraction:
+    # an optional positional left out arrives as None
+    if text is None:
+        raise ValueError(f"{name} is required")
+    return parse_rational(text)
+
+
 def _report_exit(rep, out: Optional[str]) -> int:
     print(rep.summary())
     if out:
@@ -105,18 +112,18 @@ def _cmd_verify(args) -> int:
     limit = args.limit
     _check_limit(limit)
     if args.suite == "prop11":
-        rep = experiments.verify_prop11(parse_rational(args.t), args.r, limit)
+        rep = experiments.verify_prop11(_required(args.t, "t"), args.r, limit)
     elif args.suite == "twin":
-        rep = experiments.verify_twin(parse_rational(args.t), limit)
+        rep = experiments.verify_twin(_required(args.t, "t"), limit)
     elif args.suite == "cubic":
-        rep = experiments.verify_cubic_associates(parse_rational(args.t), limit)
+        rep = experiments.verify_cubic_associates(_required(args.t, "t"), limit)
     elif args.suite == "circular":
-        rep = experiments.verify_circular(parse_rational(args.t), limit)
+        rep = experiments.verify_circular(_required(args.t, "t"), limit)
     elif args.suite == "bridge":
         rep = experiments.verify_bridge(experiments.LucasSpec(args.T, args.Q), limit)
     elif args.suite == "splitting":
         rep = experiments.verify_splitting_theorems(
-            parse_rational(args.t), args.r, limit, n_max=args.nmax, j_max=args.jmax
+            _required(args.t, "t"), args.r, limit, n_max=args.nmax, j_max=args.jmax
         )
     elif args.suite == "ballot":
         rep = experiments.ballot_check(
@@ -124,7 +131,7 @@ def _cmd_verify(args) -> int:
         )
     elif args.suite == "sequences":
         rep = experiments.sequence_divisor_check(
-            parse_rational(args.t), args.family, limit, subseq_r=args.r
+            _required(args.t, "t"), args.family, limit, subseq_r=args.r
         )
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
@@ -135,10 +142,10 @@ def _cmd_dynamics(args) -> int:
     _check_limit(args.limit)
     if args.kind == "chebyshev":
         rep = experiments.chebyshev_orbit_divisors(
-            parse_rational(args.x0), args.k, args.nmax, args.limit
+            _required(args.x0, "x0"), args.k, args.nmax, args.limit
         )
     else:
-        rep = experiments.quadmap_divisor_check(parse_rational(args.t), args.limit)
+        rep = experiments.quadmap_divisor_check(_required(args.t, "t"), args.limit)
     return _report_exit(rep, None)
 
 

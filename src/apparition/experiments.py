@@ -4,14 +4,17 @@ Every suite here checks a relation that holds for *all* admissible primes
 (isomorphism identities, divisor-set characterizations, polynomial
 splitting equivalences), so a passing run has zero violations.  Every
 suite returns a `CheckReport`; the only statistical outputs are the
-`metrics` of the orbit, quadratic-map and non-divisor suites.
+`metrics` of the orbit, quadratic-map and non-divisor suites.  The
+splitting suite and its oracle count roots over F_p as
+deg gcd(f, x**p - x) rather than by evaluating at every residue, so
+their cost per prime grows with log p, not p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Optional
 
 from . import primes, ring
@@ -35,6 +38,8 @@ from .errors import (
 from .exactnum import is_square
 
 ENUMERATION_CAP = 10_000  # full residue scans are O(p)
+SPLITTING_LIMIT_CAP = 10**5  # the splitting suite counts roots by gcd
+DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense gcd is O(deg**2 * log p)
 VIOLATION_CAP = 100
 SEQUENCE_FAMILIES = ("W", "V", "C", "S", "subsequence")
 
@@ -157,7 +162,7 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     t = Fraction(t)
     cls = classify(t, rs=())
     if not cls.cubic:
-        raise NotCubic(f"t = {t}")
+        raise NotCubic(f"t = {t} is not cubic")
     a1, a2 = cls.cubic_associates
     triple = (t, a1, a2)
     rep = CheckReport(name=f"cubic(t={t})")
@@ -190,7 +195,7 @@ def verify_circular(t, limit: int) -> CheckReport:
     t = Fraction(t)
     cls = classify(t, rs=())
     if not cls.circular:
-        raise NotCircular(f"t = {t}")
+        raise NotCircular(f"t = {t} is not circular")
     w = cls.circular_associate
     rep = CheckReport(name=f"circular(t={t})")
     for n in range(1, 30, 2):
@@ -369,7 +374,7 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     if family == "S":
         cls = classify(t, rs=())
         if not cls.cubic:
-            raise NotCubic(f"t = {t}")
+            raise NotCubic(f"t = {t} is not cubic")
         b = cls.cubic_b
         skip_extra = abs(b.numerator)
     rep = CheckReport(name=f"sequence(t={t}, family={family})")
@@ -427,70 +432,143 @@ class SplittingReport:
     m_n_k_j_theorem: bool
 
 
-def _apply_c_r(x: int, r: int, p: int) -> int:
-    if r == 2:
-        return (x * x - 2) % p
-    if r == 3:
-        return x * (x * x - 3) % p
-    return cheb_c_mod(r, x, p)
+def _root_count(f: list, p: int) -> int:
+    """Distinct roots in F_p of the monic f of degree >= 1 (coefficients mod p,
+    constant first).
+
+    That is deg gcd(f, x**p - x): x**p mod f by square-and-multiply on
+    coefficient lists, then Euclid, O(deg**2 * log p) in all.
+    """
+    d = len(f) - 1
+    neg = [-c % p for c in f[:d]]  # x**d = sum(neg[i] * x**i) mod f
+    h = [1] + [0] * (d - 1)
+    for bit in bin(p)[2:]:
+        c = [0] * (2 * d - 1)
+        for i, hi in enumerate(h):
+            if hi:
+                c[2 * i] += hi * hi
+                hi2 = 2 * hi
+                for k, hk in enumerate(h[i + 1:], 2 * i + 1):
+                    c[k] += hi2 * hk
+        for k in range(2 * d - 2, d - 1, -1):
+            top = c[k] % p
+            if top:
+                for i, ni in enumerate(neg, k - d):
+                    c[i] += top * ni
+        h = [ci % p for ci in c[:d]]
+        if bit == "1":  # times x
+            top = h[-1]
+            h = [(hi + top * ni) % p for hi, ni in zip([0] + h, neg)]
+    if d == 1:  # x = neg[0] mod f
+        h[0] = (h[0] - neg[0]) % p
+    else:
+        h[1] = (h[1] - 1) % p
+    a, b = f, h
+    while b and not b[-1]:
+        b.pop()
+    while b:  # a, b = b, a mod b
+        a = a[:]
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1, db - 1, -1):
+            q = a[k] * inv % p
+            if q:
+                for i, bi in enumerate(b, k - db):
+                    a[i] = (a[i] - q * bi) % p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
-def _splitting_counts(tm: int, r: int, p: int, n_max: int, j_max: int, variant: str):
-    """Root counts over F_p by full enumeration, shared across (n, j) pairs."""
-    f_roots = 0
-    ft_roots = 0
-    phi = [0] * (j_max + 1)
-    g = [0] * (n_max + 1)
-    c_pow = [0] * (max(j_max - 2, 0) + 1)
-    delta = (tm * tm - 4) % p
-    for x in range(p):
-        if variant == "odd" and (x * x - tm * x + 1) % p == 0:
-            f_roots += 1
-        if variant == "two" and (x * x + delta) % p == 0:
-            ft_roots += 1
-        if x:
-            y = x
-            for j in range(1, j_max + 1):
-                y_next = pow(y, r, p)
-                if y_next == 1 and y != 1:
-                    phi[j] += 1
-                y = y_next
-        z = x
-        for n in range(1, n_max + 1):
-            z = _apply_c_r(z, r, p)
-            if z == tm:
-                g[n] += 1
-        if variant == "two" and j_max >= 2:
-            w = x
-            for jj in range(0, j_max - 1):
-                if jj >= 1 and w == 0:
-                    c_pow[jj] += 1
-                w = (w * w - 2) % p
-            # jj = 0 entry is C_1 = x itself
-            if x == 0:
-                c_pow[0] += 1
-    return f_roots, ft_roots, phi, g, c_pow
+def _binomial_roots(n: int, p: int) -> int:
+    """Roots in F_p of x**n - 1 for p not dividing n.
+
+    Mod x**n - 1, x**p - x = x * (x**(p mod n - 1) - 1), and
+    gcd(x**n - 1, x**k - 1) = x**gcd(n, k) - 1, so no product is formed.
+    """
+    return gcd(n, p - 1)
+
+
+def _cheb_c_coeffs(ms) -> dict:
+    """m -> integer coefficients of C_m, constant first, for each m >= 1 in ms."""
+    out = {}
+    prev, cur = [2], [0, 1]  # C_0, C_1
+    for m in range(1, max(ms, default=0) + 1):
+        if m in ms:
+            out[m] = cur
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return out
+
+
+def _splitting_polys(r: int, n_max: int, j_max: int, variant: str) -> dict:
+    """The C_m the root counts need: C_{r^n} for n <= n_max, and for the
+    "two" variant C_{2^i} for i <= j_max - 2.  Degrees past DEGREE_CAP are
+    refused, since one dense gcd costs O(deg**2 * log p)."""
+    if r**n_max > DEGREE_CAP or (r == 2 and 2 ** (j_max - 2) > DEGREE_CAP):
+        raise ValueError(
+            f"polynomial degree capped at {DEGREE_CAP}: need r**n_max"
+            f" (and for r = 2, 2**(j_max - 2)) <= {DEGREE_CAP},"
+            f" got r={r}, n_max={n_max}, j_max={j_max}"
+        )
+    ms = {r**n for n in range(1, n_max + 1)}
+    if variant == "two":
+        ms |= {2**i for i in range(j_max - 1)}
+    return _cheb_c_coeffs(ms)
+
+
+def _splitting_roots(tm: int, r: int, p: int, n_max: int, j_max: int,
+                      variant: str, c_polys: dict):
+    """Root counts over F_p of the polynomials `variant` reads.
+
+    quad counts the roots of x**2 - t*x + 1 ("odd") or x**2 + delta
+    ("two"); phi[j] those of Phi_{r^j} ("odd", "reducible"); g[n] those of
+    C_{r^n}(x) - t; c_pow[i] those of C_{2^i}(x) ("two").  Unread counts
+    are None.
+    """
+
+    def c_minus(m, shift):  # C_m(x) - shift mod p
+        f = [c % p for c in c_polys[m]]
+        f[0] = (f[0] - shift) % p
+        return f
+
+    quad = phi = c_pow = None
+    if variant == "odd":
+        quad = _root_count([1, -tm % p, 1], p)
+    elif variant == "two":
+        quad = _root_count([(tm * tm - 4) % p, 0, 1], p)
+        c_pow = [_root_count(c_minus(2**i, 0), p) for i in range(j_max - 1)]
+    if variant != "two":
+        phi = [None] + [
+            _binomial_roots(r**j, p) - _binomial_roots(r ** (j - 1), p)
+            for j in range(1, j_max + 1)
+        ]
+    g = [None] + [_root_count(c_minus(r**n, tm), p) for n in range(1, n_max + 1)]
+    return quad, phi, g, c_pow
 
 
 def splitting_oracle(t, r: int, n: int, j: int, p: int) -> SplittingReport:
-    """Brute-force splitting classification of the membership polynomials.
+    """Splitting classification of the membership polynomials at one prime.
 
-    Counts roots over F_p by evaluating at every residue.  Linear splits
-    are detected by root count = degree; an irreducible quadratic has no
-    roots; the cyclotomic factor splits quadratically exactly when it has
-    no roots but all its roots live in the quadratic extension, i.e.
-    r^j | p**2 - 1.
+    Counts roots over F_p as deg gcd(f, x**p - x), the counter the suite
+    uses, so any p answers.  Linear splits are detected by root count =
+    degree; an irreducible quadratic has no roots; the cyclotomic factor
+    splits quadratically exactly when it has no roots but all its roots
+    live in the quadratic extension, i.e. r^j | p**2 - 1.
     """
-    if p > ENUMERATION_CAP:
-        raise PrimeTooLarge(f"p capped at {ENUMERATION_CAP}")
-    if j < n:
-        raise ValueError("need j >= n")
+    if j < max(n, 1):
+        raise ValueError("need j >= n and j >= 1")
     t = Fraction(t)
     if t.denominator % p == 0 or p == r or p == 2:
         raise BadPrime(f"p = {p} inadmissible")
     tm = ring.residue(t, p)
     variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
-    f_roots, ft_roots, phi, g, c_pow = _splitting_counts(tm, r, p, max(n, 1), max(j, 1), variant)
+    c_polys = _splitting_polys(r, n, j, variant)
+    quad, phi, g, c_pow = _splitting_roots(tm, r, p, n, j, variant, c_polys)
 
     def phi_class(jj):
         deg = r**jj - r ** (jj - 1)
@@ -505,15 +583,15 @@ def splitting_oracle(t, r: int, n: int, j: int, p: int) -> SplittingReport:
 
     polys = {}
     if variant == "odd":
-        f_class = "linear" if f_roots else "quadratic"
-        polys["f"] = (f_roots, 2, f_class)
+        f_class = "linear" if quad else "quadratic"
+        polys["f"] = (quad, 2, f_class)
         polys[f"phi_{j}"] = (phi[j], r**j - r ** (j - 1), phi_class(j))
         k_thm = (f_class == "linear" and phi_class(j) == "linear") or (
             f_class == "quadratic" and phi_class(j) == "quadratic"
         )
     elif variant == "two":
-        ft_class = "linear" if ft_roots else "quadratic"
-        polys["ftilde"] = (ft_roots, 2, ft_class)
+        ft_class = "linear" if quad else "quadratic"
+        polys["ftilde"] = (quad, 2, ft_class)
         if j >= 2:
             deg = 2 ** (j - 2)
             polys[f"c_{j-2}"] = (c_pow[j - 2], deg, lin(c_pow[j - 2], deg))
@@ -542,8 +620,10 @@ def verify_splitting_theorems(
 
     Group side: r^j | phat for K_j, and existence of an r^n-th root of D
     for M_n (decided by a power test in the cyclic group).  Theorem side:
-    the splitting predicates of the oracle.  Primes dividing num(t**2-4)
-    are exceptional and skipped.
+    the splitting predicates of the oracle, from the same gcd root
+    counts, so the limit goes to SPLITTING_LIMIT_CAP and the degrees
+    r**n_max (and for r = 2, 2**(j_max - 2)) to DEGREE_CAP.  Primes
+    dividing num(t**2-4) are exceptional and skipped.
 
     Each prime is also placed in its cell of the inductive table and the
     cell must pin the valuation of chi: members of M_n with r^n || phat
@@ -553,19 +633,20 @@ def verify_splitting_theorems(
     _require_prime(r)
     if j_max < 1 or n_max < 0:
         raise ValueError(f"need j_max >= 1 and n_max >= 0, got j_max={j_max}, n_max={n_max}")
-    if limit > 3000:
-        raise PrimeTooLarge("limit capped at 3000 for the splitting suite")
     t = Fraction(t)
     delta = t * t - 4
-    rep = CheckReport(name=f"splitting(t={t}, r={r})")
     variant = "reducible" if is_square(delta) else ("two" if r == 2 else "odd")
+    c_polys = _splitting_polys(r, n_max, j_max, variant)
+    if limit > SPLITTING_LIMIT_CAP:
+        raise PrimeTooLarge(f"limit capped at {SPLITTING_LIMIT_CAP} for the splitting suite")
+    rep = CheckReport(name=f"splitting(t={t}, r={r})")
     for p in _admissible(limit, t.denominator, abs(delta.numerator)):
         if p == r:
             continue
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
-        f_roots, ft_roots, phi, g, c_pow = _splitting_counts(tm, r, p, n_max, j_max, variant)
+        quad, phi, g, c_pow = _splitting_roots(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
         v = primes.valuation(phat, r)
         rep.primes_checked += 1
@@ -578,11 +659,11 @@ def verify_splitting_theorems(
 
         def k_thm(jj):
             if variant == "odd":
-                return (f_roots > 0 and phi_lin(jj)) or (f_roots == 0 and phi_quad(jj))
+                return (quad > 0 and phi_lin(jj)) or (quad == 0 and phi_quad(jj))
             if variant == "two":
                 if jj < 2:
                     return True
-                return ft_roots > 0 and c_pow[jj - 2] == 2 ** (jj - 2)
+                return quad > 0 and c_pow[jj - 2] == 2 ** (jj - 2)
             return phi_lin(jj)
 
         for j in range(1, j_max + 1):

@@ -250,3 +250,54 @@ def test_sequences_rejects_unknown_family(capsys):
     assert "invalid choice: 'foo'" in err and "Traceback" not in err
     with pytest.raises(ValueError, match="unknown family 'foo'"):
         experiments.sequence_divisor_check(3, "foo", 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "splitting", "3", "--r", "3", "--nmax", "5"],  # C_243
+        ["verify", "splitting", "3", "--r", "17"],  # C_289 at the default --nmax 2
+        ["verify", "splitting", "3", "--r", "2", "--nmax", "8"],  # C_256
+        ["verify", "splitting", "3", "--r", "2", "--jmax", "10"],  # C_{2^8}
+    ],
+)
+def test_splitting_degree_bound(argv, capsys):
+    assert main(argv + ["--limit", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: polynomial degree capped at {experiments.DEGREE_CAP}")
+    assert captured.out == ""
+
+
+def test_splitting_at_degree_bound(capsys):
+    # --nmax 2 runs for every prime r <= 13: C_169 is exactly at the bound
+    assert experiments.DEGREE_CAP == 13**2
+    assert main(["verify", "splitting", "3", "--r", "13", "--limit", "200"]) == 0
+    assert capsys.readouterr().out.startswith("PASS splitting(t=3, r=13): ")
+
+
+def test_splitting_limit_cap(capsys):
+    cap = experiments.SPLITTING_LIMIT_CAP
+    assert cap == 10**5
+    assert main(["verify", "splitting", "3", "--r", "3", "--limit", str(cap + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: limit capped at {cap} for the splitting suite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "cubic", "3"], "t = 3 is not cubic"),
+        (["verify", "circular", "3"], "t = 3 is not circular"),
+        (["verify", "sequences", "3", "--family", "S"], "t = 3 is not cubic"),
+        (["verify", "twin"], "t is required"),
+        (["verify", "splitting", "--r", "3"], "t is required"),
+        (["dynamics", "quadmap"], "t is required"),
+        (["dynamics", "chebyshev"], "x0 is required"),
+    ],
+)
+def test_error_messages_name_the_problem(argv, message, capsys):
+    # these once printed only "error: t = 3" or "error: not a rational literal: None"
+    assert main(argv + ["--limit", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apparition import experiments as ex
 from apparition import primes
-from apparition.chebyshev import lucas_pair_mod
+from apparition.chebyshev import cheb_c_mod, lucas_pair_mod
 from apparition.classify import EXCLUDED
 from apparition.errors import (
     BadPrime,
@@ -15,7 +17,7 @@ from apparition.errors import (
     TorsionTimesPower,
 )
 from apparition.primes import factorize, iter_primes
-from apparition.ring import index
+from apparition.ring import index, residue
 
 FIB = ex.LucasSpec(1, -1)
 PELL = ex.LucasSpec(2, -1)
@@ -183,10 +185,13 @@ def test_splitting_oracle():
     assert rep.polys["phi_1"][2] == "quadratic"  # discriminant -3 nonsquare mod 5
     rep = ex.splitting_oracle(3, 3, 1, 1, 11)
     assert rep.polys["g_1"][1] == 3
-    with pytest.raises(PrimeTooLarge):
-        ex.splitting_oracle(3, 3, 1, 1, 10**5 + 3)
+    # roots are counted by gcd, so a prime past any enumeration answers too
+    rep = ex.splitting_oracle(3, 3, 1, 1, 10**5 + 3)
+    assert rep.p == 10**5 + 3 and rep.polys["g_1"][1] == 3
     with pytest.raises(BadPrime):
         ex.splitting_oracle(3, 3, 1, 1, 3)
+    with pytest.raises(ValueError):
+        ex.splitting_oracle(3, 3, 0, 0, 7)  # Phi_1 is no membership polynomial
 
 
 def test_splitting_theorems():
@@ -194,7 +199,85 @@ def test_splitting_theorems():
     assert ex.verify_splitting_theorems(3, 2, 600).passed
     assert ex.verify_splitting_theorems(F(10, 3), 3, 600).passed
     with pytest.raises(PrimeTooLarge):
-        ex.verify_splitting_theorems(3, 3, 10**4)
+        ex.verify_splitting_theorems(3, 3, ex.SPLITTING_LIMIT_CAP + 1)
+    with pytest.raises(ValueError):
+        ex.verify_splitting_theorems(3, 3, 100, n_max=5)  # C_243 is past DEGREE_CAP
+    with pytest.raises(ValueError):
+        ex.verify_splitting_theorems(3, 2, 100, j_max=10)  # so is C_256
+    assert ex.verify_splitting_theorems(3, 13, 300).passed  # C_169 is at the cap
+
+
+ROOT_TS = (F(3), F(10, 3), F(2, 7), F(6))
+ROOT_RS = (2, 3, 5, 7)
+
+
+def _enumerated_roots(f, p: int) -> int:
+    """Roots of f over F_p by evaluation at every residue (f a callable)."""
+    return sum(1 for x in range(p) if f(x) % p == 0)
+
+
+def _horner(f, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def test_root_count_matches_enumeration():
+    # every polynomial family of the splitting suite, for every prime 5 <= p < 1000
+    ms = {r**n for r in ROOT_RS for n in (1, 2)} | {2**i for i in range(4)}
+    coeffs = ex._cheb_c_coeffs(ms)
+    for p in iter_primes(999, start=5):
+        tms = [residue(t, p) for t in ROOT_TS if t.denominator % p]
+        for tm in tms:
+            f = [1, -tm % p, 1]
+            assert ex._root_count(f, p) == _enumerated_roots(lambda x: x * x - tm * x + 1, p)
+            delta = (tm * tm - 4) % p
+            f = [delta, 0, 1]
+            assert ex._root_count(f, p) == _enumerated_roots(lambda x: x * x + delta, p)
+        for m in ms:
+            # C_m at every residue by the fast-doubling ladder, not the coefficients;
+            # the roots of C_m(x) - shift are the residues where it takes the value shift
+            values = [cheb_c_mod(m, x, p) for x in range(p)]
+            for shift in [0, *tms]:
+                f = [c % p for c in coeffs[m]]
+                f[0] = (f[0] - shift) % p
+                assert ex._root_count(f, p) == values.count(shift), (m, shift, p)
+        for r in ROOT_RS:
+            if p == r:
+                continue
+            for j in (1, 2, 3):
+                n, n_prev = r**j, r ** (j - 1)
+                want = _enumerated_roots(
+                    lambda x: 0 if pow(x, n, p) == 1 and pow(x, n_prev, p) != 1 else 1, p
+                )
+                assert ex._binomial_roots(n, p) - ex._binomial_roots(n_prev, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11, 13, 31, 97, 101, 199]),
+    st.lists(st.tuples(st.integers(0, 198), st.integers(1, 4)), min_size=0, max_size=4),
+    st.lists(st.integers(0, 198), min_size=1, max_size=6),
+)
+def test_root_count_repeated_roots(p, roots, tail):
+    # f = prod (x - a)**e * (a monic cofactor of degree >= 1): repeated roots count once
+    f = tail[:] + [1]
+    for a, e in roots:
+        for _ in range(e):
+            f = [(lo - a * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    f = [c % p for c in f]
+    want = _enumerated_roots(lambda x: _horner(f, x, p), p)
+    assert ex._root_count(f, p) == want
+
+
+@pytest.mark.parametrize("t, r", [(F(3), 3), (F(3), 2), (F(5, 2), 3)])
+def test_splitting_theorems_catch_a_miscounting_counter(monkeypatch, t, r):
+    # one root too many must show as violations in every variant
+    count = ex._root_count
+    monkeypatch.setattr(ex, "_root_count", lambda f, p: count(f, p) + 1)
+    rep = ex.verify_splitting_theorems(t, r, 300)
+    assert rep.violation_count > 0
 
 
 def test_cubic_tower_relations():
