@@ -61,7 +61,6 @@ class ParamClass:
     cubic_primitive: bool = False
     circular_primitive: bool = False
     two_generic: bool = False
-    per_r: dict = field(default_factory=dict)
 
 
 def cheb_preimages(r: int, t) -> list:
@@ -112,8 +111,11 @@ def r_facts(t, r: int) -> RFacts:
     return RFacts(primitive, Genericity.GENERIC)
 
 
-def classify(t, rs=_DEFAULT_RS) -> ParamClass:
-    """Classify t exactly; raises ExcludedParameter on 0, +-1, +-2."""
+def classify(t) -> ParamClass:
+    """Classify t exactly; raises ExcludedParameter on 0, +-1, +-2.
+
+    The per-r facts are left to `r_facts(t, r)`, for the r a caller reads.
+    """
     t = Fraction(t)
     if t in EXCLUDED:
         raise ExcludedParameter(f"t = {t} is excluded")
@@ -150,14 +152,12 @@ def classify(t, rs=_DEFAULT_RS) -> ParamClass:
         a1, a2 = out.cubic_associates
         out.cubic_primitive = all(r_primitive(v, 3) for v in (t, a1, a2))
     out.circular_primitive = out.circular and not plus and not dbl_plus
-
-    out.per_r = {r: r_facts(t, r) for r in rs}
     return out
 
 
 def associates(t) -> list:
     """Associate values as (label, value) pairs: twin always; cubic/circular when present."""
-    c = classify(t, rs=())
+    c = classify(t)
     out = [("twin", -c.t)]
     if c.cubic:
         a1, a2 = c.cubic_associates
@@ -172,9 +172,10 @@ def associates(t) -> list:
 # ---------------------------------------------------------------------------
 
 
-def circular_tower_depth(t, cap: int = TOWER_HALVING_CAP) -> Optional[int]:
+def circular_tower_depth(t) -> Optional[int]:
     """Depth k >= 1 if t arises as the w-side of k squarings of a
-    circular-primitive pair (t0, w0); None when not recognized within cap.
+    circular-primitive pair (t0, w0); None when not recognized within
+    TOWER_HALVING_CAP halvings.
 
     The search inverts t_j = t_{j-1}**2 - 2, w_j = t_{j-1} * w_{j-1}:
     halve the non-primitive side of the pair while 2 +- x is a rational
@@ -186,10 +187,10 @@ def circular_tower_depth(t, cap: int = TOWER_HALVING_CAP) -> Optional[int]:
     sq = is_square(4 - t * t)
     if not sq:
         return None
-    return _tower_search(sq.root, t, 0, cap)
+    return _tower_search(sq.root, t, 0)
 
 
-def _tower_search(x, y, depth: int, cap: int) -> Optional[int]:
+def _tower_search(x, y, depth: int) -> Optional[int]:
     s_plus = is_square(2 + x)
     s_minus = is_square(2 - x)
     if not s_plus and not s_minus:
@@ -197,11 +198,11 @@ def _tower_search(x, y, depth: int, cap: int) -> Optional[int]:
         if depth >= 1 and not is_square(2 + y) and not is_square(2 - y):
             return depth
         return None
-    if depth >= cap:
+    if depth >= TOWER_HALVING_CAP:
         return None
     for s in (s_plus, s_minus):
         if s and s.root != 0:
-            found = _tower_search(s.root, y / s.root, depth + 1, cap)
+            found = _tower_search(s.root, y / s.root, depth + 1)
             if found is not None:
                 return found
     return None
@@ -283,7 +284,7 @@ def predicted_densities(c: ParamClass, r: int, j_max: int) -> Prediction:
 
 
 def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
-    facts = c.per_r.get(r) or r_facts(c.t, r)
+    facts = r_facts(c.t, r)
 
     if not facts.primitive:
         if depth >= SHIFT_RECURSION_CAP:
@@ -291,7 +292,7 @@ def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
         for u in cheb_preimages(r, c.t):
             if u in EXCLUDED:
                 continue
-            sub = _predict(classify(u, rs=()), r, j_max + 1, depth + 1)
+            sub = _predict(classify(u), r, j_max + 1, depth + 1)
             if sub.supported:
                 full = list(sub._full)
                 full = [full[0] + full[1]] + full[2:]
@@ -335,10 +336,19 @@ def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
 
 
 def to_json_dict(c: ParamClass) -> dict:
-    """JSON-ready view of a classification (rationals as "a/b" strings)."""
+    """JSON-ready view of a classification (rationals as "a/b" strings),
+    with the per-r facts of each r in _DEFAULT_RS."""
 
     def fmt(q):
         return None if q is None else str(q)
+
+    def facts(r):
+        f = r_facts(c.t, r)
+        return {
+            "primitive": f.primitive,
+            "genericity": f.genericity.value,
+            "scale_root": fmt(f.scale_root),
+        }
 
     return {
         "t": str(c.t),
@@ -358,12 +368,5 @@ def to_json_dict(c: ParamClass) -> dict:
         "cubic_primitive": c.cubic_primitive,
         "circular_primitive": c.circular_primitive,
         "two_generic": c.two_generic,
-        "per_r": {
-            str(r): {
-                "primitive": f.primitive,
-                "genericity": f.genericity.value,
-                "scale_root": fmt(f.scale_root),
-            }
-            for r, f in c.per_r.items()
-        },
+        "per_r": {str(r): facts(r) for r in _DEFAULT_RS},
     }

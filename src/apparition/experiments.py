@@ -7,7 +7,8 @@ suite returns a `CheckReport`; the only statistical outputs are the
 `metrics` of the orbit, quadratic-map and non-divisor suites.  The
 splitting suite and its oracle count roots over F_p as
 deg gcd(f, x**p - x) rather than by evaluating at every residue, so
-their cost per prime grows with log p, not p.
+their cost per prime grows with log p, not p, and they share one theorem
+side, `_splitting_theorem`, so the oracle reports what the suite checks.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     and whenever any v_i >= 2 all three valuations agree.
     """
     t = Fraction(t)
-    cls = classify(t, rs=())
+    cls = classify(t)
     if not cls.cubic:
         raise NotCubic(f"t = {t} is not cubic")
     a1, a2 = cls.cubic_associates
@@ -193,7 +194,7 @@ def verify_circular(t, limit: int) -> CheckReport:
     propagation C_n(t)**2 + C_n(w)**2 = 4 for odd n <= 29.
     """
     t = Fraction(t)
-    cls = classify(t, rs=())
+    cls = classify(t)
     if not cls.circular:
         raise NotCircular(f"t = {t} is not circular")
     w = cls.circular_associate
@@ -372,7 +373,7 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     skip_extra = 1
     b = None
     if family == "S":
-        cls = classify(t, rs=())
+        cls = classify(t)
         if not cls.cubic:
             raise NotCubic(f"t = {t} is not cubic")
         b = cls.cubic_b
@@ -505,20 +506,26 @@ def _cheb_c_coeffs(ms) -> dict:
     return out
 
 
-def _splitting_polys(r: int, n_max: int, j_max: int, variant: str) -> dict:
-    """The C_m the root counts need: C_{r^n} for n <= n_max, and for the
-    "two" variant C_{2^i} for i <= j_max - 2.  Degrees past DEGREE_CAP are
-    refused, since one dense gcd costs O(deg**2 * log p)."""
+def _splitting_setup(t: Fraction, r: int, n_max: int, j_max: int):
+    """The variant of the theorems that t and r select, and the C_m its
+    root counts need.
+
+    The variant is "reducible" when t**2 - 4 is a rational square, else
+    "two" for r = 2 and "odd" for odd r.  The C_m are C_{r^n} for
+    n <= n_max and, for "two", C_{2^i} for i <= j_max - 2.  Degrees past
+    DEGREE_CAP are refused, since one dense gcd costs O(deg**2 * log p).
+    """
     if r**n_max > DEGREE_CAP or (r == 2 and 2 ** (j_max - 2) > DEGREE_CAP):
         raise ValueError(
             f"polynomial degree capped at {DEGREE_CAP}: need r**n_max"
             f" (and for r = 2, 2**(j_max - 2)) <= {DEGREE_CAP},"
             f" got r={r}, n_max={n_max}, j_max={j_max}"
         )
+    variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
     ms = {r**n for n in range(1, n_max + 1)}
     if variant == "two":
         ms |= {2**i for i in range(j_max - 1)}
-    return _cheb_c_coeffs(ms)
+    return variant, _cheb_c_coeffs(ms)
 
 
 def _splitting_roots(tm: int, r: int, p: int, n_max: int, j_max: int,
@@ -551,62 +558,71 @@ def _splitting_roots(tm: int, r: int, p: int, n_max: int, j_max: int,
     return quad, phi, g, c_pow
 
 
+def _phi_class(count: int, r: int, j: int, p: int) -> str:
+    """Split class of Phi_{r^j} over F_p from its root count: "linear" when
+    all its roots are in F_p, "quadratic" when none is but all lie in the
+    quadratic extension (r^j | p**2 - 1), else "other"."""
+    if count == r**j - r ** (j - 1):
+        return "linear"
+    if count == 0 and (p * p - 1) % r**j == 0:
+        return "quadratic"
+    return "other"
+
+
+def _splitting_theorem(roots, variant: str, r: int, p: int, n: int, j: int):
+    """Theorem side of K_j and of M_n & K_j at p, from the `_splitting_roots`
+    counts: the verdicts the suite checks and the oracle reports.
+
+    K_j: for "odd", x**2 - t*x + 1 and Phi_{r^j} both split linearly or
+    both quadratically; for "two", j < 2, or x**2 + delta and C_{2^(j-2)}
+    both split linearly; for "reducible", Phi_{r^j} splits linearly.
+    M_n & K_j adds that C_{r^n}(x) - t splits linearly (no condition at n = 0).
+    """
+    quad, phi, g, c_pow = roots
+    if variant == "two":
+        k = j < 2 or (quad > 0 and c_pow[j - 2] == 2 ** (j - 2))
+    elif variant == "odd":
+        k = _phi_class(phi[j], r, j, p) == ("linear" if quad else "quadratic")
+    else:
+        k = _phi_class(phi[j], r, j, p) == "linear"
+    return k, k and (n == 0 or g[n] == r**n)
+
+
 def splitting_oracle(t, r: int, n: int, j: int, p: int) -> SplittingReport:
     """Splitting classification of the membership polynomials at one prime.
 
     Counts roots over F_p as deg gcd(f, x**p - x), the counter the suite
-    uses, so any p answers.  Linear splits are detected by root count =
-    degree; an irreducible quadratic has no roots; the cyclotomic factor
-    splits quadratically exactly when it has no roots but all its roots
-    live in the quadratic extension, i.e. r^j | p**2 - 1.
+    uses, so any p answers, and takes its two verdicts from
+    `_splitting_theorem`, the theorem side the suite checks.  Linear
+    splits are detected by root count = degree; an irreducible quadratic
+    has no roots; the cyclotomic factor splits quadratically exactly when
+    it has no roots but all its roots live in the quadratic extension,
+    i.e. r^j | p**2 - 1.
     """
     if j < max(n, 1):
         raise ValueError("need j >= n and j >= 1")
     t = Fraction(t)
     if t.denominator % p == 0 or p == r or p == 2:
         raise BadPrime(f"p = {p} inadmissible")
-    tm = ring.residue(t, p)
-    variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
-    c_polys = _splitting_polys(r, n, j, variant)
-    quad, phi, g, c_pow = _splitting_roots(tm, r, p, n, j, variant, c_polys)
-
-    def phi_class(jj):
-        deg = r**jj - r ** (jj - 1)
-        if phi[jj] == deg:
-            return "linear"
-        if phi[jj] == 0 and (p * p - 1) % r**jj == 0:
-            return "quadratic"
-        return "other"
+    variant, c_polys = _splitting_setup(t, r, n, j)
+    roots = _splitting_roots(ring.residue(t, p), r, p, n, j, variant, c_polys)
+    quad, phi, g, c_pow = roots
 
     def lin(count, deg):
         return "linear" if count == deg else ("none" if count == 0 else "partial")
 
     polys = {}
-    if variant == "odd":
-        f_class = "linear" if quad else "quadratic"
-        polys["f"] = (quad, 2, f_class)
-        polys[f"phi_{j}"] = (phi[j], r**j - r ** (j - 1), phi_class(j))
-        k_thm = (f_class == "linear" and phi_class(j) == "linear") or (
-            f_class == "quadratic" and phi_class(j) == "quadratic"
+    if variant != "reducible":
+        polys["f" if variant == "odd" else "ftilde"] = (
+            quad, 2, "linear" if quad else "quadratic"
         )
-    elif variant == "two":
-        ft_class = "linear" if quad else "quadratic"
-        polys["ftilde"] = (quad, 2, ft_class)
-        if j >= 2:
-            deg = 2 ** (j - 2)
-            polys[f"c_{j-2}"] = (c_pow[j - 2], deg, lin(c_pow[j - 2], deg))
-            k_thm = ft_class == "linear" and polys[f"c_{j-2}"][2] == "linear"
-        else:
-            k_thm = True  # K_1 is all of Pi for r = 2
-    else:
-        polys[f"phi_{j}"] = (phi[j], r**j - r ** (j - 1), phi_class(j))
-        k_thm = phi_class(j) == "linear"
-
+    if variant != "two":
+        polys[f"phi_{j}"] = (phi[j], r**j - r ** (j - 1), _phi_class(phi[j], r, j, p))
+    elif j >= 2:
+        polys[f"c_{j-2}"] = (c_pow[j - 2], 2 ** (j - 2), lin(c_pow[j - 2], 2 ** (j - 2)))
     if n >= 1:
         polys[f"g_{n}"] = (g[n], r**n, lin(g[n], r**n))
-        m_thm = k_thm and polys[f"g_{n}"][2] == "linear"
-    else:
-        m_thm = k_thm
+    k_thm, m_thm = _splitting_theorem(roots, variant, r, p, n, j)
     return SplittingReport(
         p=p, r=r, n=n, j=j, variant=variant, polys=polys,
         k_j_theorem=k_thm, m_n_k_j_theorem=m_thm,
@@ -620,10 +636,12 @@ def verify_splitting_theorems(
 
     Group side: r^j | phat for K_j, and existence of an r^n-th root of D
     for M_n (decided by a power test in the cyclic group).  Theorem side:
-    the splitting predicates of the oracle, from the same gcd root
-    counts, so the limit goes to SPLITTING_LIMIT_CAP and the degrees
-    r**n_max (and for r = 2, 2**(j_max - 2)) to DEGREE_CAP.  Primes
-    dividing num(t**2-4) are exceptional and skipped.
+    `_splitting_theorem`, which the oracle reports too, from the same gcd
+    root counts, so the limit goes to SPLITTING_LIMIT_CAP and the degrees
+    r**n_max (and for r = 2, 2**(j_max - 2)) to DEGREE_CAP.  j_max stops
+    at the bit length of SPLITTING_LIMIT_CAP + 1: past it r^j > p + 1 for
+    every prime checked, so K_j is empty.  Primes dividing num(t**2-4) are
+    exceptional and skipped.
 
     Each prime is also placed in its cell of the inductive table and the
     cell must pin the valuation of chi: members of M_n with r^n || phat
@@ -631,55 +649,41 @@ def verify_splitting_theorems(
     v_r(chi) = m.
     """
     _require_prime(r)
-    if j_max < 1 or n_max < 0:
-        raise ValueError(f"need j_max >= 1 and n_max >= 0, got j_max={j_max}, n_max={n_max}")
+    j_cap = (SPLITTING_LIMIT_CAP + 1).bit_length()
+    if not 1 <= j_max <= j_cap or n_max < 0:
+        raise ValueError(
+            f"need 1 <= j_max <= {j_cap} and n_max >= 0, got j_max={j_max}, n_max={n_max}"
+        )
     t = Fraction(t)
-    delta = t * t - 4
-    variant = "reducible" if is_square(delta) else ("two" if r == 2 else "odd")
-    c_polys = _splitting_polys(r, n_max, j_max, variant)
+    variant, c_polys = _splitting_setup(t, r, n_max, j_max)
     if limit > SPLITTING_LIMIT_CAP:
         raise PrimeTooLarge(f"limit capped at {SPLITTING_LIMIT_CAP} for the splitting suite")
     rep = CheckReport(name=f"splitting(t={t}, r={r})")
+    delta = t * t - 4
     for p in _admissible(limit, t.denominator, abs(delta.numerator)):
         if p == r:
             continue
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
-        quad, phi, g, c_pow = _splitting_roots(tm, r, p, n_max, j_max, variant, c_polys)
+        roots = _splitting_roots(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
         v = primes.valuation(phat, r)
         rep.primes_checked += 1
-
-        def phi_lin(jj):
-            return phi[jj] == r**jj - r ** (jj - 1)
-
-        def phi_quad(jj):
-            return phi[jj] == 0 and (p * p - 1) % r**jj == 0
-
-        def k_thm(jj):
-            if variant == "odd":
-                return (quad > 0 and phi_lin(jj)) or (quad == 0 and phi_quad(jj))
-            if variant == "two":
-                if jj < 2:
-                    return True
-                return quad > 0 and c_pow[jj - 2] == 2 ** (jj - 2)
-            return phi_lin(jj)
-
         for j in range(1, j_max + 1):
             group = phat % r**j == 0
-            if k_thm(j) != group:
-                rep.record(p, f"K_{j} group={group}", f"theorem={k_thm(j)}")
+            thm = _splitting_theorem(roots, variant, r, p, 0, j)[0]
+            if thm != group:
+                rep.record(p, f"K_{j} group={group}", f"theorem={thm}")
         chi = ring.chi_from_residue(tm, p)
         vchi = primes.valuation(chi, r)
         in_m_prev = True  # M_0 is everything
         for n in range(1, n_max + 1):
             in_m = (d_elem ** (phat // r ** min(n, v))).is_identity
-            g_lin = g[n] == r**n
             j_lo = max(n, 2) if variant == "two" else n
             for j in range(j_lo, j_max + 1):
                 group = (phat % r**j == 0) and in_m
-                thm = g_lin and k_thm(j)
+                thm = _splitting_theorem(roots, variant, r, p, n, j)[1]
                 if thm != group:
                     rep.record(p, f"M_{n}&K_{j} group={group}", f"theorem={thm}")
             # the table cells determine v_r(chi) exactly

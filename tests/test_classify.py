@@ -1,3 +1,5 @@
+import importlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -28,10 +30,10 @@ def test_classify_generic():
     c = classify(3)
     assert not (c.reducible or c.circular or c.cubic or c.type_a or c.type_b)
     assert c.two_generic and c.twin_primitive
-    assert c.per_r[2].primitive and c.per_r[3].primitive
-    assert c.per_r[3].genericity is Genericity.GENERIC
-    assert c.per_r[5].genericity is Genericity.PLUS_SQUARE  # 5 = 5 * 1**2
-    assert c.per_r[5].scale_root == 1
+    assert r_facts(c.t, 2).primitive and r_facts(c.t, 3).primitive
+    assert r_facts(c.t, 3).genericity is Genericity.GENERIC
+    assert r_facts(c.t, 5).genericity is Genericity.PLUS_SQUARE  # 5 = 5 * 1**2
+    assert r_facts(c.t, 5).scale_root == 1
 
 
 def test_classify_cubic():
@@ -39,7 +41,7 @@ def test_classify_cubic():
     assert c.cubic and c.cubic_b == F(8, 7)
     assert c.cubic_associates == (F(11, 7), F(-13, 7))
     assert c.cubic_primitive  # den 7 is not a cube for any of the three
-    assert c.per_r[3].genericity is Genericity.MINUS_SQUARE
+    assert r_facts(c.t, 3).genericity is Genericity.MINUS_SQUARE
 
 
 def test_classify_circular():
@@ -63,9 +65,9 @@ def test_classify_types_a_b():
 
 def test_classify_minus_square_r7():
     c = classify(F(3, 2))
-    assert c.per_r[7].genericity is Genericity.MINUS_SQUARE
-    assert c.per_r[7].scale_root == F(1, 2)  # 9/4 - 4 = -7*(1/2)**2
-    assert c.per_r[7].primitive
+    assert r_facts(c.t, 7).genericity is Genericity.MINUS_SQUARE
+    assert r_facts(c.t, 7).scale_root == F(1, 2)  # 9/4 - 4 = -7*(1/2)**2
+    assert r_facts(c.t, 7).primitive
 
 
 def test_associates():
@@ -88,7 +90,7 @@ def test_cubic_invariant():
     assert val == cheb_c_exact(3, a1) == cheb_c_exact(3, a2) == F(-286, 343)
     # associates are themselves cubic
     for v in (a1, a2):
-        assert classify(v, rs=()).cubic
+        assert classify(v).cubic
 
 
 def test_preimages():
@@ -236,3 +238,57 @@ def test_json_dict():
 def test_r_facts_standalone():
     f = r_facts(F(3, 2), 7)
     assert f.genericity is Genericity.MINUS_SQUARE and f.primitive
+
+
+_GENERIC = '{"primitive": true, "genericity": "generic", "scale_root": null}'
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (
+            F(3),
+            '{"t": "3", "excluded": false, "reducible": false, "reducible_witness": null,'
+            ' "circular": false, "circular_associate": null, "cubic": false, "cubic_b": null,'
+            ' "cubic_associates": null, "type_a": false, "type_b": false,'
+            ' "twin_primitive": true, "cubic_primitive": false, "circular_primitive": false,'
+            f' "two_generic": true, "per_r": {{"2": {_GENERIC}, "3": {_GENERIC},'
+            ' "5": {"primitive": true, "genericity": "plus-square", "scale_root": "1"},'
+            f' "7": {_GENERIC}, "11": {_GENERIC}, "13": {_GENERIC}}}}}',
+        ),
+        (
+            F(2, 7),
+            '{"t": "2/7", "excluded": false, "reducible": false, "reducible_witness": null,'
+            ' "circular": false, "circular_associate": null, "cubic": true, "cubic_b": "8/7",'
+            ' "cubic_associates": ["11/7", "-13/7"], "type_a": false, "type_b": false,'
+            ' "twin_primitive": true, "cubic_primitive": true, "circular_primitive": false,'
+            f' "two_generic": true, "per_r": {{"2": {_GENERIC},'
+            ' "3": {"primitive": true, "genericity": "minus-square", "scale_root": "8/7"},'
+            f' "5": {_GENERIC}, "7": {_GENERIC}, "11": {_GENERIC}, "13": {_GENERIC}}}}}',
+        ),
+        (
+            F(48, 25),
+            '{"t": "48/25", "excluded": false, "reducible": false, "reducible_witness": null,'
+            ' "circular": true, "circular_associate": "14/25", "cubic": false,'
+            ' "cubic_b": null, "cubic_associates": null, "type_a": false, "type_b": false,'
+            ' "twin_primitive": true, "cubic_primitive": false, "circular_primitive": false,'
+            f' "two_generic": false, "per_r": {{"2": {_GENERIC}, "3": {_GENERIC},'
+            f' "5": {_GENERIC}, "7": {_GENERIC}, "11": {_GENERIC}, "13": {_GENERIC}}}}}',
+        ),
+    ],
+)
+def test_json_dict_text(t, text):
+    # the per_r block lists every r of the classify CLI, in order
+    assert json.dumps(to_json_dict(classify(t))) == text
+
+
+def test_classify_reads_no_odd_r_facts(monkeypatch):
+    # odd-r primitivity trial-divides num(t); an r = 2 prediction never needs it
+    def refuse(n):
+        raise AssertionError(f"divisors({n}) called")
+
+    # the package re-exports the function `classify`, which hides the module
+    monkeypatch.setattr(importlib.import_module("apparition.classify"), "divisors", refuse)
+    t = F(10**18 + 3)
+    assert not classify(t).cubic
+    assert predicted_densities(classify(t), 2, 4).source == "two-generic"

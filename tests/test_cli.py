@@ -275,6 +275,14 @@ def test_splitting_at_degree_bound(capsys):
     assert capsys.readouterr().out.startswith("PASS splitting(t=3, r=13): ")
 
 
+def test_splitting_jmax_bound(capsys):
+    # refused before any prime is visited, however large the limit
+    argv = ["verify", "splitting", "3", "--r", "3", "--jmax", "10000", "--limit", "100000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need 1 <= j_max <= 17") and captured.out == ""
+
+
 def test_splitting_limit_cap(capsys):
     cap = experiments.SPLITTING_LIMIT_CAP
     assert cap == 10**5

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apparition import experiments as ex
-from apparition import primes
+from apparition import primes, ring
 from apparition.chebyshev import cheb_c_mod, lucas_pair_mod
 from apparition.classify import EXCLUDED
 from apparition.errors import (
@@ -16,6 +16,7 @@ from apparition.errors import (
     PrimeTooLarge,
     TorsionTimesPower,
 )
+from apparition.exactnum import is_square
 from apparition.primes import factorize, iter_primes
 from apparition.ring import index, residue
 
@@ -204,6 +205,33 @@ def test_splitting_theorems():
         ex.verify_splitting_theorems(3, 3, 100, n_max=5)  # C_243 is past DEGREE_CAP
     with pytest.raises(ValueError):
         ex.verify_splitting_theorems(3, 2, 100, j_max=10)  # so is C_256
+    # past j = 17, r^j > p + 1 for every p <= SPLITTING_LIMIT_CAP: K_j is empty
+    with pytest.raises(ValueError, match="j_max <= 17"):
+        ex.verify_splitting_theorems(3, 3, 100, j_max=18)
+    assert ex.verify_splitting_theorems(3, 3, 100, j_max=17).passed
+
+
+@pytest.mark.parametrize(
+    "t, r", [(F(3), 3), (F(3), 2), (F(10, 3), 3), (F(2, 7), 3), (F(6), 2)]
+)
+def test_splitting_oracle_matches_group_side(t, r):
+    # every verdict the oracle reports, at every admissible prime and over
+    # the (n, j) the suite checks, against the group computed by `ring`
+    n_max, j_max = 2, 3
+    delta = t * t - 4
+    two = r == 2 and not is_square(delta)
+    for p in primes.iter_primes(999, start=5):
+        if p == r or (t.denominator * delta.numerator) % p == 0:
+            continue
+        m = ring.reduce_param(t, p)
+        phat = ring.group_order(m).value
+        v = primes.valuation(phat, r)
+        for n in range(n_max + 1):
+            in_m = (ring.d_elem(m) ** (phat // r ** min(n, v))).is_identity
+            for j in range(max(n, 2 if two and n else 1), j_max + 1):
+                rep = ex.splitting_oracle(t, r, n, j, p)
+                assert rep.k_j_theorem == (phat % r**j == 0), (p, n, j)
+                assert rep.m_n_k_j_theorem == (phat % r**j == 0 and in_m), (p, n, j)
 
 
 ROOT_TS = (F(3), F(10, 3), F(2, 7), F(6))
@@ -289,7 +317,7 @@ def test_cubic_tower_relations():
     from apparition.classify import classify
 
     assert cheb_c_exact(3, t) == t3
-    a1, a2 = classify(t3, rs=()).cubic_associates
+    a1, a2 = classify(t3).cubic_associates
     assert a1 == F(683, 343)
     assert ex.verify_cubic_associates(t3, 1500).passed
     assert ex.verify_prop11(t, 3, 1500).passed
