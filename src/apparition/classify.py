@@ -11,16 +11,15 @@ of the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .chebyshev import cheb_c_exact
 from .errors import ExcludedParameter
-from .exactnum import divisors, is_r_scaled_square, is_square, rth_root
-from .primes import is_prime
+from .exactnum import is_r_scaled_square, is_square, rth_root
+from .primes import factorize, is_prime
 
 EXCLUDED = frozenset(Fraction(v) for v in (0, 1, -1, 2, -2))  # degenerate parameters
 _DEFAULT_RS = (2, 3, 5, 7, 11, 13)
@@ -69,6 +68,7 @@ def cheb_preimages(r: int, t) -> list:
     For r = 2 this is the square test on 2 + t.  For odd r a reduced root
     c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d) and
     c | num(t) (C_r has zero constant term), so candidates are finite.
+    Raises ValueError when `factorize` refuses num(t).
     """
     t = Fraction(t)
     if r == 2:
@@ -77,14 +77,15 @@ def cheb_preimages(r: int, t) -> list:
             return []
         return sorted({sq.root, -sq.root})
     if t.numerator == 0:
-        return []
+        return [t]  # C_r(0) = 0; its other zeros, 2cos((2k + 1)pi / 2r), are irrational
     d = 1 if t.denominator == 1 else rth_root(t.denominator, r)
     if d is None:
         return []
+    numerators = [1]
+    for q, e in factorize(abs(t.numerator)).items():
+        numerators = [c * q**k for c in numerators for k in range(e + 1)]
     roots = set()
-    for c in divisors(t.numerator):
-        if gcd(c, d) != 1:
-            continue
+    for c in numerators:
         for x in (Fraction(c, d), Fraction(-c, d)):
             if cheb_c_exact(r, x) == t:
                 roots.add(x)
@@ -336,11 +337,16 @@ def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
 
 
 def to_json_dict(c: ParamClass) -> dict:
-    """JSON-ready view of a classification (rationals as "a/b" strings),
-    with the per-r facts of each r in _DEFAULT_RS."""
+    """JSON-ready view of a classification (rationals as "a/b" strings):
+    the fields of ParamClass in order, then the per-r facts of each r in
+    _DEFAULT_RS."""
 
-    def fmt(q):
-        return None if q is None else str(q)
+    def fmt(v):
+        if v is None or isinstance(v, bool):
+            return v
+        if isinstance(v, tuple):
+            return [str(a) for a in v]
+        return str(v)
 
     def facts(r):
         f = r_facts(c.t, r)
@@ -350,23 +356,6 @@ def to_json_dict(c: ParamClass) -> dict:
             "scale_root": fmt(f.scale_root),
         }
 
-    return {
-        "t": str(c.t),
-        "excluded": c.excluded,
-        "reducible": c.reducible,
-        "reducible_witness": fmt(c.reducible_witness),
-        "circular": c.circular,
-        "circular_associate": fmt(c.circular_associate),
-        "cubic": c.cubic,
-        "cubic_b": fmt(c.cubic_b),
-        "cubic_associates": (
-            None if c.cubic_associates is None else [str(a) for a in c.cubic_associates]
-        ),
-        "type_a": c.type_a,
-        "type_b": c.type_b,
-        "twin_primitive": c.twin_primitive,
-        "cubic_primitive": c.cubic_primitive,
-        "circular_primitive": c.circular_primitive,
-        "two_generic": c.two_generic,
-        "per_r": {str(r): facts(r) for r in _DEFAULT_RS},
-    }
+    doc = {f.name: fmt(getattr(c, f.name)) for f in fields(ParamClass)}
+    doc["per_r"] = {str(r): facts(r) for r in _DEFAULT_RS}
+    return doc

@@ -105,19 +105,3 @@ def rth_root(n: int, r: int) -> Optional[int]:
             break
         x = y
     return x if x**r == n else None
-
-
-def divisors(n: int) -> list:
-    """All positive divisors of |n|, ascending (trial division; small inputs)."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("0 has infinitely many divisors")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]

@@ -30,6 +30,7 @@ import json
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
 from typing import Optional
 
@@ -72,7 +73,7 @@ class ComparisonRow:
     z_score: float
 
 
-def _sweep_range(args) -> tuple:
+def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     a, b = t.numerator, t.denominator
     # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not dividing
@@ -115,7 +116,10 @@ def _sweep_range(args) -> tuple:
             else:
                 overflow += 1
             total += 1
-    return counts, overflow, total, excluded
+    return PartitionReport(
+        t=t, r=r, limit=hi, j_max=j_max, j_counts=counts,
+        overflow=overflow, total=total, excluded=excluded, start=lo,
+    )
 
 
 def compute_partition(
@@ -130,33 +134,16 @@ def compute_partition(
     if not primes.is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
 
-    if threads == 1:
-        results = [_sweep_range((t, r, j_max, start, limit))]
+    if threads == 1 or start > limit:
+        shards = [_sweep_range((t, r, j_max, start, limit))]
     else:
-        bounds = []
         span = max((limit - start + 1) // (threads * 4), 1)
-        lo = start
-        while lo <= limit:
-            hi = min(lo + span - 1, limit)
-            bounds.append((t, r, j_max, lo, hi))
-            lo = hi + 1
+        bounds = [
+            (t, r, j_max, lo, min(lo + span - 1, limit)) for lo in range(start, limit + 1, span)
+        ]
         with multiprocessing.Pool(threads) as pool:
-            results = pool.map(_sweep_range, bounds)
-
-    counts = [0] * (j_max + 1)
-    overflow = 0
-    total = 0
-    excluded: dict = {}
-    for c, o, n, e in results:
-        for j in range(j_max + 1):
-            counts[j] += c[j]
-        overflow += o
-        total += n
-        excluded.update(e)
-    report = PartitionReport(
-        t=t, r=r, limit=limit, j_max=j_max, j_counts=counts,
-        overflow=overflow, total=total, excluded=excluded, start=start,
-    )
+            shards = pool.map(_sweep_range, bounds)
+    report = reduce(merge_reports, shards)
     report.check_conservation()
     return report
 

@@ -6,7 +6,9 @@
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24, with a base
   set proven sufficient for each size of n.
 - `factorize`: trial division by sieved primes up to sqrt(n), refused when
-  sqrt(n) exceeds `FACTOR_SQRT_CAP` so a query cannot sieve gigabytes.
+  sqrt(n) exceeds `FACTOR_SQRT_CAP` so a query cannot sieve gigabytes.  It
+  is the package's one factoring path: `ring.index` factors p -+ 1 with it,
+  and `classify.cheb_preimages` the numerator of t.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
   `ring.index`.  The partition sweep and the membership test of the
   non-divisor suite factor nothing: they read v_r(chi) from the ring
@@ -43,21 +45,11 @@ _base_limit = 10
 _spf: list = []
 
 
-def _simple_sieve(limit: int) -> list:
-    mask = bytearray([1]) * (limit + 1)
-    mask[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if mask[i]:
-            step = len(range(i * i, limit + 1, i))
-            mask[i * i :: i] = b"\x00" * step
-    return [i for i in range(2, limit + 1) if mask[i]]
-
-
 def base_primes(limit: int) -> list:
     """Primes up to limit, from a grow-only module cache."""
     global _base_primes, _base_limit
     if limit > _base_limit:
-        _base_primes = _simple_sieve(limit)
+        _base_primes = primes_in_range(2, limit)  # sieves isqrt(limit) through this cache
         _base_limit = limit
     return _base_primes[: bisect_right(_base_primes, limit)]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apparition.chebyshev import cheb_c_exact
 from apparition.classify import (
     Genericity,
     associates,
@@ -100,6 +101,15 @@ def test_preimages():
     assert cheb_preimages(3, F(-286, 343)) == [F(-13, 7), F(2, 7), F(11, 7)]
     assert cheb_preimages(2, 3) == []
     assert r_primitive(3, 3) and not r_primitive(18, 3)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_preimages_contain_forward_roots(r):
+    # every reduced c/d is found again among the preimages of C_r(c/d)
+    for d in (1, 2, 3, 5, 7):
+        for c in range(-40, 41):
+            x = F(c, d)
+            assert x in cheb_preimages(r, cheb_c_exact(r, x)), x
 
 
 def test_twin_mirror():
@@ -283,12 +293,12 @@ def test_json_dict_text(t, text):
 
 
 def test_classify_reads_no_odd_r_facts(monkeypatch):
-    # odd-r primitivity trial-divides num(t); an r = 2 prediction never needs it
+    # odd-r primitivity factors num(t); an r = 2 prediction never needs it
     def refuse(n):
-        raise AssertionError(f"divisors({n}) called")
+        raise AssertionError(f"factorize({n}) called")
 
     # the package re-exports the function `classify`, which hides the module
-    monkeypatch.setattr(importlib.import_module("apparition.classify"), "divisors", refuse)
+    monkeypatch.setattr(importlib.import_module("apparition.classify"), "factorize", refuse)
     t = F(10**18 + 3)
     assert not classify(t).cubic
     assert predicted_densities(classify(t), 2, 4).source == "two-generic"

@@ -93,6 +93,23 @@ def test_index_beyond_factor_bound():
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "1000000000000000003"], ["partition", "1000000000000000003", "--r", "3", "--limit", "1000"]],
+)
+def test_odd_r_primitivity_beyond_factor_bound(argv):
+    # r-primitivity for odd r factors num(t); past the factoring bound the
+    # command exits 1 instead of trial-dividing for minutes
+    path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apparition.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot factor")
+
+
 def test_partition_limit_cap(capsys):
     assert main(["partition", "3", "--limit", str(10**9)]) == 1
     capsys.readouterr()

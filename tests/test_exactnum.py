@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from apparition.exactnum import (
     SquareKind,
-    divisors,
     format_rational,
     is_r_scaled_square,
     is_square,
@@ -84,9 +83,3 @@ def test_rth_root():
 @given(st.integers(1, 10**9), st.integers(2, 7))
 def test_rth_root_exact(d, r):
     assert rth_root(d**r, r) == d
-
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(-7) == [1, 7]
-    assert divisors(1) == [1]

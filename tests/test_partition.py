@@ -56,6 +56,10 @@ def test_empty_report():
     rep = compute_partition(3, 2, 2, j_max=2)
     assert rep.total == 0 and rep.j_counts == [0, 0, 0]
     assert rep.excluded == {2: "is_two"}
+    for threads in (1, 2, 3):  # a range that starts past its limit holds no prime
+        rep = compute_partition(3, 2, 100, threads=threads, start=200)
+        assert (rep.total, rep.limit, rep.start, rep.j_counts) == (0, 100, 200, [0] * 9)
+        assert rep.excluded == {}
 
 
 def test_excluded_parameter():
@@ -142,6 +146,7 @@ def test_sweep_is_segmented(monkeypatch):
         widths.append(hi - lo + 1)
         return sieve_range(lo, hi)
 
+    primes.base_primes(isqrt(limit))  # the base sieve also calls primes_in_range
     monkeypatch.setattr(primes, "primes_in_range", recording)
     for t, r in ((F(-7, 2), 2), (F(2, 7), 3)):
         widths.clear()

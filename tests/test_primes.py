@@ -10,7 +10,6 @@ import pytest
 from apparition import primes
 from apparition.primes import (
     FACTOR_SQRT_CAP,
-    _simple_sieve,
     distinct_prime_factors,
     factorize,
     is_prime,
@@ -54,7 +53,7 @@ def test_segmented_matches_direct():
 
 def test_primes_in_range_matches_simple_sieve():
     bound = 300_000
-    ref = _simple_sieve(bound)
+    ref = [n for n in range(bound + 1) if is_prime(n)]
 
     def expect(lo, hi):
         return ref[bisect_left(ref, lo) : bisect_right(ref, hi)]
@@ -78,11 +77,18 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
     monkeypatch.setattr(primes, "_base_primes", [2, 3, 5, 7])
     monkeypatch.setattr(primes, "_base_limit", 10)
     calls = []
-    simple = primes._simple_sieve
-    monkeypatch.setattr(primes, "_simple_sieve", lambda n: calls.append(n) or simple(n))
+    sieve_range = primes.primes_in_range
+
+    def spy(lo, hi):
+        if lo == 2:  # a base sieve, not a segment
+            calls.append(hi)
+        return sieve_range(lo, hi)
+
+    monkeypatch.setattr(primes, "primes_in_range", spy)
     lo, hi = 10**8 - 4 * primes._SEGMENT, 10**8
-    assert list(iter_primes(hi, start=lo)) == primes_in_range(lo, hi)
-    assert calls == [isqrt(hi)]
+    assert list(iter_primes(hi, start=lo)) == sieve_range(lo, hi)
+    # the base up to 10**4 is sieved once, and its own base up to 10**2 with it
+    assert calls == [isqrt(hi), isqrt(isqrt(hi))]
 
 
 def test_factorize_examples():
