@@ -13,6 +13,7 @@ with rationals rendered as "a/b" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -50,10 +51,12 @@ def _cmd_index(args) -> int:
 
 
 def _partition_one(t: Fraction, args) -> str:
+    # the prediction before the sweep, so that a refused one exits at once
+    partition.check_partition_args(t, args.r, args.limit, args.jmax, args.threads)
+    pred = predicted_densities(classify(t), args.r, args.jmax)
     report = partition.compute_partition(
         t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
-    pred = predicted_densities(classify(t), args.r, args.jmax)
     if pred.supported:
         rows = partition.compare(report, pred)
     else:
@@ -170,7 +173,9 @@ def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
         parser._negative_number_matcher = _NEG_RATIONAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a new namespace."""
     ap = argparse.ArgumentParser(prog="apparition")
     sub = ap.add_subparsers(dest="command", required=True)
 

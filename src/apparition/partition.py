@@ -122,10 +122,8 @@ def _sweep_range(args) -> PartitionReport:
     )
 
 
-def compute_partition(
-    t, r: int, limit: int, j_max: int = DEFAULT_J_MAX, threads: int = 1, start: int = 2
-) -> PartitionReport:
-    """Valuation partition of chi(t, p) over primes in [start, limit]."""
+def check_partition_args(t, r: int, limit: int, j_max: int, threads: int) -> Fraction:
+    """t as a Fraction, or the error `compute_partition` would raise."""
     t = Fraction(t)
     if t in EXCLUDED:
         raise ExcludedParameter(f"t = {t} is excluded")
@@ -133,7 +131,14 @@ def compute_partition(
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
     if not primes.is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
+    return t
 
+
+def compute_partition(
+    t, r: int, limit: int, j_max: int = DEFAULT_J_MAX, threads: int = 1, start: int = 2
+) -> PartitionReport:
+    """Valuation partition of chi(t, p) over primes in [start, limit]."""
+    t = check_partition_args(t, r, limit, j_max, threads)
     if threads == 1 or start > limit:
         shards = [_sweep_range((t, r, j_max, start, limit))]
     else:

@@ -258,7 +258,8 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
 def index(t, p: int) -> int:
     """The index of appearance chi(t, p): order of D_t mod p.
 
-    Factors p -+ 1 (see `primes.factorize` for its cap); a sweep that needs
+    Factors p -+ 1 with `primes.factorize`, which answers for every odd
+    prime p that `is_prime` decides (below 3.3*10**24); a sweep that needs
     only v_r(chi) calls `chi_valuation` or its kernel instead.
     """
     m = reduce_param(t, p)

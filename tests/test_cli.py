@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import apparition
-from apparition import experiments
+from apparition import cli, experiments, partition
 from apparition.cli import LIMIT_CAP, main
 from apparition.experiments import CheckReport
 
@@ -81,33 +82,103 @@ def test_partition_batch(tmp_path, capsys):
     assert "# t=3" in out and "# t=2/7" in out
 
 
-def test_index_beyond_factor_bound():
-    # p is prime, but factoring p + 1 would sieve base primes up to 10**9
+BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
+MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
+
+
+def _run_cli(argv, timeout):
     path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "apparition.cli", "index", "3", "1000000000000000003"],
-        capture_output=True, text=True, timeout=60, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "apparition.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+@pytest.mark.parametrize("argv", [["index", "3", BELOW_BOUND], ["classify", BELOW_BOUND]])
+def test_answers_below_primality_bound(argv):
+    # factoring p + 1 and num(t) near 10**18 is rho work, not a refusal
+    proc = _run_cli(argv, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_index_beyond_primality_bound():
+    proc = _run_cli(["index", "3", MERSENNE_89], timeout=20)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "1000000000000000003"], ["partition", "1000000000000000003", "--r", "3", "--limit", "1000"]],
+    [["classify", MERSENNE_89], ["partition", MERSENNE_89, "--r", "3", "--limit", "1000"]],
 )
-def test_odd_r_primitivity_beyond_factor_bound(argv):
-    # r-primitivity for odd r factors num(t); past the factoring bound the
-    # command exits 1 instead of trial-dividing for minutes
-    path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "apparition.cli", *argv],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+def test_odd_r_primitivity_beyond_primality_bound(argv):
+    # r-primitivity for odd r factors num(t); past the bound of is_prime
+    # the command exits 1 with a message
+    proc = _run_cli(argv, timeout=20)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot factor")
+
+
+def test_partition_refuses_before_sweeping(monkeypatch, capsys):
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept before asking for the prediction")
+
+    monkeypatch.setattr(partition, "compute_partition", sweep)
+    assert main(["partition", MERSENNE_89, "--r", "3", "--limit", "3000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot factor") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--jmax", "-1"], "need limit >= 2, threads >= 1, j_max >= 0"),
+        (["--limit", "1"], "need limit >= 2, threads >= 1, j_max >= 0"),
+        (["--r", "4"], "r must be prime, got 4"),
+    ],
+)
+def test_partition_argument_errors(argv, message, capsys):
+    # checked before the prediction, with the texts the sweep gives
+    assert main(["partition", MERSENNE_89, "--r", "3", "--limit", "100", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    try:
+        for _ in range(5):
+            assert main(["index", "3", "11"]) == 0
+            assert main(["index", "3"]) == 1
+        assert built.count("apparition") == 1
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_calls_after_a_usage_error_match_a_fresh_process(capsys):
+    # one parser serves every call; no call may leave state for the next
+    calls = [
+        ["index", "3"],
+        ["index", "3", "11"],
+        ["dynamics", "quadmap", "5", "--limit", "100"],
+        ["dynamics", "chebyshev", "--limit", "100"],
+        ["dynamics", "chebyshev", "3", "--k", "2", "--nmax", "12", "--limit", "1000"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = _run_cli(argv, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_partition_limit_cap(capsys):

@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
-from math import isqrt
+from math import isqrt, prod
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +14,6 @@ import pytest
 
 from apparition import primes
 from apparition.primes import (
-    FACTOR_SQRT_CAP,
     distinct_prime_factors,
     factorize,
     is_prime,
@@ -99,11 +103,138 @@ def test_factorize_examples():
         factorize(0)
 
 
-def test_factorize_bound():
-    with pytest.raises(ValueError):
-        factorize((FACTOR_SQRT_CAP + 1) ** 2)
-    with pytest.raises(ValueError):
-        factorize(10**18 + 4)
+# the bound below which is_prime decides, and so factorize answers
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+MERSENNE_89 = 2**89 - 1  # prime, past MR_BOUND
+
+
+def test_factorize_primality_bound():
+    # a cofactor free of small primes at or past the bound is refused at once
+    for n in (MERSENNE_89, 2 * MERSENNE_89, 3**5 * 997 * MERSENNE_89, MR_BOUND, (2**61 - 1) ** 2):
+        with pytest.raises(ValueError, match=f"^cannot factor {n}: "):
+            factorize(n)
+    # a bound-sized smooth part does not count, only the cofactor
+    assert factorize(2**100 * 3**7 * 1009) == {2: 100, 3: 7, 1009: 1}
+    n = MR_BOUND - 2  # just below: answered
+    _check_factorization(n, factorize(n))
+
+
+def _trial_division(n, base):
+    """Frozen reference: divide by each prime q while q * q <= m, stopping
+    early once the cofactor m passes is_prime (tested on its own here)."""
+    out = {}
+    m = n
+    m_prime = is_prime(m)
+    for q in base:
+        if m_prime or q * q > m:
+            break
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            out[q] = e
+            m_prime = is_prime(m)
+    if m > 1:
+        out[m] = 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    base = sieve(1 << 20)
+    rng = random.Random(1040)
+    for _ in range(20_000):
+        n = rng.randrange(1, 1 << 40)
+        fac = factorize(n)
+        assert fac == _trial_division(n, base) and list(fac) == sorted(fac), n
+
+
+def _check_factorization(n, fac):
+    assert prod(q**e for q, e in fac.items()) == n, n
+    assert all(is_prime(q) and e >= 1 for q, e in fac.items()), n
+    assert list(fac) == sorted(fac), n
+
+
+def _random_prime(rng, bits):
+    while True:
+        q = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(q):
+            return q
+
+
+def test_factorize_properties_by_size():
+    rng = random.Random(81)
+    for bits in range(20, 82):
+        for _ in range(4):
+            n = rng.getrandbits(bits) | (1 << (bits - 1))
+            _check_factorization(n, factorize(n))
+        # composite cofactors that rho has to split, with the small part mixed in
+        if bits >= 40:
+            a = _random_prime(rng, bits // 4)
+            b = _random_prime(rng, bits - bits // 4 - 6)
+            n = rng.randrange(1, 64) * a * b
+            _check_factorization(n, factorize(n))
+            assert a in factorize(n) and b in factorize(n)
+
+
+def test_factorize_prime_powers():
+    rng = random.Random(3)
+    for bits, e in ((40, 2), (27, 3), (16, 5), (11, 7), (10, 8), (20, 4), (13, 6)):
+        q = _random_prime(rng, bits)
+        assert factorize(q**e) == {q: e}, (q, e)
+        assert factorize(6 * q**e) == {2: 1, 3: 1, q: e}, (q, e)
+    q, r = _random_prime(rng, 13), _random_prime(rng, 13)
+    lo, hi = min(q, r), max(q, r)
+    assert factorize((q * r) ** 3) == {lo: 3, hi: 3}  # a power of a composite
+    fac = factorize(q**2 * r)
+    assert fac == {q: 2, r: 1} and list(fac) == [lo, hi]
+    assert factorize(1009**8) == {1009: 8}  # the largest exponent below the bound
+    assert factorize(997**9) == {997: 9}  # all trial division
+
+
+def test_factorize_carmichael_and_strong_pseudoprimes():
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185):
+        fac = factorize(n)
+        _check_factorization(n, fac)
+        assert len(fac) >= 3 and all(e == 1 for e in fac.values())
+    # Chernick's (6k + 1)(12k + 1)(18k + 1) with all three prime, k = 1000051
+    k = 1_000_051
+    assert factorize((6 * k + 1) * (12 * k + 1) * (18 * k + 1)) == {
+        6 * k + 1: 1, 12 * k + 1: 1, 18 * k + 1: 1,
+    }
+    assert factorize(2047) == {23: 1, 89: 1}
+    assert factorize(1_373_653) == {829: 1, 1657: 1}
+    assert factorize(25_326_001) == {2251: 1, 11251: 1}
+    assert factorize(3_215_031_751) == {151: 1, 751: 1, 28351: 1}
+    assert factorize(3_825_123_056_546_413_051) == {149491: 1, 747451: 1, 34233211: 1}
+
+
+def test_factorize_edge_inputs():
+    assert factorize(1) == {}
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError, match="n must be positive"):
+            factorize(n)
+
+
+def test_factorize_balanced_semiprimes():
+    # the worst case for rho below the bound: two primes of about 40 bits,
+    # among them the strong pseudoprime to the first twelve prime bases
+    rng = random.Random(4040)
+    cases = [(399_165_290_221, 798_330_580_441)]
+    cases += [tuple(sorted((_random_prime(rng, 40), _random_prime(rng, 40)))) for _ in range(2)]
+    cases += [tuple(sorted((_random_prime(rng, 41), _random_prime(rng, 40))))]
+    src = str(Path(primes.__file__).parents[1])
+    code = (
+        "import json, sys; from apparition.primes import factorize; "
+        "print(json.dumps([list(factorize(int(n))) for n in sys.argv[1:]]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(str(a * b) for a, b in cases)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [list(c) for c in cases]
 
 
 def test_is_prime_matches_sieve():

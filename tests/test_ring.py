@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from apparition.chebyshev import cheb_c_mod
 from apparition.errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
-from apparition.primes import factorize, iter_primes, sieve, valuation
+from apparition.primes import factorize, is_prime, iter_primes, sieve, valuation
 from apparition.ring import (
     GroupOrder,
     ModParam,
@@ -189,6 +190,25 @@ def test_index_minimality(p, tn, td):
         assert not (d ** (chi // q)).is_identity
     if m.delta_mod != 0:
         assert group_order(m).value % chi == 0  # Lagrange
+
+
+@pytest.mark.parametrize("bits", [48, 64, 80])
+def test_index_order_at_large_p(bits):
+    # index_by_scan is O(p), so the order is checked by powers: D**chi = I
+    # and D**(chi/q) != I for every prime q of chi
+    rng = random.Random(bits)
+    for _ in range(3):
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        while not is_prime(p):
+            p += 2
+        for t in (3, F(2, 7), -5, F(10, 3), F(48, 25)):
+            chi = index(t, p)
+            m = reduce_param(t, p)
+            d = d_elem(m)
+            assert group_order(m).value % chi == 0, (t, p)
+            assert (d**chi).is_identity, (t, p)
+            for q in factorize(chi):
+                assert not (d ** (chi // q)).is_identity, (t, p, q)
 
 
 @settings(max_examples=60, deadline=None)
