@@ -40,7 +40,7 @@ def main():
         ex.verify_splitting_theorems(F(3), 3, cap),
         ex.verify_splitting_theorems(F(3), 2, cap),
         ex.verify_splitting_theorems(F(10, 3), 3, cap),
-        ex.quadmap_divisor_check(F(5), n),
+        ex.quadmap_divisor_check(F(5), min(n, ex.ENUMERATION_CAP)),
         ex.chebyshev_orbit_divisors(F(3), 2, 20, n),
     ]
     for rep in reports:

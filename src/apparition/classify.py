@@ -11,6 +11,7 @@ of the index.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -68,7 +69,11 @@ def cheb_preimages(r: int, t) -> list:
     For r = 2 this is the square test on 2 + t.  For odd r a reduced root
     c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d) and
     c | num(t) (C_r has zero constant term), so candidates are finite.
-    Raises ValueError when `factorize` refuses num(t).
+    C_r is odd, maps [-2, 2] onto itself and is increasing past 2, so
+    for |t| > 2 the one real root has |x| > 2 and the sign of t, and it
+    is found by bisection over the sorted candidates; for |t| <= 2 only
+    candidates with |c/d| <= 2 are tried.  Raises ValueError when
+    `factorize` refuses num(t).
     """
     t = Fraction(t)
     if r == 2:
@@ -84,11 +89,18 @@ def cheb_preimages(r: int, t) -> list:
     numerators = [1]
     for q, e in factorize(abs(t.numerator)).items():
         numerators = [c * q**k for c in numerators for k in range(e + 1)]
+    if abs(t) > 2:
+        big = sorted(c for c in numerators if c > 2 * d)
+        i = bisect_left(big, abs(t), key=lambda c: cheb_c_exact(r, Fraction(c, d)))
+        if i == len(big) or cheb_c_exact(r, Fraction(big[i], d)) != abs(t):
+            return []
+        return [Fraction(big[i], d) if t > 0 else Fraction(-big[i], d)]
     roots = set()
     for c in numerators:
-        for x in (Fraction(c, d), Fraction(-c, d)):
-            if cheb_c_exact(r, x) == t:
-                roots.add(x)
+        if c <= 2 * d:
+            for x in (Fraction(c, d), Fraction(-c, d)):
+                if cheb_c_exact(r, x) == t:
+                    roots.add(x)
     return sorted(roots)
 
 

@@ -744,23 +744,36 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> CheckReport:
 def quadmap_divisor_check(t, limit: int) -> CheckReport:
     """Orbit of t under x -> x**2 - 2 returns to t mod p iff chi(t, p) is odd.
 
-    The orbit values are C_{2^n}(t), and a return forces D^(2^n -+ 1) = I;
-    the scan is capped at p steps, which covers pre-period plus period.
+    The orbit values are C_{2^n}(t), and a return forces D^(2^n -+ 1) = I.
+    The scan stops at the first repeated value, found by Brent's cycle
+    detection (BIT 20, 1980): a saved value, replaced after 1, 2, 4, ...
+    steps, is met again once the orbit has closed its cycle.  The map is
+    a function on F_p, so a t on the cycle returns before any other value
+    repeats, and a match with the saved value means t never returns.
     `divisors` holds the primes with a return; the metrics are `t` and
-    their `density`.
+    their `density`.  The limit is capped at ENUMERATION_CAP, like the
+    other orbit scans, since a cycle can be O(p) long.
     """
+    if limit > ENUMERATION_CAP:
+        raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = Fraction(t)
     rep = CheckReport(name=f"quadmap(t={t})")
     for p in _admissible(limit, t.denominator):
         tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
-        y = tm
-        found = False
-        for _ in range(p + 1):
+        y = saved = tm
+        steps, power = 0, 1
+        while True:
             y = (y * y - 2) % p
             if y == tm:
                 found = True
                 break
+            if y == saved:
+                found = False
+                break
+            steps += 1
+            if steps == power:
+                saved, steps, power = y, 0, 2 * power
         rep.primes_checked += 1
         if found:
             rep.divisors.append(p)

@@ -3,8 +3,11 @@
 - `prime_segments` / `iter_primes` / `sieve`: a segmented sieve of
   Eratosthenes over [start, limit], one `_SEGMENT`-wide bytearray at a
   time, with the base primes up to sqrt(limit) sieved once.
-- `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24, with a base
-  set proven sufficient for each size of n.
+- `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
+  of `_MR_TIERS` takes the first k primes as bases below the smallest
+  strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
+  n below 3.5*10**12 takes at most six bases and only n past 3.2*10**23
+  takes all thirteen.
 - `factorize`: trial division by the primes below 1000, then Brent's
   variant of Pollard rho on the cofactor, with `is_prime` on every piece.
   It answers for every n whose cofactor `is_prime` can decide (below
@@ -31,13 +34,17 @@ from typing import Iterator
 _SEGMENT = 1 << 17
 
 # (exclusive bound, bases): no strong pseudoprime to all the bases lies below
-# the bound (Pomerance, Selfridge and Wagstaff 1980; Sorenson and Webster,
-# Math. Comp. 2017).
+# the bound (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang
+# and Deng 2014; Sorenson and Webster, Math. Comp. 2017).
 _MR_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
     (3_215_031_751, (2, 3, 5, 7)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 

@@ -112,6 +112,26 @@ def test_preimages_contain_forward_roots(r):
             assert x in cheb_preimages(r, cheb_c_exact(r, x)), x
 
 
+def _preimages_by_every_divisor(r, t):
+    """Reference for odd r: try +-c/d for every divisor c of num(t)."""
+    d = round(t.denominator ** (1 / r))
+    if d**r != t.denominator:
+        return []
+    n = abs(t.numerator)
+    divisors = [c for c in range(1, n + 1) if n % c == 0]
+    return sorted({x for c in divisors for x in (F(c, d), F(-c, d)) if cheb_c_exact(r, x) == t})
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_preimages_match_every_divisor(r):
+    # both sides of |t| = 2: the bisection past 2, the |c/d| <= 2 filter inside
+    ts = {F(a, b) for a in range(-150, 151) if a for b in (1, 8, 27, 32, 243)}
+    ts |= {cheb_c_exact(r, F(c, d)) for c in range(-9, 10) for d in (1, 2, 3)}
+    for t in sorted(ts - {0}):
+        if abs(t.numerator) <= 10**5:
+            assert cheb_preimages(r, t) == _preimages_by_every_divisor(r, t), t
+
+
 def test_twin_mirror():
     for t in (F(3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2)):
         c, cm = classify(t), classify(-t)

@@ -121,6 +121,20 @@ def test_odd_r_primitivity_beyond_primality_bound(argv):
     assert proc.stderr.startswith("error: cannot factor")
 
 
+def test_classify_many_divisors():
+    # 61# has 2**18 divisors; odd-r preimages bisect instead of trying each
+    proc = _run_cli(["classify", "117288381359406970983270"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["t"] == "117288381359406970983270"
+
+
+def test_quadmap_limit_capped(capsys):
+    assert main(["dynamics", "quadmap", "5", "--limit", "10001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: limit capped at {experiments.ENUMERATION_CAP} for O(p) scans\n"
+    assert captured.out == ""
+
+
 def test_partition_refuses_before_sweeping(monkeypatch, capsys):
     def sweep(*args, **kwargs):
         raise AssertionError("swept before asking for the prediction")

@@ -353,6 +353,46 @@ def test_quadmap_reducible_oracle():
     assert set(rep.divisors) == odd_order
 
 
+def _quadmap_by_full_scan(t, limit):
+    """Frozen copy of the suite before the cycle stop: p + 1 steps per prime."""
+    t = F(t)
+    rep = ex.CheckReport(name=f"quadmap(t={t})")
+    for p in ex._admissible(limit, t.denominator):
+        tm = residue(t, p)
+        chi = ring.chi_from_residue(tm, p)
+        y = tm
+        found = False
+        for _ in range(p + 1):
+            y = (y * y - 2) % p
+            if y == tm:
+                found = True
+                break
+        rep.primes_checked += 1
+        if found:
+            rep.divisors.append(p)
+        if found != (chi % 2 == 1):
+            rep.record(p, f"divisor iff chi odd (chi={chi})", found)
+    rep.metrics = {"t": t, "density": ex._ratio(len(rep.divisors), rep.primes_checked)}
+    return rep
+
+
+def test_quadmap_cycle_stop_matches_full_scan():
+    ts = {F(a, b) for a in range(-12, 13) for b in range(1, 5)} - EXCLUDED
+    for t in sorted(ts):
+        rep, ref = ex.quadmap_divisor_check(t, 2000), _quadmap_by_full_scan(t, 2000)
+        assert rep.divisors == ref.divisors, t
+        assert rep.summary() == ref.summary(), t
+
+
+def test_quadmap_pinned_at_enumeration_cap():
+    rep = ex.quadmap_divisor_check(5, 10**4)
+    assert rep.summary() == (
+        "PASS quadmap(t=5): 1228 primes checked, 0 violations; t 5, density 0.337948"
+    )
+    with pytest.raises(PrimeTooLarge):
+        ex.quadmap_divisor_check(5, ex.ENUMERATION_CAP + 1)
+
+
 def test_nondivisor():
     rep = ex.nondivisor_density(3, F(-8, 19), F(-33, 19), 7, 10**4)
     assert rep.passed

@@ -243,12 +243,59 @@ def test_is_prime_matches_sieve():
 
 def test_is_prime_tier_boundaries():
     # strong pseudoprimes to every base of the tier below each boundary
-    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 3_825_123_056_546_413_051):
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 3_474_749_660_383,
+              341_550_071_728_321, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
         assert not is_prime(n)
+    # a strong pseudoprime to bases 2..11, inside the tier that adds 13
+    assert not is_prime(2_152_302_898_747)
+    # primes just past the new boundaries, each taking the next tier's bases
+    for n in (3_474_749_660_401, 341_550_071_728_361, 3_825_123_056_546_413_057,
+              318_665_857_834_031_151_167_483):
+        assert is_prime(n)
     assert is_prime(2**61 - 1)
     assert is_prime(10**18 + 3)
     with pytest.raises(ValueError):
         is_prime(4 * 10**24 + 37)
+
+
+def _strong_probable_prime(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_tiers_match_thirteen_bases():
+    # every tier decides as all 13 bases of the last tier do: on random odd
+    # n, on the first prime past each of them, and on Chernick numbers
+    # (6k+1)(12k+1)(18k+1), Carmichael numbers when all three factors are prime
+    all_bases = primes._MR_TIERS[-1][1]
+    rng = random.Random(12)
+    lo = 3
+    for hi, _ in primes._MR_TIERS:
+        ns = [rng.randrange(lo, hi) | 1 for _ in range(200)]
+        for n in ns[:20]:
+            while not _strong_probable_prime(n, all_bases):
+                n += 2
+            ns.append(n)
+        k_max = max(2, int((hi / 1296) ** (1 / 3)))
+        ns += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+               for k in (rng.randrange(1, k_max) for _ in range(50))]
+        for n in ns:
+            if lo <= n < hi and n > max(all_bases):
+                assert is_prime(n) == _strong_probable_prime(n, all_bases), n
+        lo = hi
 
 
 def test_valuation():
