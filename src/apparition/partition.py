@@ -15,19 +15,22 @@ plus2 = (a + 2b)*b (for r = 2, whether D_t is a square in its group).  By
 quadratic reciprocity (N/p) depends only on p mod 4|N| for p not dividing
 2N, so the sweep reads them from dicts keyed by that residue class instead
 of running Euler's criterion per prime.  A class that holds a prime
-dividing 2N holds that prime alone, so its entry is right too.
+dividing 2N holds that prime alone, so its entry is right too.  When a
+period is at least the segment width, no two primes of a segment share a
+class, so that character comes from Euler's criterion with no cache.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time
-(`primes.prime_segments`) and starts the caches afresh in each, so memory
-stays bounded by one segment's primes however wide the range or large the
-periods.  Work is sharded over contiguous prime ranges, so reports merge
-by exact addition and any worker count gives identical output.
+(`primes.prime_segments`), reading each piece's primes from a stream, and
+starts the caches afresh in each, so memory stays bounded by one
+segment's odd-only mask and its class caches however wide the range or
+large the periods.  Work is sharded over contiguous prime ranges, so
+reports merge by exact addition and any worker count gives identical
+output; `multiprocessing` is imported only when the work fans out.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -76,11 +79,17 @@ class ComparisonRow:
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     a, b = t.numerator, t.denominator
+    t_arg = a if b == 1 else t  # the kernel reduces an int t without inverting b
     # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not dividing
     # b; each depends only on p mod its period (quadratic reciprocity)
     disc = a * a - 4 * b * b
     plus2 = (a + 2 * b) * b
     disc_period, plus2_period = 4 * abs(disc), 4 * abs(plus2)
+    # a period at least the segment width puts each prime of a segment in a
+    # class of its own, where a cache could never hit
+    cache_disc = disc_period < primes._SEGMENT
+    cache_plus2 = plus2_period < primes._SEGMENT
+    barred = 2 * r * b  # p is excluded exactly when it divides this
     counts = [0] * (j_max + 1)
     overflow = 0
     total = 0
@@ -91,26 +100,28 @@ def _sweep_range(args) -> PartitionReport:
         disc_chars: dict = {}
         plus2_chars: dict = {}
         for p in segment:
-            if p == 2:
-                excluded[p] = "is_two"
+            if barred % p == 0:
+                excluded[p] = (
+                    "is_two" if p == 2 else "equals_r" if p == r else "divides_denominator"
+                )
                 continue
-            if p == r:
-                excluded[p] = "equals_r"
-                continue
-            if b % p == 0:
-                excluded[p] = "divides_denominator"
-                continue
-            key = p % disc_period
-            delta_char = disc_chars.get(key)
-            if delta_char is None:
-                delta_char = disc_chars[key] = legendre(disc, p)
+            if cache_disc:
+                key = p % disc_period
+                delta_char = disc_chars.get(key)
+                if delta_char is None:
+                    delta_char = disc_chars[key] = legendre(disc, p)
+            else:
+                delta_char = legendre(disc, p)
             plus2_char = 0
             if r == 2:
-                key = p % plus2_period
-                plus2_char = plus2_chars.get(key)
-                if plus2_char is None:
-                    plus2_char = plus2_chars[key] = legendre(plus2, p)
-            j = chi_valuation_from_characters(t, p, r, delta_char, plus2_char)
+                if cache_plus2:
+                    key = p % plus2_period
+                    plus2_char = plus2_chars.get(key)
+                    if plus2_char is None:
+                        plus2_char = plus2_chars[key] = legendre(plus2, p)
+                else:
+                    plus2_char = legendre(plus2, p)
+            j = chi_valuation_from_characters(t_arg, p, r, delta_char, plus2_char)
             if j <= j_max:
                 counts[j] += 1
             else:
@@ -146,6 +157,8 @@ def compute_partition(
         bounds = [
             (t, r, j_max, lo, min(lo + span - 1, limit)) for lo in range(start, limit + 1, span)
         ]
+        import multiprocessing  # only a fan-out pays for the import
+
         with multiprocessing.Pool(threads) as pool:
             shards = pool.map(_sweep_range, bounds)
     report = reduce(merge_reports, shards)

@@ -1,8 +1,13 @@
 """Primes, primality and factoring: the integer primitives under every sweep.
 
-- `prime_segments` / `iter_primes` / `sieve`: a segmented sieve of
-  Eratosthenes over [start, limit], one `_SEGMENT`-wide bytearray at a
-  time, with the base primes up to sqrt(limit) sieved once.
+- `prime_segments` / `iter_primes` / `primes_in_range` / `sieve`: one
+  segmented sieve of Eratosthenes (Bays and Hudson, BIT 1977) over
+  [start, limit].  Each `_SEGMENT`-wide piece (2**19 numbers) is a
+  bytearray over its odd numbers only, 2**18 bytes, streamed as a
+  generator, so a sweep never holds a list of a segment's primes.  The
+  base primes up to sqrt(limit) are sieved once; each clears its odd
+  multiples from max(q**2, lo) on, by slice assignment from one zero
+  buffer per segment.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
   of `_MR_TIERS` takes the first k primes as bases below the smallest
   strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
@@ -31,7 +36,7 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator
 
-_SEGMENT = 1 << 17
+_SEGMENT = 1 << 19
 
 # (exclusive bound, bases): no strong pseudoprime to all the bases lies below
 # the bound (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang
@@ -63,32 +68,49 @@ def base_primes(limit: int) -> list:
     return _base_primes[: bisect_right(_base_primes, limit)]
 
 
-def primes_in_range(lo: int, hi: int) -> list:
-    """Primes p with lo <= p <= hi via a sieved segment."""
+def _segment_primes(lo: int, hi: int) -> Iterator[int]:
+    """Yield the primes p with lo <= p <= hi, ascending, from a mask over
+    the odd numbers of the range (2 comes first when the range holds it)."""
     if hi < 2 or hi < lo:
-        return []
-    lo = max(lo, 2)
-    base = base_primes(isqrt(hi))
-    mask = bytearray([1]) * (hi - lo + 1)
-    for q in base:
-        start = max(q * q, ((lo + q - 1) // q) * q)
-        if start > hi:
-            continue
-        mask[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
-    return list(compress(range(lo, hi + 1), mask))
+        return
+    if lo <= 2:
+        yield 2
+        lo = 3
+    lo |= 1  # the first odd number >= lo
+    if lo > hi:
+        return
+    size = (hi - lo) // 2 + 1  # mask[i] stands for lo + 2*i
+    mask = bytearray([1]) * size
+    zeros = memoryview(bytes(size // 3 + 1))  # the longest slice is q = 3's
+    for q in base_primes(isqrt(hi))[1:]:
+        if q * q >= lo:
+            i = (q * q - lo) >> 1
+        else:  # lo + 2*i is the first odd multiple of q at or past lo
+            i = -lo % q
+            if i & 1:
+                i += q
+            i >>= 1
+        if i < size:
+            mask[i::q] = zeros[: (size - 1 - i) // q + 1]
+    yield from compress(range(lo, hi + 1, 2), mask)
+
+
+def primes_in_range(lo: int, hi: int) -> list:
+    """Primes p with lo <= p <= hi, ascending."""
+    return list(_segment_primes(lo, hi))
 
 
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(primes_in_range(2, _TRIAL_LIMIT))  # trial divisors of factorize
 
 
-def prime_segments(lo: int, hi: int) -> Iterator[list]:
-    """The primes of [lo, hi] as one ascending list per `_SEGMENT`-wide piece."""
+def prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
+    """The primes of [lo, hi], one ascending generator per `_SEGMENT`-wide piece."""
     if 2 <= hi and lo <= hi:
         base_primes(isqrt(hi))  # sieved once: no segment re-sieves a longer base
     while lo <= hi:
         seg_hi = min(lo + _SEGMENT - 1, hi)
-        yield primes_in_range(lo, seg_hi)
+        yield _segment_primes(lo, seg_hi)
         lo = seg_hi + 1
 
 

@@ -251,7 +251,8 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     for j in range(v + 1):
         if y == 2:
             return j
-        y = (y * y - 2) % p if r == 2 else cheb_c_mod(r, y, p)
+        # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
+        y = (y * y - 2) % p if r == 2 else y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
     raise ValueError(f"characters ({delta_char}, {plus2_char}) do not fit t = {t} mod {p}")
 
 

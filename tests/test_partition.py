@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 from math import isqrt
@@ -108,8 +109,18 @@ def test_spawn_matches_fork(monkeypatch):
     # a spawned worker starts with empty module caches; a forked one inherits
     # the parent's, so this fails if a cache changes a result
     def run(method):
-        monkeypatch.setattr(partition, "multiprocessing", multiprocessing.get_context(method))
-        return report_to_json(compute_partition(3, 2, 300000, threads=2))
+        # partition imports multiprocessing only to fan out, so the start
+        # method is forced on the Pool it reads from the module
+        context, used = multiprocessing.get_context(method), []
+
+        def pool(*args, **kwargs):
+            used.append(method)
+            return context.Pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        out = report_to_json(compute_partition(3, 2, 300000, threads=2))
+        assert used == [method]
+        return out
 
     one = report_to_json(compute_partition(3, 2, 300000, threads=1))
     assert run("fork") == one
@@ -140,14 +151,14 @@ def test_sweep_is_segmented(monkeypatch):
     # several segments it agrees with the single-prime kernel
     start, limit = 10**6, 10**6 + 3 * primes._SEGMENT + 17
     widths = []
-    sieve_range = primes.primes_in_range
+    segment_primes = primes._segment_primes
 
     def recording(lo, hi):
         widths.append(hi - lo + 1)
-        return sieve_range(lo, hi)
+        return segment_primes(lo, hi)
 
-    primes.base_primes(isqrt(limit))  # the base sieve also calls primes_in_range
-    monkeypatch.setattr(primes, "primes_in_range", recording)
+    primes.base_primes(isqrt(limit))  # the base sieve also runs the segment generator
+    monkeypatch.setattr(primes, "_segment_primes", recording)
     for t, r in ((F(-7, 2), 2), (F(2, 7), 3)):
         widths.clear()
         rep = compute_partition(t, r, limit, start=start, j_max=6)
@@ -158,6 +169,41 @@ def test_sweep_is_segmented(monkeypatch):
             if t.denominator % p:
                 counts[min(chi_valuation(residue(t, p), p, r), 7)] += 1
         assert rep.j_counts + [rep.overflow] == counts, (t, r)
+
+
+def test_window_below_the_cap_streams():
+    # the window just below the CLI cap spans four segments; streamed, the
+    # sweep holds one segment's odd-only mask, never a list of its primes
+    primes.base_primes(10**4)  # the base primes are a module cache, not sweep memory
+    tracemalloc.start()
+    try:
+        rep = compute_partition(3, 2, 10**8 - 1, start=10**8 - 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep.check_conservation(108459)
+    assert peak < 1 << 20, peak
+
+
+def test_class_cache_skipped_when_it_cannot_hit(monkeypatch):
+    # the character periods 4|disc| and 4|plus2| are 20 and 20 for t = 3 and
+    # 768 and 448 for t = 2/7; with segments narrower than that, the sweep
+    # calls legendre once per character per prime, and reports as before
+    calls = []
+
+    def counting(x, p):
+        calls.append(p)
+        return legendre(x, p)
+
+    monkeypatch.setattr(partition, "legendre", counting)
+    cases = ((3, 2), (F(2, 7), 3))
+    cached = [compute_partition(t, r, 20000) for t, r in cases]
+    cached_calls = len(calls)
+    monkeypatch.setattr(primes, "_SEGMENT", 16)
+    calls.clear()
+    assert [compute_partition(t, r, 20000) for t, r in cases] == cached
+    # r = 2 reads both characters, r = 3 only that of disc
+    assert len(calls) == 2 * cached[0].total + cached[1].total > cached_calls
 
 
 @pytest.mark.parametrize("r", [2, 5, 7])

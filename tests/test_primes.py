@@ -75,6 +75,52 @@ def test_primes_in_range_matches_simple_sieve():
         assert primes_in_range(n, n) == expect(n, n), n
 
 
+def _by_is_prime(lo, hi):
+    return [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_primes_in_range_small_grid():
+    for lo in range(60):
+        for hi in range(80):
+            assert primes_in_range(lo, hi) == _by_is_prime(lo, hi), (lo, hi)
+
+
+def test_primes_in_range_random_and_edges():
+    rng = random.Random(1977)
+    ranges = []
+    for _ in range(60):
+        lo = rng.randrange(10**7)
+        ranges.append((lo, lo + rng.randrange(3000)))
+    for q in (3, 5, 7, 11, 97, 997, 3137, 3163):  # the sieve of q starts at q**2
+        ranges += [(q * q, q * q + 400), (q * q - 1, q * q + 1), (q * q, q * q)]
+    ranges += [(n, n) for n in rng.sample(range(10**7), 40) + [0, 1, 2, 3, 4, 9, 9999991]]
+    for lo, hi in ranges:
+        assert primes_in_range(lo, hi) == _by_is_prime(lo, hi), (lo, hi)
+
+
+def test_segments_chain_to_primes_in_range(monkeypatch):
+    # each piece holds only primes of its own _SEGMENT-wide slice of the range
+    lo, hi = 10**7 - 5, 10**7 + 2 * primes._SEGMENT + 100
+    pieces = [list(piece) for piece in primes.prime_segments(lo, hi)]
+    assert len(pieces) == 3
+    for k, piece in enumerate(pieces):
+        seg_lo = lo + k * primes._SEGMENT
+        assert all(seg_lo <= p < seg_lo + primes._SEGMENT for p in piece)
+    assert sum(pieces, []) == primes_in_range(lo, hi)
+    # narrow segments: every random range straddles segment edges
+    monkeypatch.setattr(primes, "_SEGMENT", 64)
+    rng = random.Random(1017)
+    for _ in range(40):
+        lo = rng.randrange(10**7)
+        hi = lo + rng.randrange(1000)
+        assert list(iter_primes(hi, start=lo)) == _by_is_prime(lo, hi), (lo, hi)
+    assert list(iter_primes(1000)) == _by_is_prime(0, 1000)
+
+
+def test_pi_of_ten_million():
+    assert len(sieve(10**7)) == 664579
+
+
 def test_base_primes_sieved_once_per_range(monkeypatch):
     # a sweep whose segments end at growing sqrt(hi) must not re-sieve the
     # base primes for each segment
