@@ -12,12 +12,7 @@ meant for small n only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .exactnum import Rational
-
-EXACT_SUITE_CAP = 60  # identity checks need n_max**2 exact values
 
 
 def lucas_pair_mod(T: int, Q: int, n: int, p: int):
@@ -115,64 +110,3 @@ def lucas_lift(t) -> tuple:
     if T == 0:
         raise ValueError("t = -2 has no Lucas lift of this form")
     return T, t.denominator * T
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of the exact identity suite; failures capped at 50."""
-
-    t: Rational
-    n_max: int
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def _record(self, name: str, where: tuple, lhs, rhs) -> None:
-        self.checked += 1
-        if lhs != rhs and len(self.failures) < 50:
-            self.failures.append((name, where, lhs, rhs))
-
-
-def identity_suite(t, n_max: int = 30) -> IdentityReport:
-    """Verify the product/square identities exactly for indices <= n_max.
-
-    Covered: the Lucas-square identity C_n(t) - 2 = (Delta/Q**n) L_n**2
-    for the canonical lift (T, Q); the Pell-type identity
-    C_s**2 - (t**2-4) U_s**2 = 4; the factorizations U_{2m+1} = W*V and
-    U_{2m} = C_m * U_m; and the composition rule U_{mn} = U_m(C_n) * U_n.
-    """
-    if n_max > EXACT_SUITE_CAP:
-        raise ValueError(f"n_max capped at {EXACT_SUITE_CAP}")
-    t = Fraction(t)
-    rep = IdentityReport(t=t, n_max=n_max)
-
-    u = u_table_exact(t, n_max * n_max + 1)
-
-    def c(k):
-        return u[k + 1] - u[k - 1] if k >= 1 else Fraction(2)
-
-    T, Q = lucas_lift(t)
-    delta_lift = T * T - 4 * Q
-    lucas = [0, 1]
-    for _ in range(n_max - 1):
-        lucas.append(T * lucas[-1] - Q * lucas[-2])
-    for n in range(1, n_max + 1):
-        rep._record(
-            "lucas-square", (n,), c(n) - 2, Fraction(delta_lift, Q**n) * lucas[n] ** 2
-        )
-    for s in range(1, n_max + 1):
-        rep._record("pell", (s,), c(s) ** 2 - (t * t - 4) * u[s] ** 2, Fraction(4))
-    for m in range(1, n_max + 1):
-        rep._record(
-            "odd-split", (m,), u[2 * m + 1], (u[m + 1] + u[m]) * (u[m + 1] - u[m])
-        )
-        rep._record("even-split", (m,), u[2 * m], c(m) * u[m])
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            rep._record(
-                "composition", (m, n), u[m * n], cheb_u_exact(m, c(n)) * u[n]
-            )
-    return rep

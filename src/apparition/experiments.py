@@ -9,6 +9,7 @@ splitting suite and its oracle count roots over F_p as
 deg gcd(f, x**p - x) rather than by evaluating at every residue, so
 their cost per prime grows with log p, not p, and they share one theorem
 side, `_splitting_theorem`, so the oracle reports what the suite checks.
+`all_suites` is the one run list of `apparition verify all`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .chebyshev import (
     cheb_u_exact,
     cheb_v_exact,
     cheb_w_exact,
+    lucas_lift,
     lucas_pair_mod,
+    u_table_exact,
 )
 from .classify import EXCLUDED, classify
 from .errors import (
@@ -39,6 +42,7 @@ from .errors import (
 from .exactnum import is_square
 
 ENUMERATION_CAP = 10_000  # full residue scans are O(p)
+EXACT_SUITE_CAP = 60  # identity checks need n_max**2 exact values
 SPLITTING_LIMIT_CAP = 10**5  # the splitting suite counts roots by gcd
 DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense gcd is O(deg**2 * log p)
 VIOLATION_CAP = 100
@@ -93,14 +97,19 @@ class CheckReport:
         return line
 
 
-def _admissible(limit: int, *dens: int):
-    """Odd primes p <= limit dividing none of dens; no factoring, so any size."""
+def _admissible(rep: CheckReport, limit: int, *dens: int):
+    """Odd primes p <= limit dividing none of dens; no factoring, so any size.
+
+    Each p is counted in `rep.primes_checked` once the caller's loop body
+    for it has run, so the body reads the count of the earlier primes.
+    """
     skip = prod(dens)
     if skip == 0:
         raise ValueError("degenerate parameter: a modulus to skip is 0")
     for p in primes.iter_primes(limit, start=3):
         if skip % p:
             yield p
+            rep.primes_checked += 1
 
 
 def _require_prime(r: int) -> None:
@@ -128,11 +137,10 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     t_r = cheb_c_exact(r, t)
     u_r = cheb_u_exact(r, t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
-    for p in _admissible(limit, t.denominator, abs(u_r.numerator)):
+    for p in _admissible(rep, limit, t.denominator, abs(u_r.numerator)):
         chi = ring.index(t, p)
         got = ring.index(t_r, p)
         want = chi // r if chi % r == 0 else chi
-        rep.primes_checked += 1
         if got != want:
             rep.record(p, f"chi({t_r})={want}", got)
     return rep
@@ -142,12 +150,11 @@ def verify_twin(t, limit: int) -> CheckReport:
     """chi(-t) is 2*chi, chi/2, or chi according to v_2(chi) = 0, 1, >=2."""
     t = Fraction(t)
     rep = CheckReport(name=f"twin(t={t})")
-    for p in _admissible(limit, t.denominator):
+    for p in _admissible(rep, limit, t.denominator):
         chi = ring.index(t, p)
         got = ring.index(-t, p)
         v = primes.valuation(chi, 2)
         want = 2 * chi if v == 0 else (chi // 2 if v == 1 else chi)
-        rep.primes_checked += 1
         if got != want:
             rep.record(p, f"chi(-t)={want}", got)
     return rep
@@ -167,11 +174,8 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     a1, a2 = cls.cubic_associates
     triple = (t, a1, a2)
     rep = CheckReport(name=f"cubic(t={t})")
-    for p in _admissible(limit, t.denominator):
-        if p == 3:
-            continue
+    for p in _admissible(rep, limit, t.denominator, 3):
         vs = tuple(primes.valuation(ring.index(a, p), 3) for a in triple)
-        rep.primes_checked += 1
         if sum(1 for v in vs if v == 0) > 1:
             rep.record(p, "at most one v=0", vs)
             continue
@@ -203,10 +207,9 @@ def verify_circular(t, limit: int) -> CheckReport:
         lhs = cheb_c_exact(n, t) ** 2 + cheb_c_exact(n, w) ** 2
         if lhs != 4:
             rep.record(0, f"C_{n}(t)^2 + C_{n}(w)^2 = 4 (n={n})", lhs)
-    for p in _admissible(limit, t.denominator, w.denominator):
+    for p in _admissible(rep, limit, t.denominator, w.denominator):
         jt = primes.valuation(ring.index(t, p), 2)
         jw = primes.valuation(ring.index(w, p), 2)
-        rep.primes_checked += 1
         ok = (
             ((jt <= 1) == (jw == 2))
             and ((jw <= 1) == (jt == 2))
@@ -215,6 +218,54 @@ def verify_circular(t, limit: int) -> CheckReport:
         )
         if not ok:
             rep.record(p, "valuation exchange", (jt, jw))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# exact Chebyshev identities
+# ---------------------------------------------------------------------------
+
+
+def identity_suite(t, n_max: int = 30) -> CheckReport:
+    """Verify the product/square identities exactly for indices <= n_max.
+
+    Covered: the Lucas-square identity C_n(t) - 2 = (Delta/Q**n) L_n**2
+    for the canonical lift (T, Q); the Pell-type identity
+    C_s**2 - (t**2-4) U_s**2 = 4; the factorizations U_{2m+1} = W*V and
+    U_{2m} = C_m * U_m; and the composition rule U_{mn} = U_m(C_n) * U_n.
+    No prime is visited: a failing identity is recorded at p = 0, and the
+    number checked is the `identities` metric.
+    """
+    if n_max > EXACT_SUITE_CAP:
+        raise ValueError(f"n_max capped at {EXACT_SUITE_CAP}")
+    t = Fraction(t)
+    rep = CheckReport(name=f"identity(t={t}, n_max={n_max})", metrics={"identities": 0})
+
+    def check(name: str, where: tuple, lhs, rhs) -> None:
+        rep.metrics["identities"] += 1
+        if lhs != rhs:
+            rep.record(0, f"{name}{where}: {rhs}", lhs)
+
+    u = u_table_exact(t, n_max * n_max + 1)
+
+    def c(k):
+        return u[k + 1] - u[k - 1] if k >= 1 else Fraction(2)
+
+    T, Q = lucas_lift(t)
+    delta_lift = T * T - 4 * Q
+    lucas = [0, 1]
+    for _ in range(n_max - 1):
+        lucas.append(T * lucas[-1] - Q * lucas[-2])
+    for n in range(1, n_max + 1):
+        check("lucas-square", (n,), c(n) - 2, Fraction(delta_lift, Q**n) * lucas[n] ** 2)
+    for s in range(1, n_max + 1):
+        check("pell", (s,), c(s) ** 2 - (t * t - 4) * u[s] ** 2, Fraction(4))
+    for m in range(1, n_max + 1):
+        check("odd-split", (m,), u[2 * m + 1], (u[m + 1] + u[m]) * (u[m + 1] - u[m]))
+        check("even-split", (m,), u[2 * m], c(m) * u[m])
+    for m in range(1, n_max + 1):
+        for n in range(1, n_max + 1):
+            check("composition", (m, n), u[m * n], cheb_u_exact(m, c(n)) * u[n])
     return rep
 
 
@@ -262,16 +313,19 @@ def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
     """Classical index of appearance == chi(t, p) for t = (T**2-2Q)/Q.
 
     An excluded t (T**2 = 4Q gives t = 2; T = 0 gives t = -2) has no
-    index to compare, so it is refused with a ValueError.
+    index to compare, so it is refused with a ValueError.  The classical
+    index is found by an O(p) scan, so the limit is capped at
+    ENUMERATION_CAP.
     """
+    if limit > ENUMERATION_CAP:
+        raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = spec.t
     if t in EXCLUDED:
         raise ValueError(f"degenerate spec: t = (T**2-2Q)/Q = {t} is excluded")
     rep = CheckReport(name=f"bridge(T={spec.T}, Q={spec.Q})")
-    for p in _admissible(limit, 2 * abs(spec.Q) * abs(spec.delta) * t.denominator):
+    for p in _admissible(rep, limit, 2 * abs(spec.Q) * abs(spec.delta) * t.denominator):
         got = lucas_index(spec, p)
         want = ring.index(t, p)
-        rep.primes_checked += 1
         if got != want:
             rep.record(p, f"chi={want}", got)
     return rep
@@ -321,11 +375,8 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
         if Fraction(q) != want:
             rep.record(0, f"closed form {want} (k={k})", q)
 
-    for p in _admissible(limit, 2 * abs(Q)):
-        if p == r:
-            continue
+    for p in _admissible(rep, limit, 2 * abs(Q), r):
         chi = ring.index(t, p)
-        rep.primes_checked += 1
         if chi % r == 0:
             k = chi // r
             l_rk = lucas_pair_mod(T, Q, r * k, p)[0]
@@ -368,23 +419,20 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     family = family.upper() if family.upper() in {"W", "V", "C", "S"} else family.lower()
     if family not in SEQUENCE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    skip = [t.denominator]
     if family == "subsequence":
         _require_prime(subseq_r)
-    skip_extra = 1
+        skip.append(subseq_r)
     b = None
     if family == "S":
         cls = classify(t)
         if not cls.cubic:
             raise NotCubic(f"t = {t} is not cubic")
         b = cls.cubic_b
-        skip_extra = abs(b.numerator)
+        skip += [abs(b.numerator), 3]
     rep = CheckReport(name=f"sequence(t={t}, family={family})")
 
-    for p in _admissible(limit, t.denominator, skip_extra):
-        if family == "S" and p == 3:
-            continue
-        if family == "subsequence" and p == subseq_r:
-            continue
+    for p in _admissible(rep, limit, *skip):
         tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
         bound = 2 * chi + 2
@@ -408,7 +456,6 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
         else:  # subsequence
             found = _scan_zero(0, 1, tm, p, bound, stride=subseq_r, offset=1) is not None
             predicted = chi % subseq_r != 0
-        rep.primes_checked += 1
         if found != predicted:
             rep.record(p, f"divisor={predicted}", f"scan={found}")
     return rep
@@ -660,16 +707,13 @@ def verify_splitting_theorems(
         raise PrimeTooLarge(f"limit capped at {SPLITTING_LIMIT_CAP} for the splitting suite")
     rep = CheckReport(name=f"splitting(t={t}, r={r})")
     delta = t * t - 4
-    for p in _admissible(limit, t.denominator, abs(delta.numerator)):
-        if p == r:
-            continue
+    for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
         roots = _splitting_roots(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
         v = primes.valuation(phat, r)
-        rep.primes_checked += 1
         for j in range(1, j_max + 1):
             group = phat % r**j == 0
             thm = _splitting_theorem(roots, variant, r, p, 0, j)[0]
@@ -705,21 +749,22 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> CheckReport:
 
     Any divisor p of the n-th orbit element has chi(x0, p) = 4*k**n, so
     D^{k^n} must have order 4 and p >= 4*k**n - 1; both are checked
-    exactly.  `divisors` holds (p, n) pairs; the metrics are the divisor
-    `fraction` and its running value at each power of ten below the limit
-    ("N=1000": ...), the density-zero trend.
+    exactly.  n_max is capped at 64: below the CLI limit cap every hit
+    has n <= 24, and each further step costs every prime.  `divisors`
+    holds (p, n) pairs; the metrics are the divisor `fraction` and its
+    running value at each power of ten below the limit ("N=1000": ...),
+    the density-zero trend.
     """
-    if k < 2 or n_max < 0:
-        raise ValueError(f"need k >= 2 and n_max >= 0, got k={k}, n_max={n_max}")
+    if k < 2 or not 0 <= n_max <= 64:
+        raise ValueError(f"need k >= 2 and 0 <= n_max <= 64, got k={k}, n_max={n_max}")
     x0 = Fraction(x0)
     rep = CheckReport(name=f"chebyshev-orbit(x0={x0}, k={k})")
     checkpoints = {}
     next_checkpoint = 1000
-    for p in _admissible(limit, x0.denominator):
+    for p in _admissible(rep, limit, x0.denominator):
         while p > next_checkpoint:
             checkpoints[f"N={next_checkpoint}"] = _ratio(len(rep.divisors), rep.primes_checked)
             next_checkpoint *= 10
-        rep.primes_checked += 1
         xm = ring.residue(x0, p)
         y = xm
         hit: Optional[int] = None
@@ -758,7 +803,7 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = Fraction(t)
     rep = CheckReport(name=f"quadmap(t={t})")
-    for p in _admissible(limit, t.denominator):
+    for p in _admissible(rep, limit, t.denominator):
         tm = ring.residue(t, p)
         chi = ring.chi_from_residue(tm, p)
         y = saved = tm
@@ -774,7 +819,6 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
             steps += 1
             if steps == power:
                 saved, steps, power = y, 0, 2 * power
-        rep.primes_checked += 1
         if found:
             rep.divisors.append(p)
         if found != (chi % 2 == 1):
@@ -885,3 +929,41 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         "criterion_disagreements": disagreements,
     }
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the run list of `apparition verify all`
+# ---------------------------------------------------------------------------
+
+
+def all_suites(limit: int):
+    """Every exact suite once, as `apparition verify all` and
+    scripts/verify_all.py run them; reports are yielded as they finish.
+
+    The O(p) scans (bridge, sequences, quadmap) and the splitting and
+    r = 3 Ballot suites take min(limit, 5000), min(limit, 2000) or
+    ENUMERATION_CAP; the identity suite comes last.
+    """
+    n, cap = limit, min(limit, 2000)
+    fib, pell = LucasSpec(1, -1), LucasSpec(2, -1)
+    three, two_sevenths = Fraction(3), Fraction(2, 7)
+    yield verify_prop11(three, 2, n)
+    yield verify_prop11(three, 3, n)
+    yield verify_twin(three, n)
+    yield verify_twin(two_sevenths, n)
+    yield verify_cubic_associates(two_sevenths, n)
+    yield verify_circular(Fraction(6, 5), n)
+    yield verify_bridge(fib, min(n, 5000))
+    yield verify_bridge(pell, min(n, 5000))
+    yield ballot_check(fib, 2, n, k_max=30)
+    yield ballot_check(fib, 3, cap, k_max=20)
+    for family in ("W", "V", "C"):
+        yield sequence_divisor_check(three, family, cap)
+    yield sequence_divisor_check(three, "subsequence", cap, subseq_r=3)
+    yield sequence_divisor_check(two_sevenths, "S", cap)
+    yield verify_splitting_theorems(three, 3, cap)
+    yield verify_splitting_theorems(three, 2, cap)
+    yield verify_splitting_theorems(Fraction(10, 3), 3, cap)
+    yield quadmap_divisor_check(Fraction(5), min(n, ENUMERATION_CAP))
+    yield chebyshev_orbit_divisors(three, 2, 20, n)
+    yield identity_suite(three, 30)

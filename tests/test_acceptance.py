@@ -9,7 +9,6 @@ import time
 from fractions import Fraction as F
 
 from apparition import experiments as ex
-from apparition.chebyshev import identity_suite
 from apparition.classify import classify, predicted_densities
 from apparition.partition import compare, compute_partition
 from apparition.primes import factorize, iter_primes
@@ -109,10 +108,9 @@ def test_criterion_03_lucas_bridge():
 
 
 def test_criterion_04_identity_suite():
-    reps = [identity_suite(t, 30) for t in (F(3), F(-3), F(2, 7))]
-    ok = all(r.passed for r in reps)
-    detail = "; ".join(f"t={r.t}: {r.checked} identities, {len(r.failures)} failures" for r in reps)
-    _report(4, ok, detail)
+    reps = [ex.identity_suite(t, 30) for t in (F(3), F(-3), F(2, 7))]
+    ok = all(r.passed and r.metrics["identities"] > 100 for r in reps)
+    _report(4, ok, "; ".join(r.summary() for r in reps))
 
 
 def test_criterion_05_generic_r2_density():

@@ -13,10 +13,10 @@ from apparition.chebyshev import (
     cheb_v_mod,
     cheb_w_exact,
     cheb_w_mod,
-    identity_suite,
     lucas_lift,
     u_table_exact,
 )
+from apparition.experiments import identity_suite
 from apparition.primes import sieve
 
 PRIMES = [p for p in sieve(200) if p > 2]
@@ -101,8 +101,8 @@ def test_pell_identity_example():
 def test_identity_suite_passes():
     for t in (3, -3, F(2, 7)):
         rep = identity_suite(t, 12)
-        assert rep.passed, rep.failures[:3]
-        assert rep.checked > 100
+        assert rep.passed, rep.violations[:3]
+        assert rep.metrics["identities"] > 100
 
 
 def test_identity_suite_u4_split():

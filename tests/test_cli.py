@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -135,6 +136,14 @@ def test_quadmap_limit_capped(capsys):
     assert captured.out == ""
 
 
+def test_bridge_limit_capped(capsys):
+    # the classical index is an O(p) scan, like the quadmap orbit
+    assert main(["verify", "bridge", "--limit", "10001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: limit capped at {experiments.ENUMERATION_CAP} for O(p) scans\n"
+    assert captured.out == ""
+
+
 def test_partition_refuses_before_sweeping(monkeypatch, capsys):
     def sweep(*args, **kwargs):
         raise AssertionError("swept before asking for the prediction")
@@ -213,6 +222,50 @@ def test_verify_pass(capsys):
 def test_verify_bridge(capsys):
     assert main(["verify", "bridge", "--T", "2", "--Q", "-1", "--limit", "500"]) == 0
     assert "PASS bridge" in capsys.readouterr().out
+
+
+def test_verify_all_matches_checked_in_run():
+    golden = Path(__file__).resolve().parents[1] / "scripts" / "verify_all_2000.txt"
+    proc = _run_cli(["verify", "all", "--limit", "2000"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.read_text()
+
+
+def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
+    # every suite but "all" calls one public function of experiments,
+    # looked up at call time, and no two suites call the same one
+    called = []
+    for name, fn in list(vars(experiments).items()):
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            def double(*args, _name=name, **kwargs):
+                called.append(_name)
+                return CheckReport(name=_name)
+            monkeypatch.setattr(experiments, name, double)
+    verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+    choices = next(a.choices for a in verify._actions if a.dest == "suite")
+    assert choices[-1] == "all"
+    seen = set()
+    for suite in choices[:-1]:
+        called.clear()
+        assert main(["verify", suite, "3", "--limit", "10"]) == 0, suite
+        assert len(called) == 1, (suite, called)
+        assert capsys.readouterr().out == f"PASS {called[0]}: 0 primes checked, 0 violations\n"
+        seen.add(called[0])
+    assert len(seen) == len(choices) - 1
+
+
+def test_verify_all_reports_every_failure(monkeypatch, tmp_path, capsys):
+    reps = [CheckReport(name="a", primes_checked=2), CheckReport(name="b", primes_checked=3)]
+    reps[0].record(5, "x", "y")
+    reps[1].record(7, "u", "v")
+    reps[1].record(11, "s", "t")
+    monkeypatch.setattr(experiments, "all_suites", lambda limit: iter(reps))
+    out = tmp_path / "viol.csv"
+    assert main(["verify", "all", "--limit", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "FAIL a: 2 primes checked, 1 violations\nFAIL b: 3 primes checked, 2 violations\n"
+    )
+    assert out.read_text() == "p,expected,actual\n5,x,y\n7,u,v\n11,s,t\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -375,6 +428,16 @@ def test_splitting_at_degree_bound(capsys):
     assert experiments.DEGREE_CAP == 13**2
     assert main(["verify", "splitting", "3", "--r", "13", "--limit", "200"]) == 0
     assert capsys.readouterr().out.startswith("PASS splitting(t=3, r=13): ")
+
+
+def test_orbit_nmax_bound(capsys):
+    # a hit at step n needs p >= 4*k**n - 1, so n <= 24 below LIMIT_CAP;
+    # past 64 steps each prime only pays for the loop
+    assert main(["dynamics", "chebyshev", "3", "--nmax", "64", "--limit", "100"]) == 0
+    capsys.readouterr()
+    assert main(["dynamics", "chebyshev", "3", "--nmax", "65", "--limit", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need k >= 2 and 0 <= n_max <= 64") and captured.out == ""
 
 
 def test_splitting_jmax_bound(capsys):

@@ -353,11 +353,26 @@ def test_quadmap_reducible_oracle():
     assert set(rep.divisors) == odd_order
 
 
+def test_admissible_counts_each_prime_after_its_body():
+    rep = ex.CheckReport(name="count")
+    seen = [(p, rep.primes_checked) for p in ex._admissible(rep, 30, 5, 3)]
+    assert seen == [(7, 0), (11, 1), (13, 2), (17, 3), (19, 4), (23, 5), (29, 6)]
+    assert rep.primes_checked == 7
+
+
+def test_identity_suite_records_failures_at_p0(monkeypatch):
+    monkeypatch.setattr(ex, "cheb_u_exact", lambda n, x: 0)  # breaks composition only
+    rep = ex.identity_suite(3, 4)
+    assert rep.name == "identity(t=3, n_max=4)" and rep.primes_checked == 0
+    assert rep.violation_count == 16 and rep.metrics["identities"] == 4 * 4 + 4 * 4
+    assert rep.violations[0] == (0, "composition(1, 1): 0", "1")
+
+
 def _quadmap_by_full_scan(t, limit):
     """Frozen copy of the suite before the cycle stop: p + 1 steps per prime."""
     t = F(t)
     rep = ex.CheckReport(name=f"quadmap(t={t})")
-    for p in ex._admissible(limit, t.denominator):
+    for p in ex._admissible(rep, limit, t.denominator):
         tm = residue(t, p)
         chi = ring.chi_from_residue(tm, p)
         y = tm
@@ -367,7 +382,6 @@ def _quadmap_by_full_scan(t, limit):
             if y == tm:
                 found = True
                 break
-        rep.primes_checked += 1
         if found:
             rep.divisors.append(p)
         if found != (chi % 2 == 1):
