@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -252,7 +253,15 @@ def main(argv=None) -> int:
     if args.command == "dynamics" and args.kind == "quadmap" and args.t is None:
         args.t = args.x0  # positional doubles as t for quadmap
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head`): stop quietly, and keep the
+        # interpreter's own flush at exit off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ApparitionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

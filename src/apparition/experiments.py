@@ -5,10 +5,10 @@ Every suite here checks a relation that holds for *all* admissible primes
 splitting equivalences), so a passing run has zero violations.  Every
 suite returns a `CheckReport`; the only statistical outputs are the
 `metrics` of the orbit, quadratic-map and non-divisor suites.  The
-splitting suite and its oracle count roots over F_p as
-deg gcd(f, x**p - x) rather than by evaluating at every residue, so
-their cost per prime grows with log p, not p, and they share one theorem
-side, `_splitting_theorem`, so the oracle reports what the suite checks.
+splitting suite takes its theorem side from one per-prime function,
+`_splitting_verdicts`, which counts roots over F_p as
+deg gcd(f, x**p - x) rather than by evaluating at every residue, so its
+cost per prime grows with log p, not p.
 `all_suites` is the one run list of `apparition verify all`.
 """
 
@@ -336,9 +336,9 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     and the divisor law (p | some B_k iff r | chi).
 
     Closed forms checked exactly: for odd r, B_k = Q^a W_r(C_k(t)) for odd k
-    and B_{2s} = Q^a U_r(C_s(t)); for r = 2, B_k = Q^a V_k(t) (odd k) and
-    B_{2s} = Q^s C_s(t).  Certificates: r | chi implies p | B_{chi/r}, and
-    p | B_k for k <= k_max implies r | chi.
+    and B_{2s} = Q^a U_r(C_s(t)); for r = 2, B_k = T Q^((k-1)/2) V_k(t)
+    (odd k) and B_{2s} = Q^s C_s(t).  Certificates: r | chi implies
+    p | B_{chi/r}, and p | B_k for k <= k_max implies r | chi.
     """
     _require_prime(r)
     if not 1 <= k_max <= 60:
@@ -362,7 +362,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
         bs.append(q)
         if r == 2:
             if k % 2 == 1:
-                want = Fraction(Q) ** ((k - 1) // 2) * cheb_v_exact((k - 1) // 2, t)
+                want = T * Fraction(Q) ** ((k - 1) // 2) * cheb_v_exact((k - 1) // 2, t)
             else:
                 s = k // 2
                 want = Fraction(Q) ** s * cheb_c_exact(s, t)
@@ -410,8 +410,11 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     families against their valuation characterizations.
 
     Predicted membership: W <-> v_2(chi) = 0, V <-> v_2 = 1, C <-> v_2 >= 2,
-    S <-> 3 | chi, subsequence(r) <-> r does not divide chi.  The scan side
-    looks for an actual zero of the sequence mod p within one period.
+    S <-> 3 | chi, subsequence(r) <-> r does not divide z, where
+    U_n = 0 exactly when z | n: z = chi/2 for even chi (D^(chi/2) = -I),
+    else z = chi.  The scan side looks for an actual zero of the sequence
+    mod p within one period, or for the subsequence U_{rk+1} within
+    (r - 1)*chi + 2 steps, which reach every residue class of z*m mod r.
     """
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
@@ -454,30 +457,18 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
             found = _scan_zero(s0, s1, tm, p, bound) is not None
             predicted = chi % 3 == 0
         else:  # subsequence
+            z = chi // 2 if chi % 2 == 0 else chi
+            bound = (subseq_r - 1) * chi + 2
             found = _scan_zero(0, 1, tm, p, bound, stride=subseq_r, offset=1) is not None
-            predicted = chi % subseq_r != 0
+            predicted = z % subseq_r != 0
         if found != predicted:
             rep.record(p, f"divisor={predicted}", f"scan={found}")
     return rep
 
 
 # ---------------------------------------------------------------------------
-# polynomial splitting oracles
+# polynomial splitting <=> group membership
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SplittingReport:
-    """Root counts and split classes mod p, plus the membership predicates."""
-
-    p: int
-    r: int
-    n: int
-    j: int
-    variant: str                  # "odd", "two", or "reducible"
-    polys: dict                   # name -> (roots, degree, split class)
-    k_j_theorem: bool
-    m_n_k_j_theorem: bool
 
 
 def _root_count(f: list, p: int) -> int:
@@ -530,15 +521,6 @@ def _root_count(f: list, p: int) -> int:
     return len(a) - 1
 
 
-def _binomial_roots(n: int, p: int) -> int:
-    """Roots in F_p of x**n - 1 for p not dividing n.
-
-    Mod x**n - 1, x**p - x = x * (x**(p mod n - 1) - 1), and
-    gcd(x**n - 1, x**k - 1) = x**gcd(n, k) - 1, so no product is formed.
-    """
-    return gcd(n, p - 1)
-
-
 def _cheb_c_coeffs(ms) -> dict:
     """m -> integer coefficients of C_m, constant first, for each m >= 1 in ms."""
     out = {}
@@ -553,127 +535,39 @@ def _cheb_c_coeffs(ms) -> dict:
     return out
 
 
-def _splitting_setup(t: Fraction, r: int, n_max: int, j_max: int):
-    """The variant of the theorems that t and r select, and the C_m its
-    root counts need.
-
-    The variant is "reducible" when t**2 - 4 is a rational square, else
-    "two" for r = 2 and "odd" for odd r.  The C_m are C_{r^n} for
-    n <= n_max and, for "two", C_{2^i} for i <= j_max - 2.  Degrees past
-    DEGREE_CAP are refused, since one dense gcd costs O(deg**2 * log p).
-    """
-    if r**n_max > DEGREE_CAP or (r == 2 and 2 ** (j_max - 2) > DEGREE_CAP):
-        raise ValueError(
-            f"polynomial degree capped at {DEGREE_CAP}: need r**n_max"
-            f" (and for r = 2, 2**(j_max - 2)) <= {DEGREE_CAP},"
-            f" got r={r}, n_max={n_max}, j_max={j_max}"
-        )
-    variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
-    ms = {r**n for n in range(1, n_max + 1)}
-    if variant == "two":
-        ms |= {2**i for i in range(j_max - 1)}
-    return variant, _cheb_c_coeffs(ms)
-
-
-def _splitting_roots(tm: int, r: int, p: int, n_max: int, j_max: int,
-                      variant: str, c_polys: dict):
-    """Root counts over F_p of the polynomials `variant` reads.
-
-    quad counts the roots of x**2 - t*x + 1 ("odd") or x**2 + delta
-    ("two"); phi[j] those of Phi_{r^j} ("odd", "reducible"); g[n] those of
-    C_{r^n}(x) - t; c_pow[i] those of C_{2^i}(x) ("two").  Unread counts
-    are None.
-    """
-
-    def c_minus(m, shift):  # C_m(x) - shift mod p
-        f = [c % p for c in c_polys[m]]
-        f[0] = (f[0] - shift) % p
-        return f
-
-    quad = phi = c_pow = None
-    if variant == "odd":
-        quad = _root_count([1, -tm % p, 1], p)
-    elif variant == "two":
-        quad = _root_count([(tm * tm - 4) % p, 0, 1], p)
-        c_pow = [_root_count(c_minus(2**i, 0), p) for i in range(j_max - 1)]
-    if variant != "two":
-        phi = [None] + [
-            _binomial_roots(r**j, p) - _binomial_roots(r ** (j - 1), p)
-            for j in range(1, j_max + 1)
-        ]
-    g = [None] + [_root_count(c_minus(r**n, tm), p) for n in range(1, n_max + 1)]
-    return quad, phi, g, c_pow
-
-
-def _phi_class(count: int, r: int, j: int, p: int) -> str:
-    """Split class of Phi_{r^j} over F_p from its root count: "linear" when
-    all its roots are in F_p, "quadratic" when none is but all lie in the
-    quadratic extension (r^j | p**2 - 1), else "other"."""
-    if count == r**j - r ** (j - 1):
-        return "linear"
-    if count == 0 and (p * p - 1) % r**j == 0:
-        return "quadratic"
-    return "other"
-
-
-def _splitting_theorem(roots, variant: str, r: int, p: int, n: int, j: int):
-    """Theorem side of K_j and of M_n & K_j at p, from the `_splitting_roots`
-    counts: the verdicts the suite checks and the oracle reports.
+def _splitting_verdicts(tm: int, r: int, p: int, n_max: int, j_max: int,
+                        variant: str, c_polys: dict):
+    """Theorem side of the splitting suite at p: k[j] says p is in K_j
+    (1 <= j <= j_max) and lin[n] that C_{r^n}(x) - t splits linearly over
+    F_p (1 <= n <= n_max), so p is in M_n & K_j when k[j] and lin[n].
 
     K_j: for "odd", x**2 - t*x + 1 and Phi_{r^j} both split linearly or
     both quadratically; for "two", j < 2, or x**2 + delta and C_{2^(j-2)}
     both split linearly; for "reducible", Phi_{r^j} splits linearly.
-    M_n & K_j adds that C_{r^n}(x) - t splits linearly (no condition at n = 0).
+    Phi_{r^j} splits linearly when r^j | p - 1, and quadratically when it
+    has no root in F_p, gcd(r^j, p - 1) = gcd(r^(j-1), p - 1), but all its
+    roots lie in the quadratic extension, r^j | p**2 - 1.  The other
+    polynomials' roots are counted by `_root_count`, those of C_{2^i} only
+    when x**2 + delta has roots.
     """
-    quad, phi, g, c_pow = roots
+
+    def splits(m, shift):  # C_m(x) - shift has m roots in F_p
+        f = [c % p for c in c_polys[m]]
+        f[0] = (f[0] - shift) % p
+        return _root_count(f, p) == m
+
     if variant == "two":
-        k = j < 2 or (quad > 0 and c_pow[j - 2] == 2 ** (j - 2))
-    elif variant == "odd":
-        k = _phi_class(phi[j], r, j, p) == ("linear" if quad else "quadratic")
+        quad = _root_count([(tm * tm - 4) % p, 0, 1], p) > 0
+        k = [None, True] + [quad and splits(2 ** (j - 2), 0) for j in range(2, j_max + 1)]
     else:
-        k = _phi_class(phi[j], r, j, p) == "linear"
-    return k, k and (n == 0 or g[n] == r**n)
-
-
-def splitting_oracle(t, r: int, n: int, j: int, p: int) -> SplittingReport:
-    """Splitting classification of the membership polynomials at one prime.
-
-    Counts roots over F_p as deg gcd(f, x**p - x), the counter the suite
-    uses, so any p answers, and takes its two verdicts from
-    `_splitting_theorem`, the theorem side the suite checks.  Linear
-    splits are detected by root count = degree; an irreducible quadratic
-    has no roots; the cyclotomic factor splits quadratically exactly when
-    it has no roots but all its roots live in the quadratic extension,
-    i.e. r^j | p**2 - 1.
-    """
-    if j < max(n, 1):
-        raise ValueError("need j >= n and j >= 1")
-    t = Fraction(t)
-    if t.denominator % p == 0 or p == r or p == 2:
-        raise BadPrime(f"p = {p} inadmissible")
-    variant, c_polys = _splitting_setup(t, r, n, j)
-    roots = _splitting_roots(ring.residue(t, p), r, p, n, j, variant, c_polys)
-    quad, phi, g, c_pow = roots
-
-    def lin(count, deg):
-        return "linear" if count == deg else ("none" if count == 0 else "partial")
-
-    polys = {}
-    if variant != "reducible":
-        polys["f" if variant == "odd" else "ftilde"] = (
-            quad, 2, "linear" if quad else "quadratic"
-        )
-    if variant != "two":
-        polys[f"phi_{j}"] = (phi[j], r**j - r ** (j - 1), _phi_class(phi[j], r, j, p))
-    elif j >= 2:
-        polys[f"c_{j-2}"] = (c_pow[j - 2], 2 ** (j - 2), lin(c_pow[j - 2], 2 ** (j - 2)))
-    if n >= 1:
-        polys[f"g_{n}"] = (g[n], r**n, lin(g[n], r**n))
-    k_thm, m_thm = _splitting_theorem(roots, variant, r, p, n, j)
-    return SplittingReport(
-        p=p, r=r, n=n, j=j, variant=variant, polys=polys,
-        k_j_theorem=k_thm, m_n_k_j_theorem=m_thm,
-    )
+        quadratic = variant == "odd" and _root_count([1, -tm % p, 1], p) == 0
+        k = [None] + [
+            gcd(r**j, p - 1) == gcd(r ** (j - 1), p - 1) and (p * p - 1) % r**j == 0
+            if quadratic else (p - 1) % r**j == 0
+            for j in range(1, j_max + 1)
+        ]
+    lin = [None] + [splits(r**n, tm) for n in range(1, n_max + 1)]
+    return k, lin
 
 
 def verify_splitting_theorems(
@@ -683,12 +577,15 @@ def verify_splitting_theorems(
 
     Group side: r^j | phat for K_j, and existence of an r^n-th root of D
     for M_n (decided by a power test in the cyclic group).  Theorem side:
-    `_splitting_theorem`, which the oracle reports too, from the same gcd
-    root counts, so the limit goes to SPLITTING_LIMIT_CAP and the degrees
-    r**n_max (and for r = 2, 2**(j_max - 2)) to DEGREE_CAP.  j_max stops
-    at the bit length of SPLITTING_LIMIT_CAP + 1: past it r^j > p + 1 for
-    every prime checked, so K_j is empty.  Primes dividing num(t**2-4) are
-    exceptional and skipped.
+    `_splitting_verdicts`, in the variant that t and r select: "reducible"
+    when t**2 - 4 is a rational square, else "two" for r = 2 and "odd" for
+    odd r.  It counts roots by gcd, so the limit goes to
+    SPLITTING_LIMIT_CAP, and the degrees of the C_m it needs, r**n_max and
+    for "two" 2**(j_max - 2), go to DEGREE_CAP, since one dense gcd costs
+    O(deg**2 * log p).  j_max stops at the bit length of
+    SPLITTING_LIMIT_CAP + 1: past it r^j > p + 1 for every prime checked,
+    so K_j is empty.  Primes dividing num(t**2-4) are exceptional and
+    skipped.
 
     Each prime is also placed in its cell of the inductive table and the
     cell must pin the valuation of chi: members of M_n with r^n || phat
@@ -702,23 +599,32 @@ def verify_splitting_theorems(
             f"need 1 <= j_max <= {j_cap} and n_max >= 0, got j_max={j_max}, n_max={n_max}"
         )
     t = Fraction(t)
-    variant, c_polys = _splitting_setup(t, r, n_max, j_max)
+    if r**n_max > DEGREE_CAP or (r == 2 and 2 ** (j_max - 2) > DEGREE_CAP):
+        raise ValueError(
+            f"polynomial degree capped at {DEGREE_CAP}: need r**n_max"
+            f" (and for r = 2, 2**(j_max - 2)) <= {DEGREE_CAP},"
+            f" got r={r}, n_max={n_max}, j_max={j_max}"
+        )
     if limit > SPLITTING_LIMIT_CAP:
         raise PrimeTooLarge(f"limit capped at {SPLITTING_LIMIT_CAP} for the splitting suite")
-    rep = CheckReport(name=f"splitting(t={t}, r={r})")
     delta = t * t - 4
+    variant = "reducible" if is_square(delta) else ("two" if r == 2 else "odd")
+    ms = {r**n for n in range(1, n_max + 1)}
+    if variant == "two":
+        ms |= {2**i for i in range(j_max - 1)}
+    c_polys = _cheb_c_coeffs(ms)
+    rep = CheckReport(name=f"splitting(t={t}, r={r})")
     for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
         phat = ring.group_order(m).value
-        roots = _splitting_roots(tm, r, p, n_max, j_max, variant, c_polys)
+        k, lin = _splitting_verdicts(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
         v = primes.valuation(phat, r)
         for j in range(1, j_max + 1):
             group = phat % r**j == 0
-            thm = _splitting_theorem(roots, variant, r, p, 0, j)[0]
-            if thm != group:
-                rep.record(p, f"K_{j} group={group}", f"theorem={thm}")
+            if k[j] != group:
+                rep.record(p, f"K_{j} group={group}", f"theorem={k[j]}")
         chi = ring.chi_from_residue(tm, p)
         vchi = primes.valuation(chi, r)
         in_m_prev = True  # M_0 is everything
@@ -727,7 +633,7 @@ def verify_splitting_theorems(
             j_lo = max(n, 2) if variant == "two" else n
             for j in range(j_lo, j_max + 1):
                 group = (phat % r**j == 0) and in_m
-                thm = _splitting_theorem(roots, variant, r, p, n, j)[1]
+                thm = k[j] and lin[n]
                 if thm != group:
                     rep.record(p, f"M_{n}&K_{j} group={group}", f"theorem={thm}")
             # the table cells determine v_r(chi) exactly

@@ -7,6 +7,11 @@ cyclic group of order p-1 or p+1 according to the quadratic character of
 delta = t**2 - 4 mod p (order p or 2p when delta vanishes), and the index
 of appearance chi(t, p) is the order of D in that group.
 
+A power Y**n is read off the Lucas pair (L_n, L_{n+1}) of the trace and
+determinant of Y (Cayley-Hamilton), computed by the one fast-doubling
+ladder `chebyshev.lucas_pair_mod`; the trace ladder `cheb_c_mod`, two
+multiplications per bit, serves the chi kernels.
+
 `chi_valuation_from_characters` is the one v_r(chi) kernel: given the
 character of delta (which group) and, for r = 2, that of t + 2 (whether
 D is a square in it), it needs one trace ladder, or none when the group
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chebyshev import cheb_c_mod
+from .chebyshev import cheb_c_mod, lucas_pair_mod
 from .errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
 from .primes import distinct_prime_factors, is_prime, valuation
 
@@ -100,18 +105,13 @@ class RingElem:
         return RingElem(self.param, beta, (alpha + t * beta) % p)
 
     def __pow__(self, n: int) -> "RingElem":
+        """Y**n = L_n*Y - d*L_{n-1}*I by Cayley-Hamilton, for the Lucas
+        sequence L of (s, d) = (trace, det), and d*L_{n-1} = s*L_n - L_{n+1}."""
         if n < 0:
             raise ValueError("negative exponents unsupported")
-        p, t = self.param.p, self.param.t_mod
-        # square-and-multiply in (alpha, beta) coordinates
-        ra, rb = 1, 0
-        a, b = (self.x1 - t * self.x0) % p, self.x0
-        while n:
-            if n & 1:
-                ra, rb = (ra * a - rb * b) % p, (ra * b + a * rb + t * rb * b) % p
-            a, b = (a * a - b * b) % p, (2 * a * b + t * b * b) % p
-            n >>= 1
-        return RingElem(self.param, rb, (ra + t * rb) % p)
+        p, s = self.param.p, self.trace
+        a, b = lucas_pair_mod(s, self.det, n, p)
+        return RingElem(self.param, a * self.x0 % p, (a * self.x1 - s * a + b) % p)
 
     def __neg__(self) -> "RingElem":
         p = self.param.p

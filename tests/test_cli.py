@@ -87,13 +87,32 @@ BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division 
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
 
 
-def _run_cli(argv, timeout):
+def _run_cli(argv, timeout, stdout=subprocess.PIPE):
     path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "apparition.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, env=env,
     )
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first line (as in `... | head -0`): exit
+    # 141, as a shell reports a pipe closed on a writer, with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(["verify", "twin", "3", "--limit", "100"], timeout=60, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "violations.csv"
+    assert main(["verify", "twin", "3", "--limit", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [["index", "3", BELOW_BOUND], ["classify", BELOW_BOUND]])

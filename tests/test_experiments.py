@@ -158,6 +158,22 @@ def test_ballot_r3():
     assert ex.ballot_check(FIB, 3, 10, k_max=1).passed
 
 
+@pytest.mark.parametrize("T, Q", [(1, -1), (2, -1), (3, 2), (-1, -1), (4, 3)])
+def test_ballot_r2_for_any_lucas_pair(T, Q):
+    # B_k = T Q^((k-1)/2) V_k(t) for odd k: the factor T shows once T != 1
+    rep = ex.ballot_check(ex.LucasSpec(T, Q), 2, 2000)
+    assert rep.passed, rep.violations[:3]
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("t", [F(3), F(2, 7)])
+def test_subsequence_family_for_any_r(t, r):
+    # U_{rk+1} = 0 mod p for some k iff r does not divide z, the step of the
+    # zeros of U: z = chi/2 for even chi, else chi
+    rep = ex.sequence_divisor_check(t, "subsequence", 2000, subseq_r=r)
+    assert rep.passed, rep.violations[:3]
+
+
 def test_sequence_families():
     for fam in ("W", "V", "C"):
         assert ex.sequence_divisor_check(3, fam, 2000).passed
@@ -177,22 +193,33 @@ def test_w_family_spot():
     assert rep.passed and rep.primes_checked == 4
 
 
-def test_splitting_oracle():
-    rep = ex.splitting_oracle(3, 3, 0, 1, 7)
-    assert rep.polys["phi_1"] == (2, 2, "linear")  # roots {2, 4}
-    assert rep.polys["f"][2] == "quadratic"
-    assert not rep.k_j_theorem  # mixed split: 7 not in K_1, and 3 does not divide 8
-    rep = ex.splitting_oracle(3, 3, 0, 1, 5)
-    assert rep.polys["phi_1"][2] == "quadratic"  # discriminant -3 nonsquare mod 5
-    rep = ex.splitting_oracle(3, 3, 1, 1, 11)
-    assert rep.polys["g_1"][1] == 3
-    # roots are counted by gcd, so a prime past any enumeration answers too
-    rep = ex.splitting_oracle(3, 3, 1, 1, 10**5 + 3)
-    assert rep.p == 10**5 + 3 and rep.polys["g_1"][1] == 3
-    with pytest.raises(BadPrime):
-        ex.splitting_oracle(3, 3, 1, 1, 3)
-    with pytest.raises(ValueError):
-        ex.splitting_oracle(3, 3, 0, 0, 7)  # j = 0 names no K_j
+def _verdicts(t, r: int, p: int, n_max: int, j_max: int):
+    """`_splitting_verdicts` at p, in the variant and with the C_m that
+    `verify_splitting_theorems` selects for t and r."""
+    variant = "reducible" if is_square(t * t - 4) else ("two" if r == 2 else "odd")
+    ms = {r**n for n in range(1, n_max + 1)}
+    if variant == "two":
+        ms |= {2**i for i in range(j_max - 1)}
+    return ex._splitting_verdicts(
+        residue(t, p), r, p, n_max, j_max, variant, ex._cheb_c_coeffs(ms)
+    )
+
+
+def test_splitting_verdicts_spot():
+    # p = 7: x**2 - 3x + 1 has no root but Phi_3 splits linearly (3 | 6), a
+    # mixed split: 7 is not in K_1, and 3 does not divide p + 1 = 8
+    assert ex._root_count([1, -3 % 7, 1], 7) == 0
+    assert _verdicts(F(3), 3, 7, 0, 1)[0][1] is False
+    # p = 5: x**2 - x + 1 has no root and Phi_3 none either, but 3 | 5**2 - 1
+    assert ex._root_count([1, -1 % 5, 1], 5) == 0
+    assert ex._splitting_verdicts(1, 3, 5, 0, 1, "odd", {})[0][1] is True
+    # C_3(x) - 3 = x**3 - 3x - 3 has one root at 11 and at 10**5 + 3, so it
+    # does not split linearly; roots are counted by gcd, so a prime past the
+    # enumeration cap answers as fast
+    for p in (11, 10**5 + 3):
+        assert ex._root_count([-3 % p, -3 % p, 0, 1], p) == 1
+        assert _enumerated_roots(lambda x: x**3 - 3 * x - 3, p) == 1
+        assert _verdicts(F(3), 3, p, 1, 1)[1][1] is False
 
 
 def test_splitting_theorems():
@@ -214,8 +241,8 @@ def test_splitting_theorems():
 @pytest.mark.parametrize(
     "t, r", [(F(3), 3), (F(3), 2), (F(10, 3), 3), (F(2, 7), 3), (F(6), 2)]
 )
-def test_splitting_oracle_matches_group_side(t, r):
-    # every verdict the oracle reports, at every admissible prime and over
+def test_splitting_verdicts_match_group_side(t, r):
+    # every verdict of the theorem side, at every admissible prime and over
     # the (n, j) the suite checks, against the group computed by `ring`
     n_max, j_max = 2, 3
     delta = t * t - 4
@@ -226,12 +253,14 @@ def test_splitting_oracle_matches_group_side(t, r):
         m = ring.reduce_param(t, p)
         phat = ring.group_order(m).value
         v = primes.valuation(phat, r)
-        for n in range(n_max + 1):
+        k, lin = _verdicts(t, r, p, n_max, j_max)
+        for j in range(1, j_max + 1):
+            assert k[j] == (phat % r**j == 0), (p, j)
+        for n in range(1, n_max + 1):
             in_m = (ring.d_elem(m) ** (phat // r ** min(n, v))).is_identity
-            for j in range(max(n, 2 if two and n else 1), j_max + 1):
-                rep = ex.splitting_oracle(t, r, n, j, p)
-                assert rep.k_j_theorem == (phat % r**j == 0), (p, n, j)
-                assert rep.m_n_k_j_theorem == (phat % r**j == 0 and in_m), (p, n, j)
+            for j in range(max(n, 2 if two else 1), j_max + 1):
+                assert (k[j] and lin[n]) == (phat % r**j == 0 and in_m), (p, n, j)
+    assert ex.verify_splitting_theorems(t, r, 999).passed
 
 
 ROOT_TS = (F(3), F(10, 3), F(2, 7), F(6))
@@ -251,7 +280,7 @@ def _horner(f, x: int, p: int) -> int:
 
 
 def test_root_count_matches_enumeration():
-    # every polynomial family of the splitting suite, for every prime 5 <= p < 1000
+    # every polynomial whose roots the splitting suite counts, for every prime 5 <= p < 1000
     ms = {r**n for r in ROOT_RS for n in (1, 2)} | {2**i for i in range(4)}
     coeffs = ex._cheb_c_coeffs(ms)
     for p in iter_primes(999, start=5):
@@ -270,15 +299,48 @@ def test_root_count_matches_enumeration():
                 f = [c % p for c in coeffs[m]]
                 f[0] = (f[0] - shift) % p
                 assert ex._root_count(f, p) == values.count(shift), (m, shift, p)
-        for r in ROOT_RS:
-            if p == r:
-                continue
-            for j in (1, 2, 3):
-                n, n_prev = r**j, r ** (j - 1)
-                want = _enumerated_roots(
-                    lambda x: 0 if pow(x, n, p) == 1 and pow(x, n_prev, p) != 1 else 1, p
-                )
-                assert ex._binomial_roots(n, p) - ex._binomial_roots(n_prev, p) == want
+
+
+def _phi_roots(p: int, r: int, j_max: int):
+    """Roots of Phi_{r^j}, the elements of order r^j, in F_p and in F_{p^2}
+    for j <= j_max, found by trying every element of F_{p^2} = F_p[s],
+    s**2 = nu a non-square."""
+    nu = next(a for a in range(2, p) if ring.legendre(a, p) == -1)
+    in_p, in_p2 = [0] * (j_max + 1), [0] * (j_max + 1)
+    for x0 in range(p):
+        for x1 in range(p):
+            y, j = (x0, x1), 0
+            while y != (1, 0) and j <= j_max:
+                a, b = 1, 0
+                for _ in range(r):  # y**r
+                    a, b = (a * y[0] + nu * b * y[1]) % p, (a * y[1] + b * y[0]) % p
+                y, j = (a, b), j + 1
+            if j <= j_max and (x0, x1) != (0, 0):  # order r**j
+                in_p2[j] += 1
+                in_p[j] += x1 == 0
+    return in_p, in_p2
+
+
+@pytest.mark.parametrize("r", ROOT_RS)
+def test_phi_verdicts_match_brute_force(r):
+    # Phi_{r^j} splits linearly when all its roots are in F_p, quadratically
+    # when none is but all are in F_{p^2}; K_j reads the linear split when
+    # x**2 - t*x + 1 has a root (t = 2) or t**2 - 4 is a square, else the
+    # quadratic one
+    for p in iter_primes(60, start=5):
+        if p == r:
+            continue
+        in_p, in_p2 = _phi_roots(p, r, 3)
+        no_root = next(tm for tm in range(p) if ring.legendre(tm * tm - 4, p) == -1)
+        k_root = ex._splitting_verdicts(2, r, p, 0, 3, "odd", {})[0]
+        k_no_root = ex._splitting_verdicts(no_root, r, p, 0, 3, "odd", {})[0]
+        k_reducible = ex._splitting_verdicts(0, r, p, 0, 3, "reducible", {})[0]
+        for j in (1, 2, 3):
+            deg = r**j - r ** (j - 1)
+            linear = in_p[j] == deg
+            quadratic = in_p[j] == 0 and in_p2[j] == deg
+            assert k_root[j] == k_reducible[j] == linear, (p, j)
+            assert k_no_root[j] == quadratic, (p, j)
 
 
 @settings(max_examples=200, deadline=None)

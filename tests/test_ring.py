@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apparition.chebyshev import cheb_c_mod
@@ -71,6 +71,30 @@ def test_pow_matches_repeated_mul():
     for n in range(12):
         assert x**n == acc
         acc = acc * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ODD_PRIMES + [10**9 + 7]),
+    st.integers(0, 10**9 + 6),
+    st.integers(0, 10**9 + 6),
+    st.integers(0, 10**9 + 6),
+    st.integers(0, 40),
+    st.integers(0, 10**30),
+)
+@example(11, 3, 1, 9, 5, 10**30)  # det 0 and not zero: a zero divisor
+@example(7, 3, 0, 0, 0, 3)  # the zero element; 0**0 = I
+def test_pow_is_repeated_product(p, tn, x0, x1, n, big):
+    # any element, det != 1 and det = 0 included: Y**n is the n-fold product
+    # and Y**(a + b) = Y**a * Y**b, n = 0 and a = 0 included
+    m = ModParam(p, tn % p, (tn * tn - 4) % p)
+    y = RingElem(m, x0 % p, x1 % p)
+    acc = identity(m)
+    for _ in range(n):
+        acc = acc * y
+    assert y**n == acc
+    assert y ** (n + big) == y**n * y**big
+    assert y ** (2 * big) == y**big * y**big
 
 
 def test_group_order():
