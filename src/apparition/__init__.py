@@ -13,7 +13,7 @@ from .classify import ParamClass, Prediction, associates, classify, predicted_de
 from .exactnum import format_rational, is_r_scaled_square, is_square, parse_rational, rth_root
 from .partition import PartitionReport, compare, compute_partition, merge_reports
 from .primes import factorize, sieve
-from .ring import GroupOrder, ModParam, RingElem, element_order, group_order, index, index_by_scan, reduce_param
+from .ring import ModParam, RingElem, element_order, group_order, index, index_by_scan, reduce_param
 
 __all__ = [
     "Rational",
@@ -33,7 +33,6 @@ __all__ = [
     "merge_reports",
     "factorize",
     "sieve",
-    "GroupOrder",
     "ModParam",
     "RingElem",
     "element_order",

@@ -238,7 +238,6 @@ class Prediction:
     r: int
     j_max: int
     densities: list
-    tail_ratio: Fraction
     geo_start: int
     source: str
     conjectural: bool = False
@@ -253,8 +252,7 @@ class Prediction:
 
 def _unsupported(r: int, j_max: int, source: str = "unsupported") -> Prediction:
     return Prediction(
-        r=r, j_max=j_max, densities=[], tail_ratio=Fraction(1, r),
-        geo_start=0, source=source, supported=False,
+        r=r, j_max=j_max, densities=[], geo_start=0, source=source, supported=False
     )
 
 
@@ -262,8 +260,8 @@ def _from_full(full, r, j_max, geo_start, source, conjectural=False) -> Predicti
     while len(full) < max(j_max + 1, geo_start + 1) + 1:
         full.append(full[-1] / r)
     return Prediction(
-        r=r, j_max=j_max, densities=full[: j_max + 1], tail_ratio=Fraction(1, r),
-        geo_start=geo_start, source=source, conjectural=conjectural, _full=full,
+        r=r, j_max=j_max, densities=full[: j_max + 1], geo_start=geo_start,
+        source=source, conjectural=conjectural, _full=full,
     )
 
 

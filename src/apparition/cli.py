@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 invalid input (parse errors, excluded or
-inadmissible parameters), 2 verification failure (a suite reported
-violations).  All configuration is via flags; rationals use the strict
-"a/b" format; decimals are fixed at six places.
+inadmissible parameters) or no stdout to write to, 2 verification failure
+(a suite reported violations).  All configuration is via flags; rationals
+use the strict "a/b" format; decimals are fixed at six places.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -252,9 +252,13 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     if args.command == "dynamics" and args.kind == "quadmap" and args.t is None:
         args.t = args.x0  # positional doubles as t for quadmap
+    if sys.stdout is None and not (args.command == "partition" and args.out):
+        # the process started without fd 1, and print would drop every line
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
     try:
         status = args.func(args)
-        if sys.stdout is not None:  # None when the process started without fd 1
+        if sys.stdout is not None:  # None for `partition --out` without fd 1
             sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Optional
@@ -37,44 +36,30 @@ def format_rational(q) -> str:
     return str(Fraction(q))
 
 
-class SquareKind(Enum):
-    SQUARE = "square"
-    NON_SQUARE = "non-square"
-    NEGATIVE_NON_SQUARE = "negative-non-square"
-
-
 @dataclass(frozen=True)
 class SquareClass:
-    """Outcome of a rational square test; root is present (and >= 0) iff SQUARE."""
+    """Outcome of a rational square test: true iff there is a root, which is
+    then >= 0 (a root of 0 still reads as a square)."""
 
-    kind: SquareKind
     root: Optional[Fraction] = None
 
     def __bool__(self) -> bool:
-        return self.kind is SquareKind.SQUARE
-
-
-_NON_SQUARE = SquareClass(SquareKind.NON_SQUARE)
-_NEGATIVE = SquareClass(SquareKind.NEGATIVE_NON_SQUARE)
+        return self.root is not None
 
 
 def is_square(q) -> SquareClass:
     """Exact square test for a rational.
 
-    A reduced fraction is a square iff numerator and denominator are both
-    perfect squares; negative values are never squares (tagged separately
-    so callers can distinguish sign failures from genuine non-squares).
+    A reduced fraction is a square iff it is not negative and its numerator
+    and denominator are both perfect squares.
     """
     q = Fraction(q)
     if q < 0:
-        return _NEGATIVE
-    rn = isqrt(q.numerator)
-    if rn * rn != q.numerator:
-        return _NON_SQUARE
-    rd = isqrt(q.denominator)
-    if rd * rd != q.denominator:
-        return _NON_SQUARE
-    return SquareClass(SquareKind.SQUARE, Fraction(rn, rd))
+        return SquareClass()
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return SquareClass()
+    return SquareClass(Fraction(rn, rd))
 
 
 def is_r_scaled_square(q, r: int, sign: int) -> SquareClass:

@@ -112,6 +112,12 @@ def _admissible(rep: CheckReport, limit: int, *dens: int):
             rep.primes_checked += 1
 
 
+def _chi(t, p: int) -> int:
+    """chi(t, p) at an odd prime p from the sieve, not dividing den(t); the
+    suites' primes need none of the re-validation in `ring.index`."""
+    return ring.chi_from_residue(ring.residue(t, p), p)
+
+
 def _require_prime(r: int) -> None:
     if not primes.is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
@@ -138,8 +144,8 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     u_r = cheb_u_exact(r, t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
     for p in _admissible(rep, limit, t.denominator, abs(u_r.numerator)):
-        chi = ring.index(t, p)
-        got = ring.index(t_r, p)
+        chi = _chi(t, p)
+        got = _chi(t_r, p)
         want = chi // r if chi % r == 0 else chi
         if got != want:
             rep.record(p, f"chi({t_r})={want}", got)
@@ -151,8 +157,8 @@ def verify_twin(t, limit: int) -> CheckReport:
     t = Fraction(t)
     rep = CheckReport(name=f"twin(t={t})")
     for p in _admissible(rep, limit, t.denominator):
-        chi = ring.index(t, p)
-        got = ring.index(-t, p)
+        chi = _chi(t, p)
+        got = _chi(-t, p)
         v = primes.valuation(chi, 2)
         want = 2 * chi if v == 0 else (chi // 2 if v == 1 else chi)
         if got != want:
@@ -175,7 +181,7 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     triple = (t, a1, a2)
     rep = CheckReport(name=f"cubic(t={t})")
     for p in _admissible(rep, limit, t.denominator, 3):
-        vs = tuple(primes.valuation(ring.index(a, p), 3) for a in triple)
+        vs = tuple(primes.valuation(_chi(a, p), 3) for a in triple)
         if sum(1 for v in vs if v == 0) > 1:
             rep.record(p, "at most one v=0", vs)
             continue
@@ -208,8 +214,8 @@ def verify_circular(t, limit: int) -> CheckReport:
         if lhs != 4:
             rep.record(0, f"C_{n}(t)^2 + C_{n}(w)^2 = 4 (n={n})", lhs)
     for p in _admissible(rep, limit, t.denominator, w.denominator):
-        jt = primes.valuation(ring.index(t, p), 2)
-        jw = primes.valuation(ring.index(w, p), 2)
+        jt = primes.valuation(_chi(t, p), 2)
+        jw = primes.valuation(_chi(w, p), 2)
         ok = (
             ((jt <= 1) == (jw == 2))
             and ((jw <= 1) == (jt == 2))
@@ -325,7 +331,7 @@ def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
     rep = CheckReport(name=f"bridge(T={spec.T}, Q={spec.Q})")
     for p in _admissible(rep, limit, 2 * abs(spec.Q) * abs(spec.delta) * t.denominator):
         got = lucas_index(spec, p)
-        want = ring.index(t, p)
+        want = _chi(t, p)
         if got != want:
             rep.record(p, f"chi={want}", got)
     return rep
@@ -376,7 +382,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
             rep.record(0, f"closed form {want} (k={k})", q)
 
     for p in _admissible(rep, limit, 2 * abs(Q), r):
-        chi = ring.index(t, p)
+        chi = _chi(t, p)
         if chi % r == 0:
             k = chi // r
             l_rk = lucas_pair_mod(T, Q, r * k, p)[0]
@@ -617,7 +623,7 @@ def verify_splitting_theorems(
     for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)
         m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
-        phat = ring.group_order(m).value
+        phat = ring.group_order(m)
         k, lin = _splitting_verdicts(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
         v = primes.valuation(phat, r)
@@ -809,11 +815,11 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         in_target = v == 1 and v_ord > 0 and kernel(tm, p, r, delta_char, 0) == 0
         target_count += in_target
         if p <= ENUMERATION_CAP:
-            phat = ring.group_order(m).value
+            phat = ring.group_order(m)
             fac = primes.factorize(n)  # not phat: for t = 2 mod p, chi | p but ord(Y) | 2p
             chi = ring.chi_from_residue(tm, p)
             ord_y = ring.element_order(y_elem, fac)
-            idx_b = ord_y if y_scalar else ring.chi_from_residue(ring.residue(b, p), p)
+            idx_b = ord_y if y_scalar else _chi(b, p)
             if ord_y != idx_b:
                 rep.record(p, f"ord(Y) = chi(trace) = {idx_b}", ord_y)
             full_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0

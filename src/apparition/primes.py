@@ -5,9 +5,10 @@
   [start, limit].  Each `_SEGMENT`-wide piece (2**19 numbers) is a
   bytearray over its odd numbers only, 2**18 bytes, streamed as a
   generator, so a sweep never holds a list of a segment's primes.  The
-  base primes up to sqrt(limit) are sieved once; each clears its odd
-  multiples from max(q**2, lo) on, by slice assignment from one zero
-  buffer per segment.
+  base primes up to sqrt(limit) are sieved once per range and passed to
+  every segment; each clears its odd multiples from max(q**2, lo) on, by
+  slice assignment from one zero buffer per segment.  Nothing is cached
+  between calls: the module holds no mutable state.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
   of `_MR_TIERS` takes the first k primes as bases below the smallest
   strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
@@ -17,21 +18,20 @@
   variant of Pollard rho on the cofactor, with `is_prime` on every piece.
   It answers for every n whose cofactor `is_prime` can decide (below
   3.3*10**24) and raises ValueError past that.  It is the package's one
-  factoring path: `ring.index` factors p -+ 1 with it, and
+  factoring path: `ring.chi_from_residue` factors p -+ 1 with it, and
   `classify.cheb_preimages` the numerator of t.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
-  `ring.index`.  The partition sweep and the membership test of the
-  non-divisor suite factor nothing: they read v_r(chi) from the ring
-  kernel.
-- `spf_table`: a smallest-prime-factor table, kept for the benchmark
-  tracer; no program path reads it.  Only the sieves read the grow-only
-  base-prime cache.
+  `ring.chi_from_residue`.  The partition sweep and the membership test
+  of the non-divisor suite factor nothing: they read v_r(chi) from the
+  ring kernel.
+- `base_primes` and `spf_table`: the primes up to a bound, and a
+  smallest-prime-factor table built on each call; the benchmark tracer
+  names both, and no program path reads the table.
 - `valuation`: the exponent v_r(n) of a prime r in n.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator
@@ -53,24 +53,16 @@ _MR_TIERS = (
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
-# grow-only caches
-_base_primes: list = [2, 3, 5, 7]
-_base_limit = 10
-_spf: list = []
-
 
 def base_primes(limit: int) -> list:
-    """Primes up to limit, from a grow-only module cache."""
-    global _base_primes, _base_limit
-    if limit > _base_limit:
-        _base_primes = primes_in_range(2, limit)  # sieves isqrt(limit) through this cache
-        _base_limit = limit
-    return _base_primes[: bisect_right(_base_primes, limit)]
+    """Primes up to limit, ascending: the base of a sieve up to limit**2."""
+    return primes_in_range(2, limit)
 
 
-def _segment_primes(lo: int, hi: int) -> Iterator[int]:
+def _segment_primes(lo: int, hi: int, base: list) -> Iterator[int]:
     """Yield the primes p with lo <= p <= hi, ascending, from a mask over
-    the odd numbers of the range (2 comes first when the range holds it)."""
+    the odd numbers of the range (2 comes first when the range holds it).
+    base holds the primes from 2 up to at least isqrt(hi), ascending."""
     if hi < 2 or hi < lo:
         return
     if lo <= 2:
@@ -82,7 +74,7 @@ def _segment_primes(lo: int, hi: int) -> Iterator[int]:
     size = (hi - lo) // 2 + 1  # mask[i] stands for lo + 2*i
     mask = bytearray([1]) * size
     zeros = memoryview(bytes(size // 3 + 1))  # the longest slice is q = 3's
-    for q in base_primes(isqrt(hi))[1:]:
+    for q in base[1:]:
         if q * q >= lo:
             i = (q * q - lo) >> 1
         else:  # lo + 2*i is the first odd multiple of q at or past lo
@@ -97,7 +89,8 @@ def _segment_primes(lo: int, hi: int) -> Iterator[int]:
 
 def primes_in_range(lo: int, hi: int) -> list:
     """Primes p with lo <= p <= hi, ascending."""
-    return list(_segment_primes(lo, hi))
+    base = base_primes(isqrt(hi)) if hi >= 4 else []  # below 4, isqrt(hi) < 2: no base
+    return list(_segment_primes(lo, hi, base))
 
 
 _TRIAL_LIMIT = 1000
@@ -106,11 +99,10 @@ _SMALL_PRIMES = tuple(primes_in_range(2, _TRIAL_LIMIT))  # trial divisors of fac
 
 def prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
     """The primes of [lo, hi], one ascending generator per `_SEGMENT`-wide piece."""
-    if 2 <= hi and lo <= hi:
-        base_primes(isqrt(hi))  # sieved once: no segment re-sieves a longer base
+    base = base_primes(isqrt(hi)) if 2 <= hi and lo <= hi else []  # once for every segment
     while lo <= hi:
         seg_hi = min(lo + _SEGMENT - 1, hi)
-        yield _segment_primes(lo, seg_hi)
+        yield _segment_primes(lo, seg_hi, base)
         lo = seg_hi + 1
 
 
@@ -273,17 +265,14 @@ def _brent(m: int) -> int:
 
 
 def spf_table(bound: int) -> list:
-    """Smallest-prime-factor table for 0..bound (cached, grow-only)."""
-    global _spf
-    if len(_spf) <= bound:
-        table = list(range(bound + 1))
-        for i in range(2, isqrt(bound) + 1):
-            if table[i] == i:
-                for j in range(i * i, bound + 1, i):
-                    if table[j] == j:
-                        table[j] = i
-        _spf = table
-    return _spf
+    """Smallest-prime-factor table for 0..bound."""
+    table = list(range(bound + 1))
+    for i in range(2, isqrt(bound) + 1):
+        if table[i] == i:
+            for j in range(i * i, bound + 1, i):
+                if table[j] == j:
+                    table[j] = i
+    return table
 
 
 def distinct_prime_factors(n: int) -> list:

@@ -19,7 +19,10 @@ order alone decides: r does not divide p -+ 1, or r = 2 with the 2-part
 of p -+ 1 equal to 2 (or t + 2 a non-square).  `chi_valuation` feeds it
 Euler's criterion for a single prime; the partition sweep feeds it cached
 characters, and the non-divisor suite one character per prime.
-`chi_from_residue` and `index` give chi itself, by factoring p -+ 1.
+`chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
+call it on `residue(t, p)` at primes their sieve has already vouched for.
+`index` is the validating entry point of the CLI and library callers: it
+checks that p is an odd prime and reduces t with `reduce_param` first.
 
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
@@ -27,7 +30,6 @@ Residues live in [0, p); p = 2 is rejected everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .chebyshev import cheb_c_mod, lucas_pair_mod
@@ -42,18 +44,6 @@ class ModParam:
     p: int
     t_mod: int
     delta_mod: int
-
-
-class OrderKind(Enum):
-    SPLIT = "split"          # delta is a nonzero square: order p - 1
-    INERT = "inert"          # delta is a non-square: order p + 1
-    DELTA_ZERO = "delta-zero"  # t = +-2 mod p: order p or 2p
-
-
-@dataclass(frozen=True)
-class GroupOrder:
-    value: int
-    kind: OrderKind
 
 
 def residue(q, p: int) -> int:
@@ -138,14 +128,14 @@ def legendre(x: int, p: int) -> int:
     return e if e <= 1 else -1
 
 
-def group_order(m: ModParam) -> GroupOrder:
-    """Order of the determinant-one group mod p (the character of delta)."""
+def group_order(m: ModParam) -> int:
+    """Order of the determinant-one group mod p: p - 1 when delta is a
+    nonzero square, p + 1 when it is a non-square, and p (t = 2) or 2p
+    (t = -2) when it vanishes."""
     p = m.p
     if m.delta_mod == 0:
-        return GroupOrder(p if m.t_mod == 2 else 2 * p, OrderKind.DELTA_ZERO)
-    if legendre(m.delta_mod, p) == 1:
-        return GroupOrder(p - 1, OrderKind.SPLIT)
-    return GroupOrder(p + 1, OrderKind.INERT)
+        return p if m.t_mod == 2 else 2 * p
+    return p - legendre(m.delta_mod, p)
 
 
 def element_order(a: RingElem, order_bound: dict) -> int:

@@ -87,13 +87,17 @@ BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division 
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
 
 
-def _run_cli(argv, timeout, stdout=subprocess.PIPE):
+def _run_cli(argv, timeout, stdout=subprocess.PIPE, **popen):
     path = [str(Path(apparition.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "apparition.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout, env=env, **popen,
     )
+
+
+def _close_stdout():
+    os.close(1)  # in the child before exec, as the shell's `>&-` does
 
 
 def test_closed_stdout_exits_quietly():
@@ -107,6 +111,34 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "twin", "3", "--limit", "100"],
+        ["index", "3", "11"],
+        ["partition", "3", "--limit", "1000"],
+        ["classify", "3"],
+    ],
+)
+def test_no_stdout_exits_1(argv):
+    # started with fd 1 closed, Python sets sys.stdout to None and print
+    # drops every line: a run that cannot write its output fails, with one
+    # error line and no traceback
+    proc = _run_cli(argv, timeout=60, stdout=None, preexec_fn=_close_stdout)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_no_stdout_partition_to_file(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["partition", "3", "--limit", "1000", "--out", str(out)]
+    proc = _run_cli(argv, timeout=60, stdout=None, preexec_fn=_close_stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    written = out.read_text()
+    assert main(argv) == 0
+    assert out.read_text() == written and capsys.readouterr().out == ""
 
 
 def test_unwritable_out_path_exits_1(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_splitting_verdicts_match_group_side(t, r):
         if p == r or (t.denominator * delta.numerator) % p == 0:
             continue
         m = ring.reduce_param(t, p)
-        phat = ring.group_order(m).value
+        phat = ring.group_order(m)
         v = primes.valuation(phat, r)
         k, lin = _verdicts(t, r, p, n_max, j_max)
         for j in range(1, j_max + 1):
@@ -420,6 +420,19 @@ def test_admissible_counts_each_prime_after_its_body():
     seen = [(p, rep.primes_checked) for p in ex._admissible(rep, 30, 5, 3)]
     assert seen == [(7, 0), (11, 1), (13, 2), (17, 3), (19, 4), (23, 5), (29, 6)]
     assert rep.primes_checked == 7
+
+
+def test_suites_do_not_revalidate_their_primes(monkeypatch):
+    # the sieve vouches for every prime a suite visits: chi comes from
+    # chi_from_residue, never through the validating ring.index
+    def refuse(*args):
+        raise AssertionError("a suite re-validated a sieve prime")
+
+    monkeypatch.setattr(ring, "index", refuse)
+    monkeypatch.setattr(ring, "reduce_param", refuse)
+    reports = list(ex.all_suites(300))
+    assert len(reports) == 21
+    assert all(rep.passed for rep in reports), [rep.summary() for rep in reports]
 
 
 def test_identity_suite_records_failures_at_p0(monkeypatch):

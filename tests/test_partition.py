@@ -153,11 +153,11 @@ def test_sweep_is_segmented(monkeypatch):
     widths = []
     segment_primes = primes._segment_primes
 
-    def recording(lo, hi):
-        widths.append(hi - lo + 1)
-        return segment_primes(lo, hi)
+    def recording(lo, hi, base):
+        if lo > 2:  # a segment of the sweep, not the sieve of its base primes
+            widths.append(hi - lo + 1)
+        return segment_primes(lo, hi, base)
 
-    primes.base_primes(isqrt(limit))  # the base sieve also runs the segment generator
     monkeypatch.setattr(primes, "_segment_primes", recording)
     for t, r in ((F(-7, 2), 2), (F(2, 7), 3)):
         widths.clear()
@@ -173,8 +173,8 @@ def test_sweep_is_segmented(monkeypatch):
 
 def test_window_below_the_cap_streams():
     # the window just below the CLI cap spans four segments; streamed, the
-    # sweep holds one segment's odd-only mask, never a list of its primes
-    primes.base_primes(10**4)  # the base primes are a module cache, not sweep memory
+    # sweep holds its base primes (up to 10**4) and one segment's odd-only
+    # mask, never a list of a segment's primes
     tracemalloc.start()
     try:
         rep = compute_partition(3, 2, 10**8 - 1, start=10**8 - 2 * 10**6)

@@ -124,10 +124,10 @@ def test_pi_of_ten_million():
 def test_base_primes_sieved_once_per_range(monkeypatch):
     # a sweep whose segments end at growing sqrt(hi) must not re-sieve the
     # base primes for each segment
-    monkeypatch.setattr(primes, "_base_primes", [2, 3, 5, 7])
-    monkeypatch.setattr(primes, "_base_limit", 10)
-    calls = []
+    lo, hi = 10**8 - 4 * primes._SEGMENT + 1, 10**8
     sieve_range = primes.primes_in_range
+    want = sieve_range(lo, hi)
+    calls = []
 
     def spy(lo, hi):
         if lo == 2:  # a base sieve, not a segment
@@ -135,10 +135,12 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
         return sieve_range(lo, hi)
 
     monkeypatch.setattr(primes, "primes_in_range", spy)
-    lo, hi = 10**8 - 4 * primes._SEGMENT, 10**8
-    assert list(iter_primes(hi, start=lo)) == sieve_range(lo, hi)
-    # the base up to 10**4 is sieved once, and its own base up to 10**2 with it
-    assert calls == [isqrt(hi), isqrt(isqrt(hi))]
+    segments = list(primes.prime_segments(lo, hi))
+    assert len(segments) == 4
+    assert [p for segment in segments for p in segment] == want
+    # the base up to 10**4 is sieved once for all four segments, and the
+    # bases of that base (up to 10**2, 10 and 3) once with it
+    assert calls == [isqrt(hi), 10**2, 10, 3]
 
 
 def test_factorize_examples():
