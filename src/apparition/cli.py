@@ -123,29 +123,43 @@ def _spec(args):
     return experiments.LucasSpec(args.T, args.Q)
 
 
-# suite name -> its call; experiments.<fn> is looked up at call time, so a
-# patched attribute (a test double, the benchmark tracer) is the one called
+# suite name -> (its call, the largest limit it takes); experiments.<fn> is
+# looked up at call time, so a patched attribute (a test double, the
+# benchmark tracer) is the one called.  The suites that compute chi at every
+# prime are capped where a run ends within about a minute (2 vCPUs, Python
+# 3.11.7: 34-46 s for prop11, twin, circular and ballot at 10**7, 33 s for
+# cubic's three chis per prime at 5*10**6); bridge, splitting and sequences
+# refuse past their own caps in experiments.
 _VERIFY = {
-    "prop11": lambda a: experiments.verify_prop11(_t(a), a.r, a.limit),
-    "twin": lambda a: experiments.verify_twin(_t(a), a.limit),
-    "cubic": lambda a: experiments.verify_cubic_associates(_t(a), a.limit),
-    "circular": lambda a: experiments.verify_circular(_t(a), a.limit),
-    "bridge": lambda a: experiments.verify_bridge(_spec(a), a.limit),
-    "splitting": lambda a: experiments.verify_splitting_theorems(
-        _t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax
+    "prop11": (lambda a: experiments.verify_prop11(_t(a), a.r, a.limit), 10**7),
+    "twin": (lambda a: experiments.verify_twin(_t(a), a.limit), 10**7),
+    "cubic": (lambda a: experiments.verify_cubic_associates(_t(a), a.limit), 5 * 10**6),
+    "circular": (lambda a: experiments.verify_circular(_t(a), a.limit), 10**7),
+    "bridge": (lambda a: experiments.verify_bridge(_spec(a), a.limit), LIMIT_CAP),
+    "splitting": (
+        lambda a: experiments.verify_splitting_theorems(
+            _t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax
+        ),
+        LIMIT_CAP,
     ),
-    "ballot": lambda a: experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax),
-    "sequences": lambda a: experiments.sequence_divisor_check(
-        _t(a), a.family, a.limit, subseq_r=a.r
+    "ballot": (lambda a: experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax), 10**7),
+    "sequences": (
+        lambda a: experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r),
+        LIMIT_CAP,
     ),
 }
+# every suite once: 29 s at 10**6 on the same host
+_VERIFY_ALL_CAP = 10**6
 
 
 def _cmd_verify(args) -> int:
     _check_limit(args.limit)
+    cap = _VERIFY_ALL_CAP if args.suite == "all" else _VERIFY[args.suite][1]
+    if args.limit > cap:
+        raise ValueError(f"limit capped at {cap} for verify {args.suite}")
     if args.suite == "all":
         return _report_exit(experiments.all_suites(args.limit), args.out)
-    return _report_exit([_VERIFY[args.suite](args)], args.out)
+    return _report_exit([_VERIFY[args.suite][0](args)], args.out)
 
 
 def _cmd_dynamics(args) -> int:

@@ -622,7 +622,7 @@ def verify_splitting_theorems(
     rep = CheckReport(name=f"splitting(t={t}, r={r})")
     for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)
-        m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
+        m = ring.ModParam.from_residue(tm, p)
         phat = ring.group_order(m)
         k, lin = _splitting_verdicts(tm, r, p, n_max, j_max, variant, c_polys)
         d_elem = ring.d_elem(m)
@@ -690,7 +690,7 @@ def chebyshev_orbit_divisors(x0, k: int, n_max: int, limit: int) -> CheckReport:
         rep.divisors.append((p, hit))
         if p < 4 * k**hit - 1:
             rep.record(p, f"p >= 4*{k}**{hit}-1", p)
-        m = ring.ModParam(p=p, t_mod=xm, delta_mod=(xm * xm - 4) % p)
+        m = ring.ModParam.from_residue(xm, p)
         a = ring.d_elem(m) ** (k**hit)
         if not ((a * a) == -ring.identity(m)):
             rep.record(p, "ord(D^{k^n}) = 4", "(D^e)^2 != -I")
@@ -803,7 +803,7 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         if v == 0 and p > ENUMERATION_CAP:
             continue
         tm = ring.residue(t, p)
-        m = ring.ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
+        m = ring.ModParam.from_residue(tm, p)
         y_elem = ring.elem_from_rationals(m, y0, y1)
         y_scalar = y0.numerator % p == 0  # Y = +-I mod p
         v_ord = 0 if y_scalar else kernel(b, p, r, delta_char, 0)  # 0 when v = 0

@@ -1,31 +1,49 @@
 """Empirical valuation partition of the index over all primes up to N.
 
 For each admissible odd prime p <= N (p != r, p not dividing den(t)) the
-sweep computes the r-adic valuation of chi(t, p) directly, with the
-factor-free kernel `ring.chi_valuation_from_characters`, and buckets p by
-it; primes dividing the numerator of t**2 - 4 stay in the count (their
-index is p or 2p).  The kernel runs a trace ladder only where the group
-order p -+ 1 leaves v_r(chi) open: not when r does not divide it, and for
-r = 2 not when t + 2 is a non-square or the 2-part of p -+ 1 is 2.
+sweep finds the r-adic valuation of chi(t, p) with no factoring and
+buckets p by it; primes dividing the numerator of t**2 - 4 stay in the
+count (their index is p or 2p).  v_r(chi) is read off the cyclic group of
+order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
+((t + 2)/p): `ring.chi_valuation_by_order` gives it whenever n alone does
+(r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
+otherwise `ring.chi_valuation_from_characters` runs one trace ladder.
 
-The kernel needs two quadratic characters.  With t = a/b, both are
-characters of integers: ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2
-(split, p - 1, or inert, p + 1), and ((t + 2)/p) = (plus2/p) for
-plus2 = (a + 2b)*b (for r = 2, whether D_t is a square in its group).  By
-quadratic reciprocity (N/p) depends only on p mod 4|N| for p not dividing
-2N, so the sweep reads them from dicts keyed by that residue class instead
-of running Euler's criterion per prime.  A class that holds a prime
-dividing 2N holds that prime alone, so its entry is right too.  When a
-period is at least the segment width, no two primes of a segment share a
-class, so that character comes from Euler's criterion with no cache.
+With t = a/b, both characters are characters of integers:
+((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and
+((t + 2)/p) = (plus2/p) for plus2 = (a + 2b)*b.  By quadratic
+reciprocity (N/p) depends only on p mod 4|k| for p not dividing 2N, where
+k is N with the squares of the primes below 1000 divided out.  So the
+sweep works in two passes over each segment's odd-only sieve mask
+(`primes.segment_masks`):
 
-The sweep walks its range one `primes._SEGMENT`-wide piece at a time
-(`primes.prime_segments`), reading each piece's primes from a stream, and
-starts the caches afresh in each, so memory stays bounded by one
-segment's odd-only mask and its class caches however wide the range or
-large the periods.  Work is sharded over contiguous prime ranges, so
-reports merge by exact addition and any worker count gives identical
-output; `multiprocessing` is imported only when the work fans out.
+- The class pass.  L is the lcm of 4|k| for disc and (r = 2) plus2, of
+  k for b, and of r (odd r) or 2**min(j_max + 1, 6) (r = 2).  In a residue
+  class c mod L prime to L, every prime has the same characters, the same
+  p mod r and the same p mod 2**v_2(L), so one call of
+  `chi_valuation_by_order` on the class's first prime judges the whole
+  class, once per sweep.  A class with a verdict has its primes counted
+  with one `bytes.count` on its strided slice of the mask, added to its
+  bucket, and cleared from the mask.  For r = 2 the verdict v_2(n) holds
+  for the class only below v_2(L); at or above it the class overflows
+  when v_2(L) > j_max and otherwise has no verdict.  The special primes,
+  the primes below 1000 dividing b * disc (their characters are 0 or
+  they are excluded), are held out of the count.  The pass is skipped for
+  a segment whose classes would hold fewer than 16 odd numbers each
+  (8L above its mask length), where a count could not pay.
+- The per-prime loop visits what is left: primes that need a ladder,
+  primes of classes with no verdict, the special primes, and p = r and
+  the divisors of b, which it excludes.  It reads the characters from
+  per-segment dicts keyed by p mod 4|N| (or, when that period is at least
+  the segment width, where a cache could never hit, from Euler's
+  criterion) and calls `chi_valuation_from_characters`.
+
+The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
+memory stays bounded by one segment's mask and its class caches however
+wide the range or large L.  Work is sharded over contiguous prime
+ranges, so reports merge by exact addition and any worker count gives
+identical output; `multiprocessing` is imported only when the work fans
+out.
 """
 
 from __future__ import annotations
@@ -34,14 +52,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import sqrt
+from math import gcd, lcm, sqrt
 from typing import Optional
 
 from . import primes
 from .classify import EXCLUDED, Prediction
 from .errors import ExcludedParameter, UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation_from_characters, legendre
+from .ring import chi_valuation_by_order, chi_valuation_from_characters, legendre
 
 DEFAULT_J_MAX = 8
 
@@ -76,6 +94,74 @@ class ComparisonRow:
     z_score: float
 
 
+def _strip_trial_squares(n: int) -> int:
+    """n with the squares of the primes below 1000 divided out: for a prime
+    p not dividing 2n, (n/p) equals the character of the result, which
+    depends only on p mod 4 times its absolute value."""
+    for q in primes._SMALL_PRIMES:
+        while n % (q * q) == 0:
+            n //= q * q
+    return n
+
+
+class _FixedClasses:
+    """The residue classes mod L in which the group order fixes v_r(chi)
+    (the class pass of the module docstring), with their verdicts."""
+
+    def __init__(self, r: int, j_max: int, b: int, disc: int, plus2: int):
+        self.r, self.j_max, self.disc, self.plus2 = r, j_max, disc, plus2
+        periods = [4 * abs(_strip_trial_squares(disc)), _strip_trial_squares(b)]
+        if r == 2:
+            periods += [4 * abs(_strip_trial_squares(plus2)), 2 ** min(j_max + 1, 6)]
+        else:
+            periods.append(r)
+        self.modulus = lcm(*periods)
+        self.exact_below = (self.modulus & -self.modulus).bit_length() - 1
+        self.specials = [q for q in primes._SMALL_PRIMES[1:] if b * disc % q == 0]
+        self.classes = None  # the odd c < L prime to L, less those found to have no verdict
+        self.verdicts: dict = {}  # class -> bucket (j_max + 1 is overflow), or None
+
+    def count(self, first: int, mask: bytearray, counts: list) -> None:
+        """Add the primes of each class with a verdict to its bucket and
+        clear them from the mask (mask[i] stands for first + 2*i); the
+        special primes stay in the mask."""
+        if 8 * self.modulus > len(mask):  # a class of under 16 odd numbers: no count pays
+            return
+        if self.classes is None:
+            self.classes = [c for c in range(1, self.modulus, 2) if gcd(c, self.modulus) == 1]
+        size, step = len(mask), self.modulus >> 1
+        held = [(q - first) >> 1 for q in self.specials if first <= q < first + 2 * size]
+        for i in held:
+            mask[i] = 0
+        zeros = memoryview(bytes(-(-size // step)))
+        verdicts, still_open = self.verdicts, []
+        for c in self.classes:
+            i = ((c - first) % self.modulus) >> 1  # the first odd number of the piece in c
+            members = mask[i::step]
+            if c not in verdicts:  # judged on the first prime the sweep meets in c
+                k = members.find(1)
+                if k < 0:
+                    still_open.append(c)
+                    continue
+                verdicts[c] = self._verdict(first + 2 * (i + k * step))
+            if verdicts[c] is None:
+                continue  # left to the per-prime loop, and never sliced again
+            counts[verdicts[c]] += members.count(1)
+            mask[i::step] = zeros[: len(members)]
+            still_open.append(c)
+        self.classes = still_open
+        for i in held:
+            mask[i] = 1
+
+    def _verdict(self, p: int) -> Optional[int]:
+        """The bucket of every prime in p's class, or None."""
+        plus2_char = legendre(self.plus2, p) if self.r == 2 else 0
+        j = chi_valuation_by_order(p, self.r, legendre(self.disc, p), plus2_char)
+        if j is not None and j >= self.exact_below:  # v_2(p - delta) >= v_2(L)
+            return self.j_max + 1 if self.exact_below > self.j_max else None
+        return None if j is None else min(j, self.j_max + 1)
+
+
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     a, b = t.numerator, t.denominator
@@ -90,20 +176,19 @@ def _sweep_range(args) -> PartitionReport:
     cache_disc = disc_period < primes._SEGMENT
     cache_plus2 = plus2_period < primes._SEGMENT
     barred = 2 * r * b  # p is excluded exactly when it divides this
-    counts = [0] * (j_max + 1)
-    overflow = 0
-    total = 0
-    excluded = {}
-    for segment in primes.prime_segments(lo, hi):
+    fixed = _FixedClasses(r, j_max, b, disc, plus2)
+    top = j_max + 1
+    counts = [0] * (top + 1)  # counts[top] is the overflow
+    excluded = {2: "is_two"} if lo <= 2 <= hi else {}
+    for first, mask in primes.segment_masks(lo, hi):
+        fixed.count(first, mask, counts)
         # residue class -> character, for this segment's primes only; a
         # class holding a prime dividing 2 * disc or plus2 holds no other
         disc_chars: dict = {}
         plus2_chars: dict = {}
-        for p in segment:
+        for p in primes._segment_primes(first, mask):
             if barred % p == 0:
-                excluded[p] = (
-                    "is_two" if p == 2 else "equals_r" if p == r else "divides_denominator"
-                )
+                excluded[p] = "equals_r" if p == r else "divides_denominator"
                 continue
             if cache_disc:
                 key = p % disc_period
@@ -122,14 +207,10 @@ def _sweep_range(args) -> PartitionReport:
                 else:
                     plus2_char = legendre(plus2, p)
             j = chi_valuation_from_characters(t_arg, p, r, delta_char, plus2_char)
-            if j <= j_max:
-                counts[j] += 1
-            else:
-                overflow += 1
-            total += 1
+            counts[j if j < top else top] += 1
     return PartitionReport(
-        t=t, r=r, limit=hi, j_max=j_max, j_counts=counts,
-        overflow=overflow, total=total, excluded=excluded, start=lo,
+        t=t, r=r, limit=hi, j_max=j_max, j_counts=counts[:-1],
+        overflow=counts[-1], total=sum(counts), excluded=excluded, start=lo,
     )
 
 

@@ -1,14 +1,17 @@
 """Primes, primality and factoring: the integer primitives under every sweep.
 
-- `prime_segments` / `iter_primes` / `primes_in_range` / `sieve`: one
-  segmented sieve of Eratosthenes (Bays and Hudson, BIT 1977) over
-  [start, limit].  Each `_SEGMENT`-wide piece (2**19 numbers) is a
-  bytearray over its odd numbers only, 2**18 bytes, streamed as a
-  generator, so a sweep never holds a list of a segment's primes.  The
-  base primes up to sqrt(limit) are sieved once per range and passed to
-  every segment; each clears its odd multiples from max(q**2, lo) on, by
-  slice assignment from one zero buffer per segment.  Nothing is cached
-  between calls: the module holds no mutable state.
+- `segment_masks`: one segmented sieve of Eratosthenes (Bays and Hudson,
+  BIT 1977) over [start, limit].  Each `_SEGMENT`-wide piece (2**19
+  numbers) is a bytearray over its odd numbers only, 2**18 bytes, yielded
+  as (first, mask) with mask[i] = 1 exactly when first + 2*i is prime.
+  The base primes up to sqrt(limit) are sieved once per range and used by
+  every piece; each clears its odd multiples from max(q**2, lo) on, by
+  slice assignment from one zero buffer per piece.  The partition sweep
+  reads the masks themselves, counting whole residue classes with
+  `bytes.count`; `prime_segments`, `iter_primes`, `primes_in_range` and
+  `sieve` stream the primes of the same masks, so a sweep never holds a
+  list of a segment's primes.  Nothing is cached between calls: the
+  module holds no mutable state.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
   of `_MR_TIERS` takes the first k primes as bases below the smallest
   strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
@@ -32,7 +35,7 @@
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -59,57 +62,80 @@ def base_primes(limit: int) -> list:
     return primes_in_range(2, limit)
 
 
-def _segment_primes(lo: int, hi: int, base: list) -> Iterator[int]:
-    """Yield the primes p with lo <= p <= hi, ascending, from a mask over
-    the odd numbers of the range (2 comes first when the range holds it).
-    base holds the primes from 2 up to at least isqrt(hi), ascending."""
-    if hi < 2 or hi < lo:
-        return
-    if lo <= 2:
-        yield 2
-        lo = 3
-    lo |= 1  # the first odd number >= lo
-    if lo > hi:
-        return
-    size = (hi - lo) // 2 + 1  # mask[i] stands for lo + 2*i
-    mask = bytearray([1]) * size
-    zeros = memoryview(bytes(size // 3 + 1))  # the longest slice is q = 3's
-    for q in base[1:]:
-        if q * q >= lo:
-            i = (q * q - lo) >> 1
-        else:  # lo + 2*i is the first odd multiple of q at or past lo
-            i = -lo % q
-            if i & 1:
-                i += q
-            i >>= 1
-        if i < size:
-            mask[i::q] = zeros[: (size - 1 - i) // q + 1]
-    yield from compress(range(lo, hi + 1, 2), mask)
+def segment_masks(lo: int, hi: int) -> Iterator[tuple]:
+    """(first, mask) for each `_SEGMENT`-wide piece of [lo, hi], ascending.
+
+    mask[i] is 1 exactly when first + 2*i is prime, over the odd numbers
+    of the piece from 3 on (first is the least of them; 2 has no place in
+    a mask).  The base primes up to isqrt(hi) are sieved once for every
+    piece.
+    """
+    lo = max(lo, 2)
+    base = base_primes(isqrt(hi))[1:] if 4 <= hi and lo <= hi else []  # the odd ones
+    while lo <= hi:
+        seg_hi = min(lo + _SEGMENT - 1, hi)
+        first = max(lo, 3) | 1
+        size = max((seg_hi - first) // 2 + 1, 0)  # mask[i] stands for first + 2*i
+        mask = bytearray([1]) * size
+        zeros = memoryview(bytes(size // 3 + 1))  # the longest slice is q = 3's
+        for q in base:
+            if q * q >= first:
+                i = (q * q - first) >> 1
+            else:  # first + 2*i is the first odd multiple of q at or past first
+                i = -first % q
+                if i & 1:
+                    i += q
+                i >>= 1
+            if i < size:
+                mask[i::q] = zeros[: (size - 1 - i) // q + 1]
+        yield first, mask
+        lo = seg_hi + 1
 
 
-def primes_in_range(lo: int, hi: int) -> list:
-    """Primes p with lo <= p <= hi, ascending."""
-    base = base_primes(isqrt(hi)) if hi >= 4 else []  # below 4, isqrt(hi) < 2: no base
-    return list(_segment_primes(lo, hi, base))
+def _segment_primes(first: int, mask: bytearray) -> Iterator[int]:
+    """The odd primes that a piece's mask marks, ascending.
+
+    A sieved mask (one mark in 7 to 10 bytes below 10**8) is read by
+    `compress`, which costs every byte about a tenth of what a `find` per
+    mark costs; a mask with fewer than one mark in 12 bytes, as the
+    partition sweep leaves after its class pass, is read mark by mark.
+    """
+    if 12 * mask.count(1) >= len(mask):
+        return compress(range(first, first + 2 * len(mask), 2), mask)
+    return _marks(first, mask)
 
 
-_TRIAL_LIMIT = 1000
-_SMALL_PRIMES = tuple(primes_in_range(2, _TRIAL_LIMIT))  # trial divisors of factorize
+def _marks(first: int, mask: bytearray) -> Iterator[int]:
+    """`_segment_primes` by one `find` per mark, which skips unmarked bytes in C."""
+    find = mask.find
+    i = find(1)
+    while i >= 0:
+        yield first + 2 * i
+        i = find(1, i + 1)
 
 
 def prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
-    """The primes of [lo, hi], one ascending generator per `_SEGMENT`-wide piece."""
-    base = base_primes(isqrt(hi)) if 2 <= hi and lo <= hi else []  # once for every segment
-    while lo <= hi:
-        seg_hi = min(lo + _SEGMENT - 1, hi)
-        yield _segment_primes(lo, seg_hi, base)
-        lo = seg_hi + 1
+    """The primes of [lo, hi], one ascending iterator per `_SEGMENT`-wide piece."""
+    two = lo <= 2 <= hi
+    for first, mask in segment_masks(lo, hi):
+        odd = _segment_primes(first, mask)
+        yield chain((2,), odd) if two else odd
+        two = False
 
 
 def iter_primes(limit: int, start: int = 2) -> Iterator[int]:
     """Yield primes in [start, limit] ascending, one segment at a time."""
-    for segment in prime_segments(max(start, 2), limit):
+    for segment in prime_segments(start, limit):
         yield from segment
+
+
+def primes_in_range(lo: int, hi: int) -> list:
+    """Primes p with lo <= p <= hi, ascending."""
+    return list(iter_primes(hi, start=lo))
+
+
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(primes_in_range(2, _TRIAL_LIMIT))  # trial divisors of factorize
 
 
 def sieve(limit: int) -> list:

@@ -15,14 +15,19 @@ multiplications per bit, serves the chi kernels.
 `chi_valuation_from_characters` is the one v_r(chi) kernel: given the
 character of delta (which group) and, for r = 2, that of t + 2 (whether
 D is a square in it), it needs one trace ladder, or none when the group
-order alone decides: r does not divide p -+ 1, or r = 2 with the 2-part
-of p -+ 1 equal to 2 (or t + 2 a non-square).  `chi_valuation` feeds it
-Euler's criterion for a single prime; the partition sweep feeds it cached
-characters, and the non-divisor suite one character per prime.
+order alone decides.  That no-ladder rule is `chi_valuation_by_order`: r
+does not divide p -+ 1, or r = 2 with t + 2 a non-square or the 2-part of
+p -+ 1 equal to 2.  `chi_valuation` feeds the kernel Euler's criterion
+for a single prime; the partition sweep applies the rule once per residue
+class of p and feeds the kernel cached characters for the primes left,
+and the non-divisor suite feeds it one character per prime.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 call it on `residue(t, p)` at primes their sieve has already vouched for.
 `index` is the validating entry point of the CLI and library callers: it
 checks that p is an odd prime and reduces t with `reduce_param` first.
+`ModParam.from_residue` is the unvalidated constructor that
+`reduce_param` and the suites share, and `group_order` and
+`chi_from_residue` share one order rule on residues.
 
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .chebyshev import cheb_c_mod, lucas_pair_mod
 from .errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
@@ -44,6 +50,12 @@ class ModParam:
     p: int
     t_mod: int
     delta_mod: int
+
+    @classmethod
+    def from_residue(cls, tm: int, p: int) -> "ModParam":
+        """The parameter of the residue tm = t mod p, unvalidated: for
+        callers whose p is already known to be an odd prime."""
+        return cls(p, tm, (tm * tm - 4) % p)
 
 
 def residue(q, p: int) -> int:
@@ -59,8 +71,7 @@ def reduce_param(t, p: int) -> ModParam:
     """Reduce rational t mod p; p must not divide the denominator."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    tm = residue(Fraction(t), p)
-    return ModParam(p=p, t_mod=tm, delta_mod=(tm * tm - 4) % p)
+    return ModParam.from_residue(residue(Fraction(t), p), p)
 
 
 @dataclass(frozen=True)
@@ -132,10 +143,14 @@ def group_order(m: ModParam) -> int:
     """Order of the determinant-one group mod p: p - 1 when delta is a
     nonzero square, p + 1 when it is a non-square, and p (t = 2) or 2p
     (t = -2) when it vanishes."""
-    p = m.p
-    if m.delta_mod == 0:
-        return p if m.t_mod == 2 else 2 * p
-    return p - legendre(m.delta_mod, p)
+    return _group_order(m.t_mod, m.delta_mod, m.p)
+
+
+def _group_order(tm: int, delta: int, p: int) -> int:
+    """`group_order` of the residue tm with delta = tm**2 - 4 mod p."""
+    if delta == 0:
+        return p if tm == 2 else 2 * p
+    return p - legendre(delta, p)
 
 
 def element_order(a: RingElem, order_bound: dict) -> int:
@@ -173,9 +188,9 @@ def chi_from_residue(tm: int, p: int) -> int:
     no square root.
     """
     d = (tm * tm - 4) % p
-    if d == 0:
-        return p if tm == 2 else 2 * p
-    o = p - legendre(d, p)
+    o = _group_order(tm, d, p)
+    if d == 0:  # chi = p or 2p
+        return o
     for q in distinct_prime_factors(o):
         while o % q == 0 and cheb_c_mod(o // q, tm, p) == 2:
             o //= q
@@ -192,6 +207,27 @@ def chi_valuation(tm: int, p: int, r: int) -> int:
     delta_char = legendre(tm * tm - 4, p)
     plus2_char = legendre(tm + 2, p) if r == 2 else 0
     return chi_valuation_from_characters(tm, p, r, delta_char, plus2_char)
+
+
+def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> Optional[int]:
+    """v_r(chi) where the group order n = p - delta_char alone fixes it,
+    else None (a ladder is needed); delta_char is +-1, and plus2_char is
+    ((t + 2)/p) when r = 2.
+
+    chi divides n, so v_r(chi) = 0 for odd r with v_r(n) = 0.  For r = 2, a
+    non-square t + 2 gives v_2(chi) = v_2(n) (see
+    `chi_valuation_from_characters`); a square t + 2 with v_2(n) = 1 puts D
+    among the squares of a cyclic group whose 2-part is 2, a subgroup of
+    odd order n/2, so v_2(chi) = 0.  The partition sweep reads this once
+    per residue class of p whose characters and n are fixed by the class.
+    """
+    n = p - delta_char
+    if r == 2:
+        v = (n & -n).bit_length() - 1
+        if plus2_char == -1:
+            return v
+        return 0 if v == 1 else None
+    return None if n % r == 0 else 0
 
 
 def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char: int) -> int:
@@ -212,31 +248,25 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     when ((t + 2)/p) = 1; when it is -1, xi keeps the whole 2-part of the
     group order, so v_2(chi) = v_2(p -+ 1).
 
-    Two verdicts need no ladder because chi divides n.  For odd r with
-    v_r(n) = 0, v_r(chi) = 0.  For r = 2 with ((t + 2)/p) = 1 and
-    v_2(n) = 1, D lies in the squares of a cyclic group whose 2-part is 2,
-    a subgroup of odd order n/2, so v_2(chi) = 0.  These verdicts, like the
-    non-square one, trust the characters; every path that runs the ladder
-    still rejects characters that do not fit t.
+    `chi_valuation_by_order` gives every verdict that needs no ladder;
+    like the non-square one, they trust the characters, and every path
+    that runs the ladder still rejects characters that do not fit t.
     """
     if delta_char == 0:
         tm = residue(t, p)
         return valuation(p if tm == 2 else 2 * p, r)
+    j = chi_valuation_by_order(p, r, delta_char, plus2_char)
+    if j is not None:
+        return j
     m = p - delta_char
     if r == 2:
         v = (m & -m).bit_length() - 1
-        if plus2_char == -1:
-            return v
-        if v == 1:
-            return 0
         m >>= v
     else:
         v = 0
         while m % r == 0:
             m //= r
             v += 1
-        if v == 0:
-            return 0
     y = cheb_c_mod(m, residue(t, p), p)
     for j in range(v + 1):
         if y == 2:

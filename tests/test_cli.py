@@ -445,6 +445,38 @@ def test_limit_out_of_range(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "suite, argv, fn",
+    [
+        ("prop11", ["3", "--r", "3"], "verify_prop11"),
+        ("twin", ["3"], "verify_twin"),
+        ("cubic", ["2/7"], "verify_cubic_associates"),
+        ("circular", ["6/5"], "verify_circular"),
+        ("ballot", [], "ballot_check"),
+        ("all", [], "all_suites"),
+    ],
+)
+def test_chi_suites_capped_by_cost(suite, argv, fn, monkeypatch, capsys):
+    # the suites that compute chi at every prime take a limit up to a cap
+    # sized by their cost, below LIMIT_CAP; past it they refuse at once
+    cap = cli._VERIFY_ALL_CAP if suite == "all" else cli._VERIFY[suite][1]
+    assert cap < LIMIT_CAP
+    assert main(["verify", suite, *argv, "--limit", str(cap + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: limit capped at {cap} for verify {suite}\n"
+    assert captured.out == ""
+    limits = []
+
+    def double(*args, **kwargs):
+        limits.append(args[-1])  # every one of them takes the limit last
+        rep = CheckReport(name=suite)
+        return iter([rep]) if fn == "all_suites" else rep
+
+    monkeypatch.setattr(experiments, fn, double)
+    assert main(["verify", suite, *argv, "--limit", str(cap)]) == 0
+    assert limits == [cap]
+
+
 def test_limit_three_checks_one_prime(capsys):
     assert main(["verify", "twin", "3", "--limit", "3"]) == 0
     assert capsys.readouterr().out.startswith("PASS twin(t=3): 1 primes checked")

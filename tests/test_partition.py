@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import random
 import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
@@ -147,18 +148,22 @@ def test_sweep_never_factors(monkeypatch):
 
 
 def test_sweep_is_segmented(monkeypatch):
-    # the sweep sieves, and caches characters, one segment at a time; over
-    # several segments it agrees with the single-prime kernel
+    # the sweep sieves, counts its fixed classes and caches characters one
+    # segment at a time; over several segments it agrees with the
+    # single-prime kernel
     start, limit = 10**6, 10**6 + 3 * primes._SEGMENT + 17
     widths = []
-    segment_primes = primes._segment_primes
+    segment_masks = primes.segment_masks
 
-    def recording(lo, hi, base):
-        if lo > 2:  # a segment of the sweep, not the sieve of its base primes
-            widths.append(hi - lo + 1)
-        return segment_primes(lo, hi, base)
+    def recording(lo, hi):
+        for first, mask in segment_masks(lo, hi):
+            if lo > 2:  # a segment of the sweep, not the sieve of its base primes
+                # start is even and every segment ends on an odd number, so
+                # a segment spans twice the odd numbers of its mask
+                widths.append(2 * len(mask))
+            yield first, mask
 
-    monkeypatch.setattr(primes, "_segment_primes", recording)
+    monkeypatch.setattr(primes, "segment_masks", recording)
     for t, r in ((F(-7, 2), 2), (F(2, 7), 3)):
         widths.clear()
         rep = compute_partition(t, r, limit, start=start, j_max=6)
@@ -204,6 +209,108 @@ def test_class_cache_skipped_when_it_cannot_hit(monkeypatch):
     assert [compute_partition(t, r, 20000) for t, r in cases] == cached
     # r = 2 reads both characters, r = 3 only that of disc
     assert len(calls) == 2 * cached[0].total + cached[1].total > cached_calls
+
+
+def _per_prime_counts(t, r, j_max, lo, hi):
+    """Buckets plus overflow from one `chi_valuation` per admissible prime."""
+    counts = [0] * (j_max + 2)
+    for p in iter_primes(hi, start=lo):
+        if p != 2 and p != r and t.denominator % p:
+            counts[min(chi_valuation(residue(t, p), p, r), j_max + 1)] += 1
+    return counts
+
+
+def _fixed_classes(t, r, j_max):
+    a, b = t.numerator, t.denominator
+    return partition._FixedClasses(r, j_max, b, a * a - 4 * b * b, (a + 2 * b) * b)
+
+
+def _record_class_verdicts(monkeypatch):
+    """The argument tuples of every call the class pass makes to its rule."""
+    judged = []
+    by_order = partition.chi_valuation_by_order
+
+    def spy(*args):
+        judged.append(args)
+        return by_order(*args)
+
+    monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
+    return judged
+
+
+def _grid():
+    ts = {F(a, b) for a in range(-30, 31) for b in range(1, 31)}
+    return sorted(t for t in ts if t not in partition.EXCLUDED)
+
+
+def _class_pass_cases():
+    # a seeded sample of the grid |a| <= 30, 1 <= b <= 30 with L <= 2048, so
+    # that segments 16 * L wide stay small, plus the named showcase cases:
+    # 48/25 (5 | b and 7**2 | disc), 7 (t + 2 = 9) and 10/3 (disc = 64)
+    rng = random.Random(20261019)
+    cases = [(t, r, j_max) for t in _grid() for r in (2, 3, 5, 7) for j_max in (0, 1, 5, 6, 8, 40)]
+    cases = [c for c in cases if _fixed_classes(*c).modulus <= 2048]
+    named = [(t, r, j) for t in (F(48, 25), F(7), F(10, 3)) for r in (2, 3) for j in (0, 5, 8)]
+    return named + rng.sample(cases, 24)
+
+
+@pytest.mark.parametrize("t,r,j_max", _class_pass_cases(), ids=str)
+def test_class_pass_matches_per_prime_kernel(monkeypatch, t, r, j_max):
+    # segments 16 * L wide: each full one runs the class pass and the short
+    # last one does not; windows start at 2, at r, at each special prime and
+    # just below a segment edge, and each straddles two edges
+    fixed = _fixed_classes(t, r, j_max)
+    segment = 16 * fixed.modulus
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    judged = _record_class_verdicts(monkeypatch)
+    for lo in (2, r, *fixed.specials, segment - 5):
+        hi = lo + 2 * segment + segment // 3
+        rep = compute_partition(t, r, hi, j_max=j_max, start=lo)
+        assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, j_max, lo, hi), lo
+    assert judged  # the class pass ran
+
+
+def test_class_pass_leaves_large_denominator_primes_excluded(monkeypatch):
+    # t = 1018082/1009 has disc = (1008 * 1010)**2, so its characters are
+    # periodic mod 4 alone, and 1009 is past the trial primes: only the
+    # factor 1009 of L = 4 * 1009 * 3 keeps it out of every counted class
+    t = F(1018082, 1009)
+    assert _fixed_classes(t, 3, 8).modulus == 4 * 1009 * 3
+    judged = _record_class_verdicts(monkeypatch)
+    rep = compute_partition(t, 3, 200000)
+    assert judged  # the class pass ran
+    assert rep.excluded == {2: "is_two", 3: "equals_r", 1009: "divides_denominator"}
+    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 3, 8, 2, 200000)
+
+
+def test_class_pass_judges_each_class_once(monkeypatch):
+    # t = 48/25: disc = -196 = -4 * 7**2 and plus2 = 2 * 5**2 * 7**2, so
+    # L = 32 for r = 2, j_max = 4, and the character periods 784 and 9800
+    # exceed a 512-wide segment, where the per-prime loop caches nothing.
+    # Each of the 16 classes prime to 32 is judged once in the whole sweep,
+    # with one Euler test per character, and every other Euler test is the
+    # per-prime loop's, two per prime it visits.  (2/p) = 1 with
+    # 4 | p - (-1/p) leaves half the primes to a ladder
+    t, limit = F(48, 25), 20000
+    monkeypatch.setattr(primes, "_SEGMENT", 512)
+    calls = {"legendre": 0, "class": 0, "kernel": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(partition, fn.__name__, wrapper)
+
+    counting("legendre", partition.legendre)
+    counting("class", partition.chi_valuation_by_order)
+    counting("kernel", partition.chi_valuation_from_characters)
+    rep = compute_partition(t, 2, limit, j_max=4)
+    assert _fixed_classes(t, 2, 4).modulus == 32
+    assert calls["class"] == 16
+    assert calls["legendre"] == 2 * (calls["class"] + calls["kernel"])
+    assert 0.4 * rep.total < calls["kernel"] < 0.6 * rep.total
+    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 2, 4, 2, limit)
 
 
 @pytest.mark.parametrize("r", [2, 5, 7])

@@ -13,6 +13,7 @@ from apparition.ring import (
     RingElem,
     chi_from_residue,
     chi_valuation,
+    chi_valuation_by_order,
     chi_valuation_from_characters,
     d_elem,
     elem_from_rationals,
@@ -40,6 +41,14 @@ def test_reduce_param():
         reduce_param(3, 2)
     with pytest.raises(ValueError):
         reduce_param(3, 9)
+
+
+def test_mod_param_from_residue():
+    # the unvalidated constructor that reduce_param and the suites share
+    for t, p in ((F(2, 7), 5), (3, 11), (F(6, 5), 7), (2, 13), (-2, 13)):
+        m = reduce_param(t, p)
+        assert ModParam.from_residue(m.t_mod, p) == m
+    assert ModParam.from_residue(3, 11) == ModParam(11, 3, 5)
 
 
 def test_mul():
@@ -187,6 +196,29 @@ def test_chi_valuation_rejects_wrong_characters():
     assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
     with pytest.raises(ValueError, match="do not fit"):
         chi_valuation_from_characters(3, 19, 2, -1, 1)
+
+
+@pytest.mark.parametrize("t", [F(3), F(7), F(2, 7), F(48, 25), F(-7, 2)], ids=str)
+def test_chi_valuation_by_order(t):
+    # the verdicts that need no ladder are exact, and a ladder is asked for
+    # only where the group order n leaves v_r(chi) open: r | n for odd r,
+    # and for r = 2 a square t + 2 with 4 | n
+    for p in iter_primes(2000, start=3):
+        if t.denominator % p == 0:
+            continue
+        tm = residue(t, p)
+        delta_char, plus2_char = legendre(tm * tm - 4, p), legendre(tm + 2, p)
+        if delta_char == 0:
+            continue
+        n = p - delta_char
+        for r in (2, 3, 5, 7):
+            j = chi_valuation_by_order(p, r, delta_char, plus2_char if r == 2 else 0)
+            if r == 2:
+                assert (j is None) == (plus2_char == 1 and n % 4 == 0), (p, r)
+            else:
+                assert (j is None) == (n % r == 0), (p, r)
+            if j is not None:
+                assert j == valuation(index_by_scan(t, p), r), (p, r)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
