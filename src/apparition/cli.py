@@ -213,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t", nargs="?")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--limit", type=int, default=10**6)
-    p.add_argument("--jmax", type=int, default=8)
+    p.add_argument(
+        "--jmax", type=int, default=partition.DEFAULT_J_MAX,
+        help=f"last valuation bucket, 0 to {partition.J_MAX_CAP}; larger v_r(chi) overflow",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")

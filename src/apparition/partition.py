@@ -7,7 +7,7 @@ count (their index is p or 2p).  v_r(chi) is read off the cyclic group of
 order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
 ((t + 2)/p): `ring.chi_valuation_by_order` gives it whenever n alone does
 (r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
-otherwise `ring.chi_valuation_from_characters` runs one trace ladder.
+otherwise `ring.chi_valuation_by_ladder` runs one trace ladder.
 
 With t = a/b, both characters are characters of integers:
 ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and
@@ -22,21 +22,25 @@ sweep works in two passes over each segment's odd-only sieve mask
   class c mod L prime to L, every prime has the same characters, the same
   p mod r and the same p mod 2**v_2(L), so one call of
   `chi_valuation_by_order` on the class's first prime judges the whole
-  class, once per sweep.  A class with a verdict has its primes counted
-  with one `bytes.count` on its strided slice of the mask, added to its
-  bucket, and cleared from the mask.  For r = 2 the verdict v_2(n) holds
-  for the class only below v_2(L); at or above it the class overflows
-  when v_2(L) > j_max and otherwise has no verdict.  The special primes,
-  the primes below 1000 dividing b * disc (their characters are 0 or
-  they are excluded), are held out of the count.  The pass is skipped for
-  a segment whose classes would hold fewer than 16 odd numbers each
-  (8L above its mask length), where a count could not pay.
-- The per-prime loop visits what is left: primes that need a ladder,
-  primes of classes with no verdict, the special primes, and p = r and
-  the divisors of b, which it excludes.  It reads the characters from
-  per-segment dicts keyed by p mod 4|N| (or, when that period is at least
-  the segment width, where a cache could never hit, from Euler's
-  criterion) and calls `chi_valuation_from_characters`.
+  class, once per sweep.  A class whose verdict is a bucket has its
+  primes counted with one `bytes.count` on its strided slice of the mask.
+  Any other class keeps its characters as its verdict, and its slice is
+  walked prime by prime with `find`: t is reduced mod p inline and
+  `chi_valuation_by_ladder` called directly, or for r = 2 with t + 2 a
+  non-square v_2(p - delta) is read off p.  Either way the class is then
+  cleared from the mask.  For r = 2 the bucket v_2(n) holds for the whole
+  class only below v_2(L); at or above it the class overflows when
+  v_2(L) > j_max and is otherwise walked.  The special primes, the primes
+  below 1000 dividing b * disc (their characters are 0 or they are
+  excluded), are held out of the pass.  The pass is skipped for a
+  segment whose classes would hold fewer than 16 odd numbers each (8L
+  above its mask length), where a count could not pay.
+- The per-prime loop visits what is left: the special primes, p = r and
+  the divisors of b, which it excludes, and every prime of a segment the
+  pass skips.  It reads the characters from per-segment dicts keyed by
+  p mod 4|N| (or, when that period is at least the segment width, where
+  a cache could never hit, from Euler's criterion) and calls
+  `chi_valuation_from_characters`.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
 memory stays bounded by one segment's mask and its class caches however
@@ -59,9 +63,13 @@ from . import primes
 from .classify import EXCLUDED, Prediction
 from .errors import ExcludedParameter, UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation_by_order, chi_valuation_from_characters, legendre
+from .ring import chi_valuation_by_ladder, chi_valuation_by_order, chi_valuation_from_characters
+from .ring import legendre
 
 DEFAULT_J_MAX = 8
+# v_r(chi) <= log2(2p) < 64 for every p a sweep can reach, so a larger j_max
+# only adds empty buckets (and a prediction of j_max + 1 Fractions)
+J_MAX_CAP = 64
 
 
 @dataclass
@@ -105,26 +113,31 @@ def _strip_trial_squares(n: int) -> int:
 
 
 class _FixedClasses:
-    """The residue classes mod L in which the group order fixes v_r(chi)
-    (the class pass of the module docstring), with their verdicts."""
+    """The residue classes mod L prime to L (the class pass of the module
+    docstring), with their verdicts."""
 
-    def __init__(self, r: int, j_max: int, b: int, disc: int, plus2: int):
-        self.r, self.j_max, self.disc, self.plus2 = r, j_max, disc, plus2
-        periods = [4 * abs(_strip_trial_squares(disc)), _strip_trial_squares(b)]
+    def __init__(self, t: Fraction, r: int, j_max: int):
+        a, b = t.numerator, t.denominator
+        self.a, self.b, self.r, self.j_max = a, b, r, j_max
+        # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not
+        # dividing b; each depends only on p mod its period (quadratic reciprocity)
+        self.disc, self.plus2 = a * a - 4 * b * b, (a + 2 * b) * b
+        periods = [4 * abs(_strip_trial_squares(self.disc)), _strip_trial_squares(b)]
         if r == 2:
-            periods += [4 * abs(_strip_trial_squares(plus2)), 2 ** min(j_max + 1, 6)]
+            periods += [4 * abs(_strip_trial_squares(self.plus2)), 2 ** min(j_max + 1, 6)]
         else:
             periods.append(r)
         self.modulus = lcm(*periods)
         self.exact_below = (self.modulus & -self.modulus).bit_length() - 1
-        self.specials = [q for q in primes._SMALL_PRIMES[1:] if b * disc % q == 0]
-        self.classes = None  # the odd c < L prime to L, less those found to have no verdict
-        self.verdicts: dict = {}  # class -> bucket (j_max + 1 is overflow), or None
+        self.specials = [q for q in primes._SMALL_PRIMES[1:] if b * self.disc % q == 0]
+        self.classes = None  # the odd c < L prime to L
+        self.verdicts: dict = {}  # class -> bucket (j_max + 1 is overflow), or characters
 
     def count(self, first: int, mask: bytearray, counts: list) -> None:
-        """Add the primes of each class with a verdict to its bucket and
-        clear them from the mask (mask[i] stands for first + 2*i); the
-        special primes stay in the mask."""
+        """Add the primes of each class to their buckets, a class with a
+        bucket by one count and any other prime by prime, and clear them
+        from the mask (mask[i] stands for first + 2*i); the special primes
+        stay in the mask."""
         if 8 * self.modulus > len(mask):  # a class of under 16 odd numbers: no count pays
             return
         if self.classes is None:
@@ -134,49 +147,67 @@ class _FixedClasses:
         for i in held:
             mask[i] = 0
         zeros = memoryview(bytes(-(-size // step)))
-        verdicts, still_open = self.verdicts, []
+        verdicts = self.verdicts
         for c in self.classes:
             i = ((c - first) % self.modulus) >> 1  # the first odd number of the piece in c
             members = mask[i::step]
-            if c not in verdicts:  # judged on the first prime the sweep meets in c
+            verdict = verdicts.get(c)
+            if verdict is None:  # judged on the first prime the sweep meets in c
                 k = members.find(1)
                 if k < 0:
-                    still_open.append(c)
                     continue
-                verdicts[c] = self._verdict(first + 2 * (i + k * step))
-            if verdicts[c] is None:
-                continue  # left to the per-prime loop, and never sliced again
-            counts[verdicts[c]] += members.count(1)
+                verdict = verdicts[c] = self._verdict(first + 2 * (i + k * step))
+            if isinstance(verdict, int):
+                counts[verdict] += members.count(1)
+            else:
+                self._walk(first + 2 * i, members, verdict, counts)
             mask[i::step] = zeros[: len(members)]
-            still_open.append(c)
-        self.classes = still_open
         for i in held:
             mask[i] = 1
 
-    def _verdict(self, p: int) -> Optional[int]:
-        """The bucket of every prime in p's class, or None."""
+    def _verdict(self, p: int):
+        """The bucket of every prime in p's class, or, where the bucket
+        varies within the class, the class's characters (delta_char, plus2_char)."""
+        delta_char = legendre(self.disc, p)
         plus2_char = legendre(self.plus2, p) if self.r == 2 else 0
-        j = chi_valuation_by_order(p, self.r, legendre(self.disc, p), plus2_char)
-        if j is not None and j >= self.exact_below:  # v_2(p - delta) >= v_2(L)
-            return self.j_max + 1 if self.exact_below > self.j_max else None
-        return None if j is None else min(j, self.j_max + 1)
+        j = chi_valuation_by_order(p, self.r, delta_char, plus2_char)
+        if j is None:
+            return delta_char, plus2_char
+        if j >= self.exact_below:  # v_2(p - delta) >= v_2(L)
+            return self.j_max + 1 if self.exact_below > self.j_max else (delta_char, plus2_char)
+        return min(j, self.j_max + 1)
+
+    def _walk(self, p0: int, members: bytearray, chars: tuple, counts: list) -> None:
+        """Bucket the primes p0 + k*L that members marks, one by one, for a
+        class with the characters chars: for r = 2 and a non-square t + 2
+        v_2(chi) is v_2(p - delta_char), and otherwise the ladder gives it."""
+        delta_char, plus2_char = chars
+        a, b, r, top, step = self.a, self.b, self.r, self.j_max + 1, self.modulus
+        find = members.find
+        k = find(1)
+        while k >= 0:
+            p = p0 + k * step
+            if plus2_char == -1:
+                n = p - delta_char
+                j = (n & -n).bit_length() - 1
+            else:
+                tm = a % p if b == 1 else a * pow(b, -1, p) % p
+                j = chi_valuation_by_ladder(tm, p, r, delta_char)
+            counts[j if j < top else top] += 1
+            k = find(1, k + 1)
 
 
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
-    a, b = t.numerator, t.denominator
-    t_arg = a if b == 1 else t  # the kernel reduces an int t without inverting b
-    # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not dividing
-    # b; each depends only on p mod its period (quadratic reciprocity)
-    disc = a * a - 4 * b * b
-    plus2 = (a + 2 * b) * b
+    fixed = _FixedClasses(t, r, j_max)
+    disc, plus2, b = fixed.disc, fixed.plus2, t.denominator
+    t_arg = t.numerator if b == 1 else t  # the kernel reduces an int t without inverting b
     disc_period, plus2_period = 4 * abs(disc), 4 * abs(plus2)
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
     cache_disc = disc_period < primes._SEGMENT
     cache_plus2 = plus2_period < primes._SEGMENT
     barred = 2 * r * b  # p is excluded exactly when it divides this
-    fixed = _FixedClasses(r, j_max, b, disc, plus2)
     top = j_max + 1
     counts = [0] * (top + 1)  # counts[top] is the overflow
     excluded = {2: "is_two"} if lo <= 2 <= hi else {}
@@ -221,6 +252,8 @@ def check_partition_args(t, r: int, limit: int, j_max: int, threads: int) -> Fra
         raise ExcludedParameter(f"t = {t} is excluded")
     if limit < 2 or threads < 1 or j_max < 0:
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
+    if j_max > J_MAX_CAP:
+        raise ValueError(f"j_max capped at {J_MAX_CAP}")
     if not primes.is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
     return t

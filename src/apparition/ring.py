@@ -14,13 +14,15 @@ multiplications per bit, serves the chi kernels.
 
 `chi_valuation_from_characters` is the one v_r(chi) kernel: given the
 character of delta (which group) and, for r = 2, that of t + 2 (whether
-D is a square in it), it needs one trace ladder, or none when the group
-order alone decides.  That no-ladder rule is `chi_valuation_by_order`: r
-does not divide p -+ 1, or r = 2 with t + 2 a non-square or the 2-part of
-p -+ 1 equal to 2.  `chi_valuation` feeds the kernel Euler's criterion
-for a single prime; the partition sweep applies the rule once per residue
-class of p and feeds the kernel cached characters for the primes left,
-and the non-divisor suite feeds it one character per prime.
+D is a square in it), it is the no-ladder rule plus the ladder part.  The
+rule is `chi_valuation_by_order`: r does not divide p -+ 1, or r = 2 with
+t + 2 a non-square or the 2-part of p -+ 1 equal to 2.  The ladder part
+is `chi_valuation_by_ladder`, one trace ladder on the residue of t.
+`chi_valuation` feeds the kernel Euler's criterion for a single prime;
+the partition sweep applies the rule once per residue class of p and
+calls the ladder part itself for the primes of the classes the rule
+leaves open, and the non-divisor suite feeds the kernel one character
+per prime.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 call it on `residue(t, p)` at primes their sieve has already vouched for.
 `index` is the validating entry point of the CLI and library callers: it
@@ -201,8 +203,7 @@ def chi_valuation(tm: int, p: int, r: int) -> int:
     """v_r(chi) for the residue tm = t mod p, with nothing factored.
 
     Both quadratic characters come from Euler's criterion here; the
-    partition sweep reads them from its caches instead and calls
-    `chi_valuation_from_characters` directly.
+    partition sweep reads them once per residue class of p instead.
     """
     delta_char = legendre(tm * tm - 4, p)
     plus2_char = legendre(tm + 2, p) if r == 2 else 0
@@ -234,11 +235,9 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     """v_r(chi) for t (int or Fraction, p not dividing its denominator),
     given delta_char = ((t**2 - 4)/p) and, when r = 2, plus2_char = ((t + 2)/p).
 
-    delta_char = 0 means t = +-2 mod p and chi = p or 2p.  Otherwise D_t
-    lies in a cyclic group of order n = p - delta_char; with m the r-free
-    part of n, xi**m has order r**v_r(chi) for the eigenvalue xi of D.
-    C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is the
-    number of steps y -> C_r(y) that take y = C_m(t) to 2.
+    delta_char = 0 means t = +-2 mod p and chi = p or 2p.  Otherwise the
+    no-ladder rule `chi_valuation_by_order` answers where it can, and
+    `chi_valuation_by_ladder` everywhere else.
 
     For r = 2 the ladder is often not needed.  When p splits,
     xi = (xi + 1)**2 / (t + 2) in F_p; when it is inert, xi = (xi + 1)**(1 - p)
@@ -248,9 +247,8 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     when ((t + 2)/p) = 1; when it is -1, xi keeps the whole 2-part of the
     group order, so v_2(chi) = v_2(p -+ 1).
 
-    `chi_valuation_by_order` gives every verdict that needs no ladder;
-    like the non-square one, they trust the characters, and every path
-    that runs the ladder still rejects characters that do not fit t.
+    The verdicts of `chi_valuation_by_order` trust the characters, and
+    the ladder rejects a delta character that does not fit t.
     """
     if delta_char == 0:
         tm = residue(t, p)
@@ -258,6 +256,21 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
     j = chi_valuation_by_order(p, r, delta_char, plus2_char)
     if j is not None:
         return j
+    return chi_valuation_by_ladder(residue(t, p), p, r, delta_char)
+
+
+def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
+    """v_r(chi) for the residue tm = t mod p by one trace ladder, given
+    delta_char = ((t**2 - 4)/p) = +-1.
+
+    D_t lies in a cyclic group of order n = p - delta_char; with m the
+    r-free part of n, xi**m has order r**v_r(chi) for the eigenvalue xi of
+    D.  C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is
+    the number of steps y -> C_r(y) that take y = C_m(t) to 2; a delta_char
+    that does not fit tm never reaches 2 within v_r(n) steps and raises
+    ValueError.  The partition sweep calls this directly for the primes of
+    the residue classes that `chi_valuation_by_order` leaves open.
+    """
     m = p - delta_char
     if r == 2:
         v = (m & -m).bit_length() - 1
@@ -267,13 +280,13 @@ def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char
         while m % r == 0:
             m //= r
             v += 1
-    y = cheb_c_mod(m, residue(t, p), p)
+    y = cheb_c_mod(m, tm, p)
     for j in range(v + 1):
         if y == 2:
             return j
         # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
         y = (y * y - 2) % p if r == 2 else y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
-    raise ValueError(f"characters ({delta_char}, {plus2_char}) do not fit t = {t} mod {p}")
+    raise ValueError(f"characters do not fit t = {tm} mod {p}: delta character {delta_char}")
 
 
 def index(t, p: int) -> int:

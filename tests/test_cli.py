@@ -211,6 +211,8 @@ def test_partition_refuses_before_sweeping(monkeypatch, capsys):
         (["--jmax", "-1"], "need limit >= 2, threads >= 1, j_max >= 0"),
         (["--limit", "1"], "need limit >= 2, threads >= 1, j_max >= 0"),
         (["--r", "4"], "r must be prime, got 4"),
+        (["--jmax", "65"], "j_max capped at 64"),
+        (["--jmax", "100000000"], "j_max capped at 64"),
     ],
 )
 def test_partition_argument_errors(argv, message, capsys):

@@ -69,6 +69,13 @@ def test_excluded_parameter():
         compute_partition(2, 2, 100)
 
 
+def test_j_max_capped():
+    # v_r(chi) < 64 for every p a sweep can reach; past that a bucket is empty
+    assert compute_partition(3, 2, 100, j_max=64).j_counts[9:] == [0] * 56
+    with pytest.raises(ValueError, match="j_max capped at 64"):
+        compute_partition(3, 2, 100, j_max=65)
+
+
 def test_overflow_bucket():
     # j_max = 0 pushes every even-chi prime into overflow
     rep = compute_partition(3, 2, 20, j_max=0)
@@ -221,8 +228,7 @@ def _per_prime_counts(t, r, j_max, lo, hi):
 
 
 def _fixed_classes(t, r, j_max):
-    a, b = t.numerator, t.denominator
-    return partition._FixedClasses(r, j_max, b, a * a - 4 * b * b, (a + 2 * b) * b)
+    return partition._FixedClasses(F(t), r, j_max)
 
 
 def _record_class_verdicts(monkeypatch):
@@ -290,35 +296,67 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     # Each of the 16 classes prime to 32 is judged once in the whole sweep,
     # with one Euler test per character, and every other Euler test is the
     # per-prime loop's, two per prime it visits.  (2/p) = 1 with
-    # 4 | p - (-1/p) leaves half the primes to a ladder
+    # 4 | p - (-1/p) leaves half the primes to a ladder, which the class
+    # pass runs for the primes of its segments and the kernel for the rest
     t, limit = F(48, 25), 20000
     monkeypatch.setattr(primes, "_SEGMENT", 512)
-    calls = {"legendre": 0, "class": 0, "kernel": 0}
+    calls = {"legendre": 0, "class": 0, "kernel": 0, "ladder": 0}
 
-    def counting(name, fn):
+    def counting(name, module, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(partition, fn.__name__, wrapper)
+        monkeypatch.setattr(module, fn.__name__, wrapper)
 
-    counting("legendre", partition.legendre)
-    counting("class", partition.chi_valuation_by_order)
-    counting("kernel", partition.chi_valuation_from_characters)
+    counting("legendre", partition, partition.legendre)
+    counting("class", partition, partition.chi_valuation_by_order)
+    counting("kernel", partition, partition.chi_valuation_from_characters)
+    counting("ladder", partition, ring.chi_valuation_by_ladder)
+    counting("ladder", ring, ring.chi_valuation_by_ladder)
     rep = compute_partition(t, 2, limit, j_max=4)
     assert _fixed_classes(t, 2, 4).modulus == 32
     assert calls["class"] == 16
     assert calls["legendre"] == 2 * (calls["class"] + calls["kernel"])
-    assert 0.4 * rep.total < calls["kernel"] < 0.6 * rep.total
+    assert 0.4 * rep.total < calls["ladder"] < 0.6 * rep.total
     assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 2, 4, 2, limit)
+
+
+@pytest.mark.parametrize(
+    "t,r,j_max",
+    [(F(3), 2, 8), (F(48, 25), 2, 4), (F(2, 7), 3, 4), (F(7), 2, 8), (F(6, 5), 2, 4),
+     (F(10, 3), 3, 8), (F(3, 2), 7, 4)],
+    ids=str,
+)
+def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
+    # segments 16 * L wide, all full: the class pass buckets every prime of
+    # them, with a ladder where its class has no bucket, and the per-prime
+    # kernel sees only the special primes (p = r and the divisors of b it
+    # excludes before any kernel call)
+    fixed = _fixed_classes(t, r, j_max)
+    segment = 16 * fixed.modulus
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    seen = []
+    kernel = partition.chi_valuation_from_characters
+
+    def spy(t_arg, p, *args):
+        seen.append(p)
+        return kernel(t_arg, p, *args)
+
+    monkeypatch.setattr(partition, "chi_valuation_from_characters", spy)
+    hi = 1 + 3 * segment
+    rep = compute_partition(t, r, hi, j_max=j_max)
+    assert set(seen) <= set(fixed.specials), t
+    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, j_max, 2, hi)
 
 
 @pytest.mark.parametrize("r", [2, 5, 7])
 def test_ladder_only_where_group_order_leaves_v_open(monkeypatch, r):
-    # chi divides n = p - (disc/p), so the kernel runs its C_m ladder only
+    # chi divides n = p - (disc/p), so the sweep runs a C_m ladder only
     # when r | n, and for r = 2 only when t + 2 is a square and 4 | n; the
     # steps y -> C_r(y) call cheb_c_mod with index r, which the r-free m
-    # never equals
+    # never equals.  The class pass walks its ladder primes class by
+    # class, so they are compared in ascending order
     t, limit = 3, 3000
     ladders = []
     cheb_c_mod = ring.cheb_c_mod
@@ -341,7 +379,7 @@ def test_ladder_only_where_group_order_leaves_v_open(monkeypatch, r):
                 needed.append(p)
         elif n % r == 0:
             needed.append(p)
-    assert ladders == needed
+    assert sorted(ladders) == needed
     assert 0 < len(needed) < rep.total
 
 
@@ -370,6 +408,19 @@ def test_sweep_matches_scan_oracle(t):
                 counts[min(valuation(chi, r), rep.j_max + 1)] += 1
         assert rep.j_counts + [rep.overflow] == counts, r
         assert rep.total == sum(counts)
+
+
+@pytest.mark.parametrize("t", KERNEL_TS, ids=str)
+def test_ladder_part_matches_scan_oracle(t):
+    # the ladder gives v_r(chi) at every prime off delta = 0, also where the
+    # group order alone would decide
+    for p, chi in _scan_chis(t).items():
+        tm = residue(t, p)
+        delta_char = legendre(tm * tm - 4, p)
+        if delta_char:
+            for r in (2, 3, 5, 7):
+                j = ring.chi_valuation_by_ladder(tm, p, r, delta_char)
+                assert j == valuation(chi, r), (p, r)
 
 
 def _is_rational_square(q):

@@ -13,6 +13,7 @@ from apparition.ring import (
     RingElem,
     chi_from_residue,
     chi_valuation,
+    chi_valuation_by_ladder,
     chi_valuation_by_order,
     chi_valuation_from_characters,
     d_elem,
@@ -196,6 +197,11 @@ def test_chi_valuation_rejects_wrong_characters():
     assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
     with pytest.raises(ValueError, match="do not fit"):
         chi_valuation_from_characters(3, 19, 2, -1, 1)
+    # the ladder part alone rejects them too
+    with pytest.raises(ValueError, match="do not fit"):
+        chi_valuation_by_ladder(3, 11, 3, -1)
+    with pytest.raises(ValueError, match="do not fit"):
+        chi_valuation_by_ladder(3, 19, 2, -1)
 
 
 @pytest.mark.parametrize("t", [F(3), F(7), F(2, 7), F(48, 25), F(-7, 2)], ids=str)
