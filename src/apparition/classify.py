@@ -3,15 +3,15 @@
 A parameter t (excluding 0, +-1, +-2) is classified by the square class
 of delta = t**2 - 4 (reducible / circular / cubic), by the r = 2
 non-genericity types A and B, by r-primitivity (does C_r(x) = t have a
-rational root) and by the stronger primitivity notions that also require
-the associate values to be primitive.  Each supported class comes with an
-exact rational density sequence for the partition by the r-adic valuation
-of the index.
+rational root; for |t| > 2 a bisection over the integers decides it
+without factoring num(t)) and by the stronger primitivity notions that
+also require the associate values to be primitive.  Each supported class
+comes with an exact rational density sequence for the partition by the
+r-adic valuation of the index.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -68,12 +68,12 @@ def cheb_preimages(r: int, t) -> list:
 
     For r = 2 this is the square test on 2 + t.  For odd r a reduced root
     c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d) and
-    c | num(t) (C_r has zero constant term), so candidates are finite.
-    C_r is odd, maps [-2, 2] onto itself and is increasing past 2, so
-    for |t| > 2 the one real root has |x| > 2 and the sign of t, and it
-    is found by bisection over the sorted candidates; for |t| <= 2 only
-    candidates with |c/d| <= 2 are tried.  Raises ValueError when
-    `factorize` refuses num(t).
+    c | num(t) (C_r has zero constant term).  C_r is odd, maps [-2, 2] onto
+    itself and is increasing past 2, so for |t| > 2 the one real root has
+    |x| > 2 and the sign of t: c is found by bisection over the integers
+    past 2d, doubling the bound from 2d, with no factoring.  For |t| <= 2
+    only the divisors c <= 2d of num(t) are tried; raises ValueError when
+    `factorize` refuses num(t) there.
     """
     t = Fraction(t)
     if r == 2:
@@ -86,22 +86,23 @@ def cheb_preimages(r: int, t) -> list:
     d = 1 if t.denominator == 1 else rth_root(t.denominator, r)
     if d is None:
         return []
+    if abs(t) > 2:
+        lo, hi = 2 * d, 4 * d  # C_r(lo / d) = 2 < |t|
+        while cheb_c_exact(r, Fraction(hi, d)) < abs(t):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # C_r(lo / d) < |t| <= C_r(hi / d)
+            mid = (lo + hi) // 2
+            if cheb_c_exact(r, Fraction(mid, d)) < abs(t):
+                lo = mid
+            else:
+                hi = mid
+        x = Fraction(hi, d)
+        return [x if t > 0 else -x] if cheb_c_exact(r, x) == abs(t) else []
     numerators = [1]
     for q, e in factorize(abs(t.numerator)).items():
-        numerators = [c * q**k for c in numerators for k in range(e + 1)]
-    if abs(t) > 2:
-        big = sorted(c for c in numerators if c > 2 * d)
-        i = bisect_left(big, abs(t), key=lambda c: cheb_c_exact(r, Fraction(c, d)))
-        if i == len(big) or cheb_c_exact(r, Fraction(big[i], d)) != abs(t):
-            return []
-        return [Fraction(big[i], d) if t > 0 else Fraction(-big[i], d)]
-    roots = set()
-    for c in numerators:
-        if c <= 2 * d:
-            for x in (Fraction(c, d), Fraction(-c, d)):
-                if cheb_c_exact(r, x) == t:
-                    roots.add(x)
-    return sorted(roots)
+        numerators = [c * q**k for c in numerators for k in range(e + 1) if c * q**k <= 2 * d]
+    candidates = [x for c in numerators for x in (Fraction(c, d), Fraction(-c, d))]
+    return sorted(x for x in candidates if cheb_c_exact(r, x) == t)
 
 
 def r_primitive(t, r: int) -> bool:

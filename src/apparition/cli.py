@@ -218,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"last valuation bucket, 0 to {partition.J_MAX_CAP}; larger v_r(chi) overflow",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes, at most the CPU count; the output is the same for any value",
+    )
     p.add_argument("--out")
     p.add_argument("--batch", help="file with one rational per line (# comments)")
     p.set_defaults(func=_cmd_partition)

@@ -27,20 +27,24 @@ sweep works in two passes over each segment's odd-only sieve mask
   Any other class keeps its characters as its verdict, and its slice is
   walked prime by prime with `find`: t is reduced mod p inline and
   `chi_valuation_by_ladder` called directly, or for r = 2 with t + 2 a
-  non-square v_2(p - delta) is read off p.  Either way the class is then
-  cleared from the mask.  For r = 2 the bucket v_2(n) holds for the whole
-  class only below v_2(L); at or above it the class overflows when
-  v_2(L) > j_max and is otherwise walked.  The special primes, the primes
-  below 1000 dividing b * disc (their characters are 0 or they are
-  excluded), are held out of the pass.  The pass is skipped for a
-  segment whose classes would hold fewer than 16 odd numbers each (8L
-  above its mask length), where a count could not pay.
-- The per-prime loop visits what is left: the special primes, p = r and
-  the divisors of b, which it excludes, and every prime of a segment the
-  pass skips.  It reads the characters from per-segment dicts keyed by
-  p mod 4|N| (or, when that period is at least the segment width, where
-  a cache could never hit, from Euler's criterion) and calls
-  `chi_valuation_from_characters`.
+  non-square v_2(p - delta) is read off p.  For r = 2 the bucket v_2(n)
+  holds for the whole class only below v_2(L); at or above it the class
+  overflows when v_2(L) > j_max and is otherwise walked.  The special
+  primes, the odd primes dividing L * b * disc, are held out of the
+  pass: each is excluded (it divides 2rb) or has a character 0 (it
+  divides disc).  They are listed once per sweep by trial up to
+  max(L, 999), since every prime factor of b * disc is below 1000 or
+  divides L; the pass clears those of a segment from its mask before
+  it counts and hands them back.  The pass is skipped for a segment
+  whose classes would hold fewer than 16 odd numbers each (8L above its
+  mask length), where a count could not pay.
+- The per-prime loop visits the special primes the pass hands back, or
+  every prime of a segment the pass skips; it excludes p = r and the
+  divisors of b.  It reads the characters from per-segment dicts keyed
+  by p mod 4|N| (or, when that period is at least the segment width,
+  where a cache could never hit, from Euler's criterion) and calls
+  `chi_valuation_from_characters`.  So each segment's mask is read
+  once, by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
 memory stays bounded by one segment's mask and its class caches however
@@ -53,9 +57,10 @@ out.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm, sqrt
 from typing import Optional
 
@@ -129,25 +134,33 @@ class _FixedClasses:
             periods.append(r)
         self.modulus = lcm(*periods)
         self.exact_below = (self.modulus & -self.modulus).bit_length() - 1
-        self.specials = [q for q in primes._SMALL_PRIMES[1:] if b * self.disc % q == 0]
-        self.classes = None  # the odd c < L prime to L
         self.verdicts: dict = {}  # class -> bucket (j_max + 1 is overflow), or characters
 
-    def count(self, first: int, mask: bytearray, counts: list) -> None:
+    @cached_property
+    def classes(self) -> list:
+        """The odd c < L prime to L."""
+        return [c for c in range(1, self.modulus, 2) if gcd(c, self.modulus) == 1]
+
+    @cached_property
+    def specials(self) -> list:
+        """The odd primes dividing L * b * disc, which no class counts:
+        every prime factor of b * disc is below 1000 or divides L."""
+        held = self.modulus * self.b * self.disc
+        odd = range(3, max(self.modulus, 999) + 1, 2)
+        return [q for q in odd if held % q == 0 and primes.is_prime(q)]
+
+    def count(self, first: int, mask: bytearray, counts: list) -> Optional[list]:
         """Add the primes of each class to their buckets, a class with a
-        bucket by one count and any other prime by prime, and clear them
-        from the mask (mask[i] stands for first + 2*i); the special primes
-        stay in the mask."""
+        bucket by one count and any other prime by prime (mask[i] stands
+        for first + 2*i), and return the special primes of the piece,
+        which no class counts; None, counting nothing, for a piece too
+        short to pay."""
         if 8 * self.modulus > len(mask):  # a class of under 16 odd numbers: no count pays
-            return
-        if self.classes is None:
-            self.classes = [c for c in range(1, self.modulus, 2) if gcd(c, self.modulus) == 1]
-        size, step = len(mask), self.modulus >> 1
-        held = [(q - first) >> 1 for q in self.specials if first <= q < first + 2 * size]
-        for i in held:
-            mask[i] = 0
-        zeros = memoryview(bytes(-(-size // step)))
-        verdicts = self.verdicts
+            return None
+        specials = [q for q in self.specials if first <= q < first + 2 * len(mask)]
+        for q in specials:
+            mask[(q - first) >> 1] = 0
+        step, verdicts = self.modulus >> 1, self.verdicts
         for c in self.classes:
             i = ((c - first) % self.modulus) >> 1  # the first odd number of the piece in c
             members = mask[i::step]
@@ -161,9 +174,7 @@ class _FixedClasses:
                 counts[verdict] += members.count(1)
             else:
                 self._walk(first + 2 * i, members, verdict, counts)
-            mask[i::step] = zeros[: len(members)]
-        for i in held:
-            mask[i] = 1
+        return specials
 
     def _verdict(self, p: int):
         """The bucket of every prime in p's class, or, where the bucket
@@ -212,12 +223,12 @@ def _sweep_range(args) -> PartitionReport:
     counts = [0] * (top + 1)  # counts[top] is the overflow
     excluded = {2: "is_two"} if lo <= 2 <= hi else {}
     for first, mask in primes.segment_masks(lo, hi):
-        fixed.count(first, mask, counts)
+        specials = fixed.count(first, mask, counts)
         # residue class -> character, for this segment's primes only; a
         # class holding a prime dividing 2 * disc or plus2 holds no other
         disc_chars: dict = {}
         plus2_chars: dict = {}
-        for p in primes._segment_primes(first, mask):
+        for p in primes._segment_primes(first, mask) if specials is None else specials:
             if barred % p == 0:
                 excluded[p] = "equals_r" if p == r else "divides_denominator"
                 continue
@@ -262,18 +273,23 @@ def check_partition_args(t, r: int, limit: int, j_max: int, threads: int) -> Fra
 def compute_partition(
     t, r: int, limit: int, j_max: int = DEFAULT_J_MAX, threads: int = 1, start: int = 2
 ) -> PartitionReport:
-    """Valuation partition of chi(t, p) over primes in [start, limit]."""
+    """Valuation partition of chi(t, p) over primes in [start, limit].
+
+    threads > 1 fans out to min(threads, os.cpu_count()) worker processes,
+    with four shards each; the report is the same for every threads.
+    """
     t = check_partition_args(t, r, limit, j_max, threads)
     if threads == 1 or start > limit:
         shards = [_sweep_range((t, r, j_max, start, limit))]
     else:
-        span = max((limit - start + 1) // (threads * 4), 1)
+        workers = min(threads, os.cpu_count() or 1)
+        span = max((limit - start + 1) // (workers * 4), 1)
         bounds = [
             (t, r, j_max, lo, min(lo + span - 1, limit)) for lo in range(start, limit + 1, span)
         ]
         import multiprocessing  # only a fan-out pays for the import
 
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             shards = pool.map(_sweep_range, bounds)
     report = reduce(merge_reports, shards)
     report.check_conservation()

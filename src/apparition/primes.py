@@ -8,10 +8,12 @@
   every piece; each clears its odd multiples from max(q**2, lo) on, by
   slice assignment from one zero buffer per piece.  The partition sweep
   reads the masks themselves, counting whole residue classes with
-  `bytes.count`; `prime_segments`, `iter_primes`, `primes_in_range` and
-  `sieve` stream the primes of the same masks, so a sweep never holds a
-  list of a segment's primes.  Nothing is cached between calls: the
-  module holds no mutable state.
+  `bytes.count`; `iter_primes`, `primes_in_range` and `sieve` stream the
+  primes of the same masks through one `compress` reader,
+  `_segment_primes`, which the sweep also runs on the segments its
+  class pass skips, so a sweep never holds a list of a segment's
+  primes.  Nothing is cached between calls: the module holds no
+  mutable state.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
   of `_MR_TIERS` takes the first k primes as bases below the smallest
   strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
@@ -22,7 +24,7 @@
   It answers for every n whose cofactor `is_prime` can decide (below
   3.3*10**24) and raises ValueError past that.  It is the package's one
   factoring path: `ring.chi_from_residue` factors p -+ 1 with it, and
-  `classify.cheb_preimages` the numerator of t.
+  `classify.cheb_preimages` the numerator of a t with |t| <= 2.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
   `ring.chi_from_residue`.  The partition sweep and the membership test
   of the non-divisor suite factor nothing: they read v_r(chi) from the
@@ -35,7 +37,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -93,40 +95,16 @@ def segment_masks(lo: int, hi: int) -> Iterator[tuple]:
 
 
 def _segment_primes(first: int, mask: bytearray) -> Iterator[int]:
-    """The odd primes that a piece's mask marks, ascending.
-
-    A sieved mask (one mark in 7 to 10 bytes below 10**8) is read by
-    `compress`, which costs every byte about a tenth of what a `find` per
-    mark costs; a mask with fewer than one mark in 12 bytes, as the
-    partition sweep leaves after its class pass, is read mark by mark.
-    """
-    if 12 * mask.count(1) >= len(mask):
-        return compress(range(first, first + 2 * len(mask), 2), mask)
-    return _marks(first, mask)
-
-
-def _marks(first: int, mask: bytearray) -> Iterator[int]:
-    """`_segment_primes` by one `find` per mark, which skips unmarked bytes in C."""
-    find = mask.find
-    i = find(1)
-    while i >= 0:
-        yield first + 2 * i
-        i = find(1, i + 1)
-
-
-def prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
-    """The primes of [lo, hi], one ascending iterator per `_SEGMENT`-wide piece."""
-    two = lo <= 2 <= hi
-    for first, mask in segment_masks(lo, hi):
-        odd = _segment_primes(first, mask)
-        yield chain((2,), odd) if two else odd
-        two = False
+    """The odd primes that a piece's mask marks, ascending."""
+    return compress(range(first, first + 2 * len(mask), 2), mask)
 
 
 def iter_primes(limit: int, start: int = 2) -> Iterator[int]:
     """Yield primes in [start, limit] ascending, one segment at a time."""
-    for segment in prime_segments(start, limit):
-        yield from segment
+    if start <= 2 <= limit:
+        yield 2
+    for first, mask in segment_masks(start, limit):
+        yield from _segment_primes(first, mask)
 
 
 def primes_in_range(lo: int, hi: int) -> list:

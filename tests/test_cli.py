@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,9 @@ def test_partition_batch(tmp_path, capsys):
 
 BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
+# |t| < 2 with den(t) a cube and a fifth power: its odd-r preimages need num(t) factored
+SMALL_MERSENNE_89 = f"{MERSENNE_89}/{10**30}"
+PRIMORIAL_79 = str(math.prod(p for p in range(2, 80) if all(p % q for q in range(2, p))))
 
 
 def _run_cli(argv, timeout, stdout=subprocess.PIPE, **popen):
@@ -163,11 +167,14 @@ def test_index_beyond_primality_bound():
 
 @pytest.mark.parametrize(
     "argv",
-    [["classify", MERSENNE_89], ["partition", MERSENNE_89, "--r", "3", "--limit", "1000"]],
+    [
+        ["classify", SMALL_MERSENNE_89],
+        ["partition", SMALL_MERSENNE_89, "--r", "3", "--limit", "1000"],
+    ],
 )
 def test_odd_r_primitivity_beyond_primality_bound(argv):
-    # r-primitivity for odd r factors num(t); past the bound of is_prime
-    # the command exits 1 with a message
+    # r-primitivity for odd r and |t| <= 2 factors num(t); past the bound of
+    # is_prime the command exits 1 with a message
     proc = _run_cli(argv, timeout=20)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot factor")
@@ -178,6 +185,15 @@ def test_classify_many_divisors():
     proc = _run_cli(["classify", "117288381359406970983270"], timeout=20)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["t"] == "117288381359406970983270"
+
+
+@pytest.mark.parametrize("t", [PRIMORIAL_79, MERSENNE_89])
+def test_classify_large_t_without_factoring(t):
+    # 79# has 2**22 divisors and 2**89 - 1 is past the bound of is_prime;
+    # for |t| > 2 the odd-r preimages bisect over the integers past 2d
+    proc = _run_cli(["classify", t], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["t"] == t
 
 
 def test_quadmap_limit_capped(capsys):
@@ -200,7 +216,7 @@ def test_partition_refuses_before_sweeping(monkeypatch, capsys):
         raise AssertionError("swept before asking for the prediction")
 
     monkeypatch.setattr(partition, "compute_partition", sweep)
-    assert main(["partition", MERSENNE_89, "--r", "3", "--limit", "3000000"]) == 1
+    assert main(["partition", SMALL_MERSENNE_89, "--r", "3", "--limit", "3000000"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot factor") and captured.out == ""
 
@@ -217,7 +233,7 @@ def test_partition_refuses_before_sweeping(monkeypatch, capsys):
 )
 def test_partition_argument_errors(argv, message, capsys):
     # checked before the prediction, with the texts the sweep gives
-    assert main(["partition", MERSENNE_89, "--r", "3", "--limit", "100", *argv]) == 1
+    assert main(["partition", SMALL_MERSENNE_89, "--r", "3", "--limit", "100", *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

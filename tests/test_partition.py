@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -111,6 +112,30 @@ def test_threads_deterministic():
     one = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=1)
     two = compute_partition(F(2, 7), 3, 3000, j_max=4, threads=2)
     assert one == two
+
+
+def test_fan_out_bounded_by_cpu_count(monkeypatch):
+    # a huge threads asks for no more workers than CPUs; the fake pool maps
+    # in-process, so an unbounded request fails here without starting any
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    rep = compute_partition(3, 2, 10**4, threads=10**6)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    assert rep == compute_partition(3, 2, 10**4, threads=1)
 
 
 def test_spawn_matches_fork(monkeypatch):
@@ -330,9 +355,9 @@ def test_class_pass_judges_each_class_once(monkeypatch):
 )
 def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     # segments 16 * L wide, all full: the class pass buckets every prime of
-    # them, with a ladder where its class has no bucket, and the per-prime
-    # kernel sees only the special primes (p = r and the divisors of b it
-    # excludes before any kernel call)
+    # them, with a ladder where its class has no bucket, and hands the
+    # special primes to the per-prime kernel (p = r and the divisors of b
+    # it excludes before any kernel call), so no mask is read twice
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
@@ -343,11 +368,36 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         seen.append(p)
         return kernel(t_arg, p, *args)
 
-    monkeypatch.setattr(partition, "chi_valuation_from_characters", spy)
+    read = []  # the mask lengths _segment_primes reads
+    segment_primes = primes._segment_primes
+
+    def reading(first, mask):
+        read.append(len(mask))
+        return segment_primes(first, mask)
+
     hi = 1 + 3 * segment
+    want = _per_prime_counts(t, r, j_max, 2, hi)
+    monkeypatch.setattr(partition, "chi_valuation_from_characters", spy)
+    monkeypatch.setattr(primes, "_segment_primes", reading)
     rep = compute_partition(t, r, hi, j_max=j_max)
     assert set(seen) <= set(fixed.specials), t
-    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, j_max, 2, hi)
+    # only the base sieve up to isqrt(hi) reads its masks by prime
+    assert all(n < segment // 2 for n in read), t
+    assert rep.j_counts + [rep.overflow] == want
+
+
+def test_per_prime_loop_where_no_class_count_pays(monkeypatch):
+    # L = 45632 for -27/2 (r = 2) and 49476 for -25/3 (r = 7): 8L exceeds
+    # a default segment's mask, so the class pass judges no class and the
+    # per-prime loop buckets every prime of the three segments
+    judged = _record_class_verdicts(monkeypatch)
+    lo = 10**6
+    hi = lo + 2 * primes._SEGMENT + 17
+    for t, r, modulus in ((F(-27, 2), 2, 45632), (F(-25, 3), 7, 49476)):
+        assert _fixed_classes(t, r, 8).modulus == modulus
+        rep = compute_partition(t, r, hi, start=lo)
+        assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, 8, lo, hi), t
+    assert judged == []
 
 
 @pytest.mark.parametrize("r", [2, 5, 7])

@@ -101,7 +101,7 @@ def test_primes_in_range_random_and_edges():
 def test_segments_chain_to_primes_in_range(monkeypatch):
     # each piece holds only primes of its own _SEGMENT-wide slice of the range
     lo, hi = 10**7 - 5, 10**7 + 2 * primes._SEGMENT + 100
-    pieces = [list(piece) for piece in primes.prime_segments(lo, hi)]
+    pieces = [list(primes._segment_primes(*piece)) for piece in primes.segment_masks(lo, hi)]
     assert len(pieces) == 3
     for k, piece in enumerate(pieces):
         seg_lo = lo + k * primes._SEGMENT
@@ -127,6 +127,7 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
     lo, hi = 10**8 - 4 * primes._SEGMENT + 1, 10**8
     sieve_range = primes.primes_in_range
     want = sieve_range(lo, hi)
+    assert len(list(primes.segment_masks(lo, hi))) == 4
     calls = []
 
     def spy(lo, hi):
@@ -135,9 +136,7 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
         return sieve_range(lo, hi)
 
     monkeypatch.setattr(primes, "primes_in_range", spy)
-    segments = list(primes.prime_segments(lo, hi))
-    assert len(segments) == 4
-    assert [p for segment in segments for p in segment] == want
+    assert list(iter_primes(hi, start=lo)) == want
     # the base up to 10**4 is sieved once for all four segments, and the
     # bases of that base (up to 10**2, 10 and 3) once with it
     assert calls == [isqrt(hi), 10**2, 10, 3]
