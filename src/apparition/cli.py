@@ -128,14 +128,14 @@ def _spec(args):
 # benchmark tracer) is the one called.  The suites that compute chi at every
 # prime are capped where a run ends within about a minute (2 vCPUs, Python
 # 3.11.7: 34-46 s for prop11, twin, circular and ballot at 10**7, 33 s for
-# cubic's three chis per prime at 5*10**6); bridge, splitting and sequences
-# refuse past their own caps in experiments.
+# cubic's three chis per prime at 5*10**6); splitting and sequences refuse
+# past their own caps in experiments.
 _VERIFY = {
     "prop11": (lambda a: experiments.verify_prop11(_t(a), a.r, a.limit), 10**7),
     "twin": (lambda a: experiments.verify_twin(_t(a), a.limit), 10**7),
     "cubic": (lambda a: experiments.verify_cubic_associates(_t(a), a.limit), 5 * 10**6),
     "circular": (lambda a: experiments.verify_circular(_t(a), a.limit), 10**7),
-    "bridge": (lambda a: experiments.verify_bridge(_spec(a), a.limit), LIMIT_CAP),
+    "bridge": (lambda a: experiments.verify_bridge(_spec(a), a.limit), 10**7),
     "splitting": (
         lambda a: experiments.verify_splitting_theorems(
             _t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax

@@ -316,25 +316,44 @@ def lucas_index(spec: LucasSpec, p: int) -> int:
 
 
 def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
-    """Classical index of appearance == chi(t, p) for t = (T**2-2Q)/Q.
+    """Classical index of appearance (the rank) == chi(t, p) for
+    t = (T**2-2Q)/Q.
 
     An excluded t (T**2 = 4Q gives t = 2; T = 0 gives t = -2) has no
-    index to compare, so it is refused with a ValueError.  The classical
-    index is found by an O(p) scan, so the limit is capped at
-    ENUMERATION_CAP.
+    index to compare, so it is refused with a ValueError.  The rank is
+    certified by Lucas's law of apparition rather than found by a scan:
+    for p not dividing Q*delta, L_k = 0 mod p exactly when the rank
+    divides k, so chi is the rank when L_chi = 0 and L_{chi/q} != 0 for
+    every prime q | chi.  L comes from the (T, Q) ladder `lucas_pair_mod`,
+    chi from the trace ladder of `ring`, so the two sides stay apart, and
+    each prime costs a few O(log p) ladders, not a scan; a violation names
+    the condition that failed.  Odd p | T are skipped: there t = -2 mod p,
+    so D_t is not diagonalisable and chi = 2p, while xi = alpha/beta = -1
+    gives rank 2.  `lucas_index` is the scan oracle the tests compare with.
     """
-    if limit > ENUMERATION_CAP:
-        raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = spec.t
     if t in EXCLUDED:
         raise ValueError(f"degenerate spec: t = (T**2-2Q)/Q = {t} is excluded")
-    rep = CheckReport(name=f"bridge(T={spec.T}, Q={spec.Q})")
-    for p in _admissible(rep, limit, 2 * abs(spec.Q) * abs(spec.delta) * t.denominator):
-        got = lucas_index(spec, p)
+    T, Q = spec.T, spec.Q
+    rep = CheckReport(name=f"bridge(T={T}, Q={Q})")
+    for p in _admissible(rep, limit, 2 * abs(T * Q * spec.delta) * t.denominator):
         want = _chi(t, p)
-        if got != want:
-            rep.record(p, f"chi={want}", got)
+        failed = _rank_failure(T, Q, want, p)
+        if failed:
+            rep.record(p, f"rank={want}", failed)
     return rep
+
+
+def _rank_failure(T: int, Q: int, k: int, p: int) -> Optional[str]:
+    """None when k is the rank of L(T, Q) at p (p dividing neither Q nor
+    delta), else the condition of the law of apparition that fails there:
+    L_k != 0, or L_{k/q} = 0 for a prime q | k."""
+    if lucas_pair_mod(T, Q, k, p)[0]:
+        return f"L_{k}!=0"
+    for q in primes.distinct_prime_factors(k):
+        if not lucas_pair_mod(T, Q, k // q, p)[0]:
+            return f"L_{k // q}=0"
+    return None
 
 
 def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckReport:
@@ -482,10 +501,13 @@ def _root_count(f: list, p: int) -> int:
     constant first).
 
     That is deg gcd(f, x**p - x): x**p mod f by square-and-multiply on
-    coefficient lists, then Euclid, O(deg**2 * log p) in all.
+    coefficient lists, then Euclid, O(deg**2 * log p) in all.  The
+    reduction mod f and the times-x step walk only the nonzero lower
+    coefficients of f; the C_m - shift of the splitting suite has about
+    m/2 + 1 of them.
     """
     d = len(f) - 1
-    neg = [-c % p for c in f[:d]]  # x**d = sum(neg[i] * x**i) mod f
+    neg = [(i, -c % p) for i, c in enumerate(f[:d]) if c]  # x**d = sum(n * x**i) mod f
     h = [1] + [0] * (d - 1)
     for bit in bin(p)[2:]:
         c = [0] * (2 * d - 1)
@@ -498,14 +520,17 @@ def _root_count(f: list, p: int) -> int:
         for k in range(2 * d - 2, d - 1, -1):
             top = c[k] % p
             if top:
-                for i, ni in enumerate(neg, k - d):
-                    c[i] += top * ni
+                for i, ni in neg:
+                    c[k - d + i] += top * ni
         h = [ci % p for ci in c[:d]]
         if bit == "1":  # times x
             top = h[-1]
-            h = [(hi + top * ni) % p for hi, ni in zip([0] + h, neg)]
-    if d == 1:  # x = neg[0] mod f
-        h[0] = (h[0] - neg[0]) % p
+            h = [0] + h[:-1]
+            if top:
+                for i, ni in neg:
+                    h[i] = (h[i] + top * ni) % p
+    if d == 1:  # x = -f[0] mod f
+        h[0] = (h[0] + f[0]) % p
     else:
         h[1] = (h[1] - 1) % p
     a, b = f, h
@@ -852,7 +877,7 @@ def all_suites(limit: int):
     """Every exact suite once, as `apparition verify all` and
     scripts/verify_all.py run them; reports are yielded as they finish.
 
-    The O(p) scans (bridge, sequences, quadmap) and the splitting and
+    The bridge, the O(p) scans (sequences, quadmap) and the splitting and
     r = 3 Ballot suites take min(limit, 5000), min(limit, 2000) or
     ENUMERATION_CAP; the identity suite comes last.
     """

@@ -204,10 +204,10 @@ def test_quadmap_limit_capped(capsys):
 
 
 def test_bridge_limit_capped(capsys):
-    # the classical index is an O(p) scan, like the quadmap orbit
-    assert main(["verify", "bridge", "--limit", "10001"]) == 1
+    # the rank is certified in O(log p), so the bridge takes the chi-per-prime cap
+    assert main(["verify", "bridge", "--limit", "10000001"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: limit capped at {experiments.ENUMERATION_CAP} for O(p) scans\n"
+    assert captured.err == "error: limit capped at 10000000 for verify bridge\n"
     assert captured.out == ""
 
 
@@ -472,6 +472,7 @@ def test_limit_out_of_range(argv, capsys):
         ("circular", ["6/5"], "verify_circular"),
         ("ballot", [], "ballot_check"),
         ("all", [], "all_suites"),
+        ("bridge", [], "verify_bridge"),
     ],
 )
 def test_chi_suites_capped_by_cost(suite, argv, fn, monkeypatch, capsys):

@@ -117,6 +117,51 @@ def test_verify_bridge():
         ex.verify_bridge(ex.LucasSpec(2, 1), 100)  # T**2 = 4Q
 
 
+@pytest.mark.parametrize("T, Q", [(3, 2), (5, 6), (3, -1), (6, 5)])
+def test_verify_bridge_skips_odd_p_dividing_T(T, Q):
+    # at an odd p | T, t = -2 mod p: chi = 2p, while the rank is 2
+    assert ex.verify_bridge(ex.LucasSpec(T, Q), 2000).passed
+
+
+@pytest.mark.parametrize("T, Q", [(1, -1), (2, -1), (3, 2), (4, 3), (5, 6), (1, 3)])
+def test_rank_certificate_matches_scan(T, Q):
+    # the law-of-apparition certificate accepts the scanned rank, and it
+    # alone among its multiples and its divisors by one prime
+    spec = ex.LucasSpec(T, Q)
+    skip = 2 * abs(T * Q * spec.delta)
+    checked = 0
+    for p in iter_primes(3000, start=3):
+        if skip % p == 0:
+            continue
+        rank = ex.lucas_index(spec, p)
+        assert ex._chi(spec.t, p) == rank, p
+        assert ex._rank_failure(T, Q, rank, p) is None, p
+        assert ex._rank_failure(T, Q, 2 * rank, p) == f"L_{rank}=0", p
+        assert ex._rank_failure(T, Q, 3 * rank, p) == f"L_{rank}=0", p
+        for q in factorize(rank):
+            assert ex._rank_failure(T, Q, rank // q, p) == f"L_{rank // q}!=0", p
+        checked += 1
+    assert ex.verify_bridge(spec, 3000).primes_checked == checked
+
+
+def test_verify_bridge_scans_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ex, "lucas_index", lambda *args: calls.append(args))
+    assert ex.verify_bridge(FIB, 10**4).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("wrong", [lambda chi: 1, lambda chi: 2 * chi])
+def test_verify_bridge_catches_a_wrong_chi(wrong, monkeypatch):
+    # 1 is never the rank (L_1 = 1), and at 2 * chi the certificate finds
+    # L_chi = 0, so every prime checked is a violation
+    chi = ex.ring.chi_from_residue
+    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p: wrong(chi(tm, p)))
+    rep = ex.verify_bridge(FIB, 10**4)
+    assert rep.violation_count == rep.primes_checked > ex.VIOLATION_CAP
+    assert len(rep.violations) == ex.VIOLATION_CAP
+
+
 @pytest.mark.parametrize("T, Q", [(2, 1), (0, -1), (1, 1), (2, 2), (3, 3)])
 def test_verify_bridge_rejects_excluded_t(T, Q):
     # t = (T**2 - 2Q)/Q in {2, -2, -1, 0, 1}: no index to compare
