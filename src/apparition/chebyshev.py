@@ -99,6 +99,14 @@ def cheb_v_exact(m: int, x) -> Fraction:
     return t[m + 1] - t[m]
 
 
+def cheb_c_coeffs(m: int) -> list:
+    """Integer coefficients of C_m, constant first, for m >= 0."""
+    prev, cur = [2], [0, 1]  # C_0, C_1
+    for _ in range(m):  # C_{k+1} = x*C_k - C_{k-1}, one degree up
+        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
+    return prev
+
+
 def lucas_lift(t) -> tuple:
     """Integer (T, Q) with t = (T**2 - 2Q)/Q, via T = a + 2b for t = a/b.
 

@@ -3,11 +3,12 @@
 A parameter t (excluding 0, +-1, +-2) is classified by the square class
 of delta = t**2 - 4 (reducible / circular / cubic), by the r = 2
 non-genericity types A and B, by r-primitivity (does C_r(x) = t have a
-rational root; for |t| > 2 a bisection over the integers decides it
-without factoring num(t)) and by the stronger primitivity notions that
-also require the associate values to be primitive.  Each supported class
+rational root; for odd r a q-adic lift of the roots decides it without
+factoring num(t)) and by the stronger primitivity notions that also
+require the associate values to be primitive.  Each supported class
 comes with an exact rational density sequence for the partition by the
-r-adic valuation of the index.
+r-adic valuation of the index; a non-primitive t takes the sequence of a
+root, shifted by one level per root, as deep as the roots go.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .chebyshev import cheb_c_exact
+from .chebyshev import cheb_c_coeffs, cheb_c_exact
 from .errors import ExcludedParameter
 from .exactnum import is_r_scaled_square, is_square, rth_root
-from .primes import factorize, is_prime
+from .primes import is_prime
 
 EXCLUDED = frozenset(Fraction(v) for v in (0, 1, -1, 2, -2))  # degenerate parameters
 _DEFAULT_RS = (2, 3, 5, 7, 11, 13)
 
-TOWER_HALVING_CAP = 8     # circular tower recognition depth
-SHIFT_RECURSION_CAP = 4   # non-primitive root-shift depth
+TOWER_HALVING_CAP = 8  # circular tower recognition depth
 
 
 class Genericity(Enum):
@@ -64,45 +64,58 @@ class ParamClass:
 
 
 def cheb_preimages(r: int, t) -> list:
-    """Rational solutions x of C_r(x) = t, for prime r.
+    """Rational solutions x of C_r(x) = t, for prime r, ascending.
 
     For r = 2 this is the square test on 2 + t.  For odd r a reduced root
-    c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d) and
-    c | num(t) (C_r has zero constant term).  C_r is odd, maps [-2, 2] onto
-    itself and is increasing past 2, so for |t| > 2 the one real root has
-    |x| > 2 and the sign of t: c is found by bisection over the integers
-    past 2d, doubling the bound from 2d, with no factoring.  For |t| <= 2
-    only the divisors c <= 2d of num(t) are tried; raises ValueError when
-    `factorize` refuses num(t) there.
+    c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d), so
+    the roots are c/d for the integer roots c of the monic polynomial
+    F(c) = d**r * C_r(c/d) - num(t).  Each has |c| <= bound = 2d +
+    2**ceil(bits(num t)/r), since |x| <= 2 or x = y + 1/y with y**r < |t|.
+    A multiple root of C_r(x) - t mod q needs q | r or t = +-2 mod q, so
+    mod the least odd prime q prime to r*(num(t)**2 - 4*d**(2r)) every
+    root of F is simple and lifts to one q-adic root, a digit at a time,
+    until the modulus passes 2*bound; the lifts that are roots of F are
+    the answer, and nothing is factored.  t = +-2 has double roots mod
+    every q; there den(t) = 1 and, by Niven's theorem, a rational root is
+    +-1 or +-2.
     """
     t = Fraction(t)
     if r == 2:
         sq = is_square(t + 2)
-        if not sq:
-            return []
-        return sorted({sq.root, -sq.root})
-    if t.numerator == 0:
-        return [t]  # C_r(0) = 0; its other zeros, 2cos((2k + 1)pi / 2r), are irrational
-    d = 1 if t.denominator == 1 else rth_root(t.denominator, r)
+        return sorted({sq.root, -sq.root}) if sq else []
+    if abs(t) == 2:
+        return [Fraction(x) for x in (-2, -1, 1, 2) if cheb_c_exact(r, x) == t]
+    d = rth_root(t.denominator, r)
     if d is None:
         return []
-    if abs(t) > 2:
-        lo, hi = 2 * d, 4 * d  # C_r(lo / d) = 2 < |t|
-        while cheb_c_exact(r, Fraction(hi, d)) < abs(t):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:  # C_r(lo / d) < |t| <= C_r(hi / d)
-            mid = (lo + hi) // 2
-            if cheb_c_exact(r, Fraction(mid, d)) < abs(t):
-                lo = mid
-            else:
-                hi = mid
-        x = Fraction(hi, d)
-        return [x if t > 0 else -x] if cheb_c_exact(r, x) == abs(t) else []
-    numerators = [1]
-    for q, e in factorize(abs(t.numerator)).items():
-        numerators = [c * q**k for c in numerators for k in range(e + 1) if c * q**k <= 2 * d]
-    candidates = [x for c in numerators for x in (Fraction(c, d), Fraction(-c, d))]
-    return sorted(x for x in candidates if cheb_c_exact(r, x) == t)
+    a = t.numerator
+    f = [k * d ** (r - i) for i, k in enumerate(cheb_c_coeffs(r))]
+    f[0] -= a
+    df = [i * k for i, k in enumerate(f)][1:]
+    bound = 2 * d + 2 ** -(-a.bit_length() // r)
+    q = 3
+    while not is_prime(q) or r * (a * a - 4 * d ** (2 * r)) % q == 0:
+        q += 2
+    roots = []
+    for c in range(q):
+        if _value(f, c) % q:
+            continue
+        inv, m = pow(_value(df, c), -1, q), q
+        while m <= 2 * bound:
+            m *= q
+            c = (c - _value(f, c) * inv) % m
+        c = c - m if 2 * c > m else c
+        if _value(f, c) == 0:
+            roots.append(Fraction(c, d))
+    return sorted(roots)
+
+
+def _value(f, x: int) -> int:
+    """The integer polynomial f (constant first) at x, by Horner's rule."""
+    acc = 0
+    for k in reversed(f):
+        acc = acc * x + k
+    return acc
 
 
 def r_primitive(t, r: int) -> bool:
@@ -292,19 +305,20 @@ def predicted_densities(c: ParamClass, r: int, j_max: int) -> Prediction:
         raise ValueError(f"r must be prime, got {r}")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    return _predict(c, r, j_max, 0)
+    return _predict(c, r, j_max)
 
 
-def _predict(c: ParamClass, r: int, j_max: int, depth: int) -> Prediction:
+def _predict(c: ParamClass, r: int, j_max: int) -> Prediction:
     facts = r_facts(c.t, r)
 
     if not facts.primitive:
-        if depth >= SHIFT_RECURSION_CAP:
-            return _unsupported(r, j_max, "shift-depth-exceeded")
+        # den(t) = den(u)**r, and an integer u outside EXCLUDED has
+        # |C_r(u)| > |u|: each shift lowers den, or |num| at den 1, so the
+        # chain of shifts ends
         for u in cheb_preimages(r, c.t):
             if u in EXCLUDED:
                 continue
-            sub = _predict(classify(u), r, j_max + 1, depth + 1)
+            sub = _predict(classify(u), r, j_max + 1)
             if sub.supported:
                 full = list(sub._full)
                 full = [full[0] + full[1]] + full[2:]

@@ -51,7 +51,8 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _partition_one(t: Fraction, args) -> str:
+def _partition_one(t: Fraction, args):
+    """The sweep of t and its rows: compared with the prediction, or bare counts."""
     # the prediction before the sweep, so that a refused one exits at once
     partition.check_partition_args(t, args.r, args.limit, args.jmax, args.threads)
     pred = predicted_densities(classify(t), args.r, args.jmax)
@@ -59,13 +60,9 @@ def _partition_one(t: Fraction, args) -> str:
         t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
     if pred.supported:
-        rows = partition.compare(report, pred)
-    else:
-        rows = partition.counts_rows(report)
-        print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
-    if args.format == "json":
-        return partition.report_to_json(report, rows) + "\n"
-    return partition.rows_to_csv(rows)
+        return report, partition.compare(report, pred)
+    print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
+    return report, partition.counts_rows(report)
 
 
 def _cmd_partition(args) -> int:
@@ -74,19 +71,24 @@ def _cmd_partition(args) -> int:
     if args.threads < 1:
         raise ValueError("threads must be >= 1")
     if args.batch:
-        chunks = []
         with open(args.batch, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                t = parse_rational(line)
-                chunks.append(f"# t={t}\n" + _partition_one(t, args))
-        _write("".join(chunks), args.out)
-        return 0
-    if args.t is None:
+            lines = [line.strip() for line in fh]
+        ts = [parse_rational(line) for line in lines if line and not line.startswith("#")]
+    elif args.t is None:
         raise ValueError("either t or --batch is required")
-    _write(_partition_one(parse_rational(args.t), args), args.out)
+    else:
+        ts = [parse_rational(args.t)]
+    results = [_partition_one(t, args) for t in ts]
+    if args.format == "json":
+        # a batch is one array of the per-t documents, each carrying its "t"
+        docs = [partition.report_to_dict(report, rows) for report, rows in results]
+        text = json.dumps(docs if args.batch else docs[0], indent=2) + "\n"
+    else:
+        text = "".join(
+            (f"# t={report.t}\n" if args.batch else "") + partition.rows_to_csv(rows)
+            for report, rows in results
+        )
+    _write(text, args.out)
     return 0
 
 
@@ -169,7 +171,7 @@ def _cmd_dynamics(args) -> int:
             _required(args.x0, "x0"), args.k, args.nmax, args.limit
         )
     else:
-        rep = experiments.quadmap_divisor_check(_required(args.t, "t"), args.limit)
+        rep = experiments.quadmap_divisor_check(_required(args.x0, "t"), args.limit)
     return _report_exit([rep], None)
 
 
@@ -242,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="orbit divisor experiments")
     p.add_argument("kind", choices=("chebyshev", "quadmap"))
-    p.add_argument("x0", nargs="?", help="initial value (chebyshev)")
-    p.add_argument("--t", dest="t", help="parameter (quadmap)")
+    p.add_argument("x0", nargs="?", help="initial value (chebyshev) or parameter t (quadmap)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--limit", type=int, default=10**4)
@@ -270,8 +271,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse printed a usage error (or --help)
         return 1 if exc.code else 0
-    if args.command == "dynamics" and args.kind == "quadmap" and args.t is None:
-        args.t = args.x0  # positional doubles as t for quadmap
     if sys.stdout is None and not (args.command == "partition" and args.out):
         # the process started without fd 1, and print would drop every line
         print("error: stdout is closed", file=sys.stderr)

@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import primes, ring
 from .chebyshev import (
+    cheb_c_coeffs,
     cheb_c_exact,
     cheb_c_mod,
     cheb_u_exact,
@@ -440,11 +441,11 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     else z = chi.  The scan side looks for an actual zero of the sequence
     mod p within one period, or for the subsequence U_{rk+1} within
     (r - 1)*chi + 2 steps, which reach every residue class of z*m mod r.
+    `family` is one of SEQUENCE_FAMILIES, spelled exactly.
     """
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = Fraction(t)
-    family = family.upper() if family.upper() in {"W", "V", "C", "S"} else family.lower()
     if family not in SEQUENCE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     skip = [t.denominator]
@@ -552,20 +553,6 @@ def _root_count(f: list, p: int) -> int:
     return len(a) - 1
 
 
-def _cheb_c_coeffs(ms) -> dict:
-    """m -> integer coefficients of C_m, constant first, for each m >= 1 in ms."""
-    out = {}
-    prev, cur = [2], [0, 1]  # C_0, C_1
-    for m in range(1, max(ms, default=0) + 1):
-        if m in ms:
-            out[m] = cur
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return out
-
-
 def _splitting_verdicts(tm: int, r: int, p: int, n_max: int, j_max: int,
                         variant: str, c_polys: dict):
     """Theorem side of the splitting suite at p: k[j] says p is in K_j
@@ -643,7 +630,7 @@ def verify_splitting_theorems(
     ms = {r**n for n in range(1, n_max + 1)}
     if variant == "two":
         ms |= {2**i for i in range(j_max - 1)}
-    c_polys = _cheb_c_coeffs(ms)
+    c_polys = {m: cheb_c_coeffs(m) for m in ms}
     rep = CheckReport(name=f"splitting(t={t}, r={r})")
     for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)

@@ -371,6 +371,11 @@ def counts_rows(report: PartitionReport) -> list:
 
 def report_to_json(report: PartitionReport, rows=None) -> str:
     """JSON mirror of the report and comparison rows."""
+    return json.dumps(report_to_dict(report, rows), indent=2)
+
+
+def report_to_dict(report: PartitionReport, rows=None) -> dict:
+    """The document of `report_to_json`, before it is dumped."""
     doc = {
         "t": str(report.t),
         "r": report.r,
@@ -393,4 +398,4 @@ def report_to_json(report: PartitionReport, rows=None) -> str:
             }
             for row in rows
         ]
-    return json.dumps(doc, indent=2)
+    return doc

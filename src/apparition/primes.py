@@ -23,12 +23,13 @@
   variant of Pollard rho on the cofactor, with `is_prime` on every piece.
   It answers for every n whose cofactor `is_prime` can decide (below
   3.3*10**24) and raises ValueError past that.  It is the package's one
-  factoring path: `ring.chi_from_residue` factors p -+ 1 with it, and
-  `classify.cheb_preimages` the numerator of a t with |t| <= 2.
+  factoring path: `ring.chi_from_residue` factors p -+ 1 with it, and the
+  non-divisor suite p -+ 1 (or 2p) below 10**4.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
-  `ring.chi_from_residue`.  The partition sweep and the membership test
-  of the non-divisor suite factor nothing: they read v_r(chi) from the
-  ring kernel.
+  `ring.chi_from_residue` and for the bridge suite's rank certificate,
+  `experiments._rank_failure`.  The partition sweep, the membership test
+  of the non-divisor suite and the classifier factor nothing: the first
+  two read v_r(chi) from the ring kernel.
 - `base_primes` and `spf_table`: the primes up to a bound, and a
   smallest-prime-factor table built on each call; the benchmark tracer
   names both, and no program path reads the table.

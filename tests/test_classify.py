@@ -1,5 +1,7 @@
 import importlib
 import json
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -124,12 +126,32 @@ def _preimages_by_every_divisor(r, t):
 
 @pytest.mark.parametrize("r", [3, 5, 7])
 def test_preimages_match_every_divisor(r):
-    # both sides of |t| = 2: the bisection past 2, the |c/d| <= 2 filter inside
+    # both sides of |t| = 2: one real root past 2, up to r of them inside
     ts = {F(a, b) for a in range(-150, 151) if a for b in (1, 8, 27, 32, 243)}
     ts |= {cheb_c_exact(r, F(c, d)) for c in range(-9, 10) for d in (1, 2, 3)}
     for t in sorted(ts - {0}):
         if abs(t.numerator) <= 10**5:
             assert cheb_preimages(r, t) == _preimages_by_every_divisor(r, t), t
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13])
+def test_preimages_forward_roots_past_factoring_bound(r):
+    # d near 10**9 puts num(C_r(c/d)) past 3.3*10**24, where num(t) cannot be
+    # factored; the q-adic lift finds every c/d without factoring it
+    rng = random.Random(r)
+    xs = [F(0), F(1), F(-1), F(2), F(-2)]
+    while len(xs) < 40:
+        d = rng.randrange(10**8, 10**9)
+        c = rng.randrange(-2 * d, 2 * d) if len(xs) % 2 else rng.randrange(-d**2, d**2)
+        if math.gcd(c, d) == 1:
+            xs.append(F(c, d))
+    for x in xs:
+        t = cheb_c_exact(r, x)
+        roots = cheb_preimages(r, t)
+        assert x in roots and all(cheb_c_exact(r, y) == t for y in roots), x
+    assert cheb_preimages(r, 0) == [0]
+    assert cheb_preimages(r, 2) == ([-1, 2] if r == 3 else [2])  # C_3(-1) = 2
+    assert cheb_preimages(r, -2) == ([-2, 1] if r == 3 else [-2])
 
 
 def test_twin_mirror():
@@ -202,6 +224,16 @@ def test_prediction_root_shift():
     # 18 = C_3(3)
     p = _dens(18, 3, 2)
     assert p.densities == [F(7, 8), F(1, 12), F(1, 36)]
+
+
+def test_prediction_shifts_down_a_tower():
+    # C_{2^k}(3) = C_2(C_{2^(k-1)}(3)): k root shifts reach 3's two-generic rule
+    t = F(3)
+    for k in range(1, 11):
+        t = t * t - 2
+        p = _dens(t, 2, 4)
+        assert p.supported and p.total_mass() == 1
+        assert p.source.count("root-shift(") == k and p.source.endswith("->two-generic"), k
 
 
 def test_prediction_circular_tower():
@@ -313,12 +345,17 @@ def test_json_dict_text(t, text):
 
 
 def test_classify_reads_no_odd_r_facts(monkeypatch):
-    # odd-r primitivity factors num(t); an r = 2 prediction never needs it
-    def refuse(n):
-        raise AssertionError(f"factorize({n}) called")
+    # odd-r primitivity is left to r_facts; an r = 2 prediction never asks for it
+    # (the package re-exports the function `classify`, which hides the module)
+    module = importlib.import_module("apparition.classify")
+    preimages, calls = module.cheb_preimages, []
 
-    # the package re-exports the function `classify`, which hides the module
-    monkeypatch.setattr(importlib.import_module("apparition.classify"), "factorize", refuse)
+    def spy(r, t):
+        calls.append(r)
+        return preimages(r, t)
+
+    monkeypatch.setattr(module, "cheb_preimages", spy)
     t = F(10**18 + 3)
     assert not classify(t).cubic
     assert predicted_densities(classify(t), 2, 4).source == "two-generic"
+    assert calls == [2]

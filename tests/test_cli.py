@@ -84,9 +84,23 @@ def test_partition_batch(tmp_path, capsys):
     assert "# t=3" in out and "# t=2/7" in out
 
 
+def test_partition_batch_json(tmp_path, capsys):
+    # one JSON array, whose items are the single-t documents in file order
+    batch = tmp_path / "batch.txt"
+    batch.write_text("3\n# c\n2/7\n")
+    args = ["--limit", "100", "--jmax", "2", "--format", "json"]
+    assert main(["partition", "--batch", str(batch), *args]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    singles = []
+    for t in ("3", "2/7"):
+        assert main(["partition", t, *args]) == 0
+        singles.append(json.loads(capsys.readouterr().out))
+    assert docs == singles and [doc["t"] for doc in docs] == ["3", "2/7"]
+
+
 BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
-# |t| < 2 with den(t) a cube and a fifth power: its odd-r preimages need num(t) factored
+# |t| < 2 with den(t) a cube and a fifth power, and num(t) past the bound of is_prime
 SMALL_MERSENNE_89 = f"{MERSENNE_89}/{10**30}"
 PRIMORIAL_79 = str(math.prod(p for p in range(2, 80) if all(p % q for q in range(2, p))))
 
@@ -173,11 +187,12 @@ def test_index_beyond_primality_bound():
     ],
 )
 def test_odd_r_primitivity_beyond_primality_bound(argv):
-    # r-primitivity for odd r and |t| <= 2 factors num(t); past the bound of
-    # is_prime the command exits 1 with a message
+    # odd-r primitivity lifts the roots of C_r(x) = t q-adically and factors
+    # nothing, so a num(t) past the bound of is_prime is no obstacle
     proc = _run_cli(argv, timeout=20)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: cannot factor")
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "classify":
+        assert json.loads(proc.stdout)["per_r"]["3"]["primitive"] is True
 
 
 def test_classify_many_divisors():
@@ -212,13 +227,23 @@ def test_bridge_limit_capped(capsys):
 
 
 def test_partition_refuses_before_sweeping(monkeypatch, capsys):
-    def sweep(*args, **kwargs):
-        raise AssertionError("swept before asking for the prediction")
+    # the prediction comes first, so a refused one exits before the sweep starts
+    calls = []
+    predict, sweep = cli.predicted_densities, partition.compute_partition
 
-    monkeypatch.setattr(partition, "compute_partition", sweep)
-    assert main(["partition", SMALL_MERSENNE_89, "--r", "3", "--limit", "3000000"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: cannot factor") and captured.out == ""
+    def predict_spy(*args):
+        calls.append("predict")
+        return predict(*args)
+
+    def sweep_spy(*args, **kwargs):
+        calls.append("sweep")
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predicted_densities", predict_spy)
+    monkeypatch.setattr(partition, "compute_partition", sweep_spy)
+    assert main(["partition", SMALL_MERSENNE_89, "--r", "3", "--limit", "1000"]) == 0
+    assert calls == ["predict", "sweep"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -507,6 +532,17 @@ def test_sequences_rejects_unknown_family(capsys):
     assert "invalid choice: 'foo'" in err and "Traceback" not in err
     with pytest.raises(ValueError, match="unknown family 'foo'"):
         experiments.sequence_divisor_check(3, "foo", 2)
+    # the names of SEQUENCE_FAMILIES, spelled exactly as the CLI accepts them
+    for family in ("w", "Subsequence"):
+        assert main(["verify", "sequences", "3", "--family", family, "--limit", "2"]) == 1
+        with pytest.raises(ValueError, match=f"unknown family '{family}'"):
+            experiments.sequence_divisor_check(3, family, 2)
+    capsys.readouterr()
+
+
+def test_quadmap_takes_t_as_the_positional(capsys):
+    assert main(["dynamics", "quadmap", "--t", "5", "--limit", "100"]) == 1
+    assert "unrecognized arguments: --t" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

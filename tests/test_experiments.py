@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from apparition import experiments as ex
 from apparition import primes, ring
-from apparition.chebyshev import cheb_c_mod, lucas_pair_mod
+from apparition.chebyshev import cheb_c_coeffs, cheb_c_mod, lucas_pair_mod
 from apparition.classify import EXCLUDED
 from apparition.errors import (
     BadPrime,
@@ -246,7 +246,7 @@ def _verdicts(t, r: int, p: int, n_max: int, j_max: int):
     if variant == "two":
         ms |= {2**i for i in range(j_max - 1)}
     return ex._splitting_verdicts(
-        residue(t, p), r, p, n_max, j_max, variant, ex._cheb_c_coeffs(ms)
+        residue(t, p), r, p, n_max, j_max, variant, {m: cheb_c_coeffs(m) for m in ms}
     )
 
 
@@ -327,7 +327,7 @@ def _horner(f, x: int, p: int) -> int:
 def test_root_count_matches_enumeration():
     # every polynomial whose roots the splitting suite counts, for every prime 5 <= p < 1000
     ms = {r**n for r in ROOT_RS for n in (1, 2)} | {2**i for i in range(4)}
-    coeffs = ex._cheb_c_coeffs(ms)
+    coeffs = {m: cheb_c_coeffs(m) for m in ms}
     for p in iter_primes(999, start=5):
         tms = [residue(t, p) for t in ROOT_TS if t.denominator % p]
         for tm in tms:
