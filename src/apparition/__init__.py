@@ -9,8 +9,8 @@ and the exact per-prime relations by sweeps over all primes up to N.
 
 from fractions import Fraction as Rational
 
-from .classify import ParamClass, Prediction, associates, classify, predicted_densities
-from .exactnum import format_rational, is_r_scaled_square, is_square, parse_rational, rth_root
+from .classify import ParamClass, Prediction, classify, predicted_densities
+from .exactnum import is_square, parse_rational, rth_root
 from .partition import PartitionReport, compare, compute_partition, merge_reports
 from .primes import factorize, sieve
 from .ring import ModParam, RingElem, element_order, group_order, index, index_by_scan, reduce_param
@@ -19,11 +19,8 @@ __all__ = [
     "Rational",
     "ParamClass",
     "Prediction",
-    "associates",
     "classify",
     "predicted_densities",
-    "format_rational",
-    "is_r_scaled_square",
     "is_square",
     "parse_rational",
     "rth_root",

@@ -1,6 +1,9 @@
 """Taxonomy of rational parameters and the exact density prediction table.
 
-A parameter t (excluding 0, +-1, +-2) is classified by the square class
+`parameter` is the one gate on the paper's t: it refuses the degenerate
+values 0, +-1, +-2 with ExcludedParameter, and every entry point whose
+subject is t (classify, the partition sweep, the exact suites) calls it.
+A parameter t is classified by the square class
 of delta = t**2 - 4 (reducible / circular / cubic), by the r = 2
 non-genericity types A and B, by r-primitivity (does C_r(x) = t have a
 rational root; for odd r a q-adic lift of the roots decides it without
@@ -8,7 +11,10 @@ factoring num(t)) and by the stronger primitivity notions that also
 require the associate values to be primitive.  Each supported class
 comes with an exact rational density sequence for the partition by the
 r-adic valuation of the index; a non-primitive t takes the sequence of a
-root, shifted by one level per root, as deep as the roots go.
+root, shifted by one level per root, as deep as the roots go.  A
+circular t that is not circular-primitive is recognized as a tower by
+halving its associate, with no depth limit: each halving takes the
+denominator to its square root, so the search ends.
 """
 
 from __future__ import annotations
@@ -20,13 +26,19 @@ from typing import Optional
 
 from .chebyshev import cheb_c_coeffs, cheb_c_exact
 from .errors import ExcludedParameter
-from .exactnum import is_r_scaled_square, is_square, rth_root
+from .exactnum import is_square, rth_root
 from .primes import is_prime
 
-EXCLUDED = frozenset(Fraction(v) for v in (0, 1, -1, 2, -2))  # degenerate parameters
+EXCLUDED = frozenset(Fraction(v) for v in (0, 1, -1, 2, -2))  # the degenerate values of t
 _DEFAULT_RS = (2, 3, 5, 7, 11, 13)
 
-TOWER_HALVING_CAP = 8  # circular tower recognition depth
+
+def parameter(t) -> Fraction:
+    """t as a Fraction; raises ExcludedParameter on 0, +-1, +-2."""
+    t = Fraction(t)
+    if t in EXCLUDED:
+        raise ExcludedParameter(f"t = {t} is excluded")
+    return t
 
 
 class Genericity(Enum):
@@ -131,7 +143,7 @@ def r_facts(t, r: int) -> RFacts:
         return RFacts(primitive, Genericity.GENERIC)
     delta = t * t - 4
     sign = 1 if r % 4 == 1 else -1
-    sq = is_r_scaled_square(delta, r, sign)
+    sq = is_square(delta / (sign * r))
     if sq:
         kind = Genericity.PLUS_SQUARE if sign == 1 else Genericity.MINUS_SQUARE
         return RFacts(primitive, kind, sq.root)
@@ -143,9 +155,7 @@ def classify(t) -> ParamClass:
 
     The per-r facts are left to `r_facts(t, r)`, for the r a caller reads.
     """
-    t = Fraction(t)
-    if t in EXCLUDED:
-        raise ExcludedParameter(f"t = {t} is excluded")
+    t = parameter(t)
     delta = t * t - 4
     out = ParamClass(t=t)
 
@@ -157,7 +167,7 @@ def classify(t) -> ParamClass:
     if circ:
         out.circular = True
         out.circular_associate = circ.root
-    cub = is_r_scaled_square(delta, 3, -1)
+    cub = is_square(delta / -3)
     if cub:
         b = cub.root
         out.cubic = True
@@ -182,18 +192,6 @@ def classify(t) -> ParamClass:
     return out
 
 
-def associates(t) -> list:
-    """Associate values as (label, value) pairs: twin always; cubic/circular when present."""
-    c = classify(t)
-    out = [("twin", -c.t)]
-    if c.cubic:
-        a1, a2 = c.cubic_associates
-        out += [("cubic_a1", a1), ("cubic_a2", a2)]
-    if c.circular:
-        out.append(("circular", c.circular_associate))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # circular tower recognition: v = w_k after k doubling steps
 # ---------------------------------------------------------------------------
@@ -201,18 +199,27 @@ def associates(t) -> list:
 
 def circular_tower_depth(t) -> Optional[int]:
     """Depth k >= 1 if t arises as the w-side of k squarings of a
-    circular-primitive pair (t0, w0); None when not recognized within
-    TOWER_HALVING_CAP halvings.
+    circular-primitive pair (t0, w0), else None.
 
     The search inverts t_j = t_{j-1}**2 - 2, w_j = t_{j-1} * w_{j-1}:
     halve the non-primitive side of the pair while 2 +- x is a rational
     square, and accept when both sides of the pair become 2-primitive.
     For circular values the 2-primitivity test is sign-independent
     because (2 + x)(2 - x) is the square of the associate.
+
+    The search ends with no depth limit.  It starts at x = sqrt(4 - t**2)
+    and visits only square roots of 2 +- x, so every x lies in [0, 2].
+    For a reduced x = c/d, 2 +- x = (2d +- c)/d is reduced too, so a
+    rational root has denominator sqrt(d): each halving takes den(x) to
+    its square root, and a chain from den(x) > 1 ends within about
+    log2(log2(den x)) + 1 steps.  At den(x) = 1, x = 0 stops at once, and
+    x = 1 and x = 2 are fixed points, reached only from themselves, that
+    is from t**2 = 3 (no rational t) or from t = 0, which returns None
+    at once.  At most two branches are taken per level.
     """
     t = Fraction(t)
     sq = is_square(4 - t * t)
-    if not sq:
+    if t == 0 or not sq:
         return None
     return _tower_search(sq.root, t, 0)
 
@@ -224,8 +231,6 @@ def _tower_search(x, y, depth: int) -> Optional[int]:
         # x is 2-primitive; accept iff the w-side is too and we halved at all
         if depth >= 1 and not is_square(2 + y) and not is_square(2 - y):
             return depth
-        return None
-    if depth >= TOWER_HALVING_CAP:
         return None
     for s in (s_plus, s_minus):
         if s and s.root != 0:

@@ -150,7 +150,7 @@ _VERIFY = {
         LIMIT_CAP,
     ),
 }
-# every suite once: 29 s at 10**6 on the same host
+# every suite once, both bridges to the limit: 31-33 s at 10**6 on the same host
 _VERIFY_ALL_CAP = 10**6
 
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -29,11 +27,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def format_rational(q) -> str:
-    """Inverse of parse_rational: "a/b" for non-integers, bare "a" otherwise."""
-    return str(Fraction(q))
 
 
 @dataclass(frozen=True)
@@ -60,15 +53,6 @@ def is_square(q) -> SquareClass:
     if rn * rn != q.numerator or rd * rd != q.denominator:
         return SquareClass()
     return SquareClass(Fraction(rn, rd))
-
-
-def is_r_scaled_square(q, r: int, sign: int) -> SquareClass:
-    """Test whether q = sign * r * b**2 for a rational b, returning b when so."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return is_square(Fraction(q) / (sign * r))
 
 
 def rth_root(n: int, r: int) -> Optional[int]:

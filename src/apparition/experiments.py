@@ -31,7 +31,7 @@ from .chebyshev import (
     lucas_pair_mod,
     u_table_exact,
 )
-from .classify import EXCLUDED, classify
+from .classify import EXCLUDED, classify, parameter
 from .errors import (
     BadPrime,
     NotCircular,
@@ -103,10 +103,11 @@ def _admissible(rep: CheckReport, limit: int, *dens: int):
 
     Each p is counted in `rep.primes_checked` once the caller's loop body
     for it has run, so the body reads the count of the earlier primes.
+    Every dens is nonzero once the caller's t has passed
+    `classify.parameter`: a zero needs U_r(t) = 0 (t in {0, +-1}),
+    t**2 - 4 = 0 or T = 0 (t = +-2), or a cubic b = 0 (t = +-2).
     """
     skip = prod(dens)
-    if skip == 0:
-        raise ValueError("degenerate parameter: a modulus to skip is 0")
     for p in primes.iter_primes(limit, start=3):
         if skip % p:
             yield p
@@ -140,7 +141,7 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     between the two rings degenerates.
     """
     _require_prime(r)
-    t = Fraction(t)
+    t = parameter(t)
     t_r = cheb_c_exact(r, t)
     u_r = cheb_u_exact(r, t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
@@ -155,7 +156,7 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
 
 def verify_twin(t, limit: int) -> CheckReport:
     """chi(-t) is 2*chi, chi/2, or chi according to v_2(chi) = 0, 1, >=2."""
-    t = Fraction(t)
+    t = parameter(t)
     rep = CheckReport(name=f"twin(t={t})")
     for p in _admissible(rep, limit, t.denominator):
         chi = _chi(t, p)
@@ -321,7 +322,7 @@ def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
     t = (T**2-2Q)/Q.
 
     An excluded t (T**2 = 4Q gives t = 2; T = 0 gives t = -2) has no
-    index to compare, so it is refused with a ValueError.  The rank is
+    index to compare, so `classify.parameter` refuses it.  The rank is
     certified by Lucas's law of apparition rather than found by a scan:
     for p not dividing Q*delta, L_k = 0 mod p exactly when the rank
     divides k, so chi is the rank when L_chi = 0 and L_{chi/q} != 0 for
@@ -332,9 +333,7 @@ def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
     so D_t is not diagonalisable and chi = 2p, while xi = alpha/beta = -1
     gives rank 2.  `lucas_index` is the scan oracle the tests compare with.
     """
-    t = spec.t
-    if t in EXCLUDED:
-        raise ValueError(f"degenerate spec: t = (T**2-2Q)/Q = {t} is excluded")
+    t = parameter(spec.t)
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"bridge(T={T}, Q={Q})")
     for p in _admissible(rep, limit, 2 * abs(T * Q * spec.delta) * t.denominator):
@@ -364,20 +363,21 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     Closed forms checked exactly: for odd r, B_k = Q^a W_r(C_k(t)) for odd k
     and B_{2s} = Q^a U_r(C_s(t)); for r = 2, B_k = T Q^((k-1)/2) V_k(t)
     (odd k) and B_{2s} = Q^s C_s(t).  Certificates: r | chi implies
-    p | B_{chi/r}, and p | B_k for k <= k_max implies r | chi.
+    p | B_{chi/r}, and p | B_k for k <= k_max implies r | chi.  No L_k
+    with k >= 1 is 0 once t has passed `classify.parameter`: L_k = 0 makes
+    alpha/beta a root of unity of degree <= 2, so t = alpha/beta +
+    beta/alpha is one of 0, +-1, -2.
     """
     _require_prime(r)
     if not 1 <= k_max <= 60:
         raise ValueError(f"k_max must be in [1, 60] (exact values), got {k_max}")
-    t = spec.t
+    t = parameter(spec.t)
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"ballot(T={T}, Q={Q}, r={r})")
 
     lucas = [0, 1]
     for _ in range(r * k_max):
         lucas.append(T * lucas[-1] - Q * lucas[-2])
-    if any(lucas[k] == 0 for k in range(1, r * k_max + 1)):
-        raise ValueError("degenerate Lucas sequence (zero term)")
 
     bs = [None]  # 1-indexed
     for k in range(1, k_max + 1):
@@ -445,7 +445,7 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     """
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
-    t = Fraction(t)
+    t = parameter(t)
     if family not in SEQUENCE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     skip = [t.denominator]
@@ -616,7 +616,7 @@ def verify_splitting_theorems(
         raise ValueError(
             f"need 1 <= j_max <= {j_cap} and n_max >= 0, got j_max={j_max}, n_max={n_max}"
         )
-    t = Fraction(t)
+    t = parameter(t)
     if r**n_max > DEGREE_CAP or (r == 2 and 2 ** (j_max - 2) > DEGREE_CAP):
         raise ValueError(
             f"polynomial degree capped at {DEGREE_CAP}: need r**n_max"
@@ -725,7 +725,7 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
     """
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
-    t = Fraction(t)
+    t = parameter(t)
     rep = CheckReport(name=f"quadmap(t={t})")
     for p in _admissible(rep, limit, t.denominator):
         tm = ring.residue(t, p)
@@ -783,7 +783,7 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     subgroup criterion too, and its disagreements are counted in
     `criterion_disagreements` rather than resolved.
     """
-    t, y0, y1 = Fraction(t), Fraction(y0), Fraction(y1)
+    t, y0, y1 = parameter(t), Fraction(y0), Fraction(y1)
     det = y1 * y1 - t * y0 * y1 + y0 * y0
     if det != 1:
         hint = "a square" if is_square(det) else "not a square (half the primes are non-divisors)"
@@ -864,9 +864,10 @@ def all_suites(limit: int):
     """Every exact suite once, as `apparition verify all` and
     scripts/verify_all.py run them; reports are yielded as they finish.
 
-    The bridge, the O(p) scans (sequences, quadmap) and the splitting and
-    r = 3 Ballot suites take min(limit, 5000), min(limit, 2000) or
-    ENUMERATION_CAP; the identity suite comes last.
+    Every suite that computes chi by ladders, the bridge included, runs
+    to limit; the O(p) scans (sequences, quadmap) and the splitting and
+    r = 3 Ballot suites take min(limit, 2000) or ENUMERATION_CAP; the
+    identity suite comes last.
     """
     n, cap = limit, min(limit, 2000)
     fib, pell = LucasSpec(1, -1), LucasSpec(2, -1)
@@ -877,8 +878,8 @@ def all_suites(limit: int):
     yield verify_twin(two_sevenths, n)
     yield verify_cubic_associates(two_sevenths, n)
     yield verify_circular(Fraction(6, 5), n)
-    yield verify_bridge(fib, min(n, 5000))
-    yield verify_bridge(pell, min(n, 5000))
+    yield verify_bridge(fib, n)
+    yield verify_bridge(pell, n)
     yield ballot_check(fib, 2, n, k_max=30)
     yield ballot_check(fib, 3, cap, k_max=20)
     for family in ("W", "V", "C"):

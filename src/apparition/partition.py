@@ -65,8 +65,8 @@ from math import gcd, lcm, sqrt
 from typing import Optional
 
 from . import primes
-from .classify import EXCLUDED, Prediction
-from .errors import ExcludedParameter, UnsupportedPrediction
+from .classify import Prediction, parameter
+from .errors import UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .ring import chi_valuation_by_ladder, chi_valuation_by_order, chi_valuation_from_characters
 from .ring import legendre
@@ -258,9 +258,7 @@ def _sweep_range(args) -> PartitionReport:
 
 def check_partition_args(t, r: int, limit: int, j_max: int, threads: int) -> Fraction:
     """t as a Fraction, or the error `compute_partition` would raise."""
-    t = Fraction(t)
-    if t in EXCLUDED:
-        raise ExcludedParameter(f"t = {t} is excluded")
+    t = parameter(t)
     if limit < 2 or threads < 1 or j_max < 0:
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
     if j_max > J_MAX_CAP:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from apparition.chebyshev import cheb_c_exact
 from apparition.classify import (
     Genericity,
-    associates,
     cheb_preimages,
     circular_tower_depth,
     classify,
@@ -71,16 +70,6 @@ def test_classify_minus_square_r7():
     assert r_facts(c.t, 7).genericity is Genericity.MINUS_SQUARE
     assert r_facts(c.t, 7).scale_root == F(1, 2)  # 9/4 - 4 = -7*(1/2)**2
     assert r_facts(c.t, 7).primitive
-
-
-def test_associates():
-    assert associates(F(2, 7)) == [
-        ("twin", F(-2, 7)),
-        ("cubic_a1", F(11, 7)),
-        ("cubic_a2", F(-13, 7)),
-    ]
-    assert associates(F(6, 5)) == [("twin", F(-6, 5)), ("circular", F(8, 5))]
-    assert associates(3) == [("twin", F(-3))]
 
 
 def test_cubic_invariant():
@@ -245,6 +234,30 @@ def test_prediction_circular_tower():
     assert p.densities == [F(1, 12), F(1, 12), F(2, 3), F(1, 12)]
     p = _dens(F(-672, 625), 2, 3)
     assert p.densities == [F(1, 24), F(1, 24), F(5, 6), F(1, 24)]
+
+
+def _circular_tower(k: int) -> F:
+    """w_k of the tower from the circular-primitive pair (6/5, 8/5)."""
+    t, w = F(6, 5), F(8, 5)
+    for _ in range(k):
+        t, w = t * t - 2, t * w
+    return w
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_circular_tower_depth_has_no_cap(k):
+    # den(w_k) has about 2**k * 2.3 bits; each halving takes it to its root
+    assert circular_tower_depth(_circular_tower(k)) == k
+
+
+def test_prediction_deep_circular_tower():
+    p = _dens(_circular_tower(9), 2, 4)
+    assert p.source == "circular-tower(k=9)" and p.total_mass() == 1
+
+
+def test_circular_tower_depth_of_zero():
+    # 4 - 0**2 = 2**2, and x = 2 is a fixed point of x -> sqrt(2 + x)
+    assert circular_tower_depth(0) is None
 
 
 def test_prediction_unsupported_cubic_tower():

@@ -406,6 +406,12 @@ def test_bridge_rejects_excluded_t(T, Q, capsys):
     assert "is excluded" in captured.err and captured.out == ""
 
 
+def test_suite_refuses_excluded_t_before_checking(capsys):
+    assert main(["verify", "splitting", "2", "--r", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: t = 2 is excluded\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,6 +10,7 @@ from apparition.chebyshev import cheb_c_coeffs, cheb_c_mod, lucas_pair_mod
 from apparition.classify import EXCLUDED
 from apparition.errors import (
     BadPrime,
+    ExcludedParameter,
     NotCircular,
     NotCubic,
     NotUnitDeterminant,
@@ -65,7 +66,7 @@ def test_verify_prop11():
     assert ex.verify_prop11(F(2, 7), 3, 1000).passed
     # num(U_37(3)) = F_74 is past the factoring bound; skipping needs no factors
     assert ex.verify_prop11(3, 37, 1000).primes_checked == 165
-    with pytest.raises(ValueError):
+    with pytest.raises(ExcludedParameter, match="is excluded"):
         ex.verify_prop11(0, 2, 100)  # U_2(0) = 0
     # spot: chi(3,7) = 8; t_2 = 7 = 0 mod 7 and chi(0 mod 7) = 4 = 8/2
     assert index(3, 7) == 8 and index(7, 7) == 4
@@ -113,7 +114,7 @@ def test_verify_bridge():
     assert ex.verify_bridge(FIB, 2000).passed
     assert ex.verify_bridge(PELL, 2000).passed
     assert ex.lucas_index(FIB, 11) == index(-3, 11) == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(ExcludedParameter, match="is excluded"):
         ex.verify_bridge(ex.LucasSpec(2, 1), 100)  # T**2 = 4Q
 
 
@@ -166,8 +167,31 @@ def test_verify_bridge_catches_a_wrong_chi(wrong, monkeypatch):
 def test_verify_bridge_rejects_excluded_t(T, Q):
     # t = (T**2 - 2Q)/Q in {2, -2, -1, 0, 1}: no index to compare
     assert ex.LucasSpec(T, Q).t in EXCLUDED
-    with pytest.raises(ValueError, match="is excluded"):
+    with pytest.raises(ExcludedParameter, match="is excluded"):
         ex.verify_bridge(ex.LucasSpec(T, Q), 100)
+
+
+# a Lucas spec (T, Q) for each excluded t = T**2/Q - 2
+_EXCLUDED_SPECS = {F(0): (2, 2), F(1): (3, 3), F(-1): (1, 1), F(2): (2, 1), F(-2): (0, 1)}
+
+# each suite whose subject is the paper's t, called on t
+_SUITES_ON_T = {
+    "prop11": lambda t: ex.verify_prop11(t, 3, 100),
+    "twin": lambda t: ex.verify_twin(t, 100),
+    "ballot": lambda t: ex.ballot_check(ex.LucasSpec(*_EXCLUDED_SPECS[t]), 2, 100),
+    "sequences": lambda t: ex.sequence_divisor_check(t, "W", 100),
+    "splitting": lambda t: ex.verify_splitting_theorems(t, 3, 100),
+    "quadmap": lambda t: ex.quadmap_divisor_check(t, 100),
+    "nondivisor": lambda t: ex.nondivisor_density(t, 1, 1, 3, 100),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITES_ON_T))
+@pytest.mark.parametrize("t", sorted(EXCLUDED))
+def test_suites_refuse_excluded_t(suite, t):
+    assert ex.LucasSpec(*_EXCLUDED_SPECS[t]).t == t
+    with pytest.raises(ExcludedParameter, match="is excluded"):
+        _SUITES_ON_T[suite](t)
 
 
 def test_ballot_values():

@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from apparition.classify import classify, predicted_densities
+from apparition.classify import EXCLUDED, classify, predicted_densities
 from apparition.errors import ExcludedParameter, UnsupportedPrediction
 from apparition.partition import (
     ComparisonRow,
@@ -271,7 +271,7 @@ def _record_class_verdicts(monkeypatch):
 
 def _grid():
     ts = {F(a, b) for a in range(-30, 31) for b in range(1, 31)}
-    return sorted(t for t in ts if t not in partition.EXCLUDED)
+    return sorted(t for t in ts if t not in EXCLUDED)
 
 
 def _class_pass_cases():
