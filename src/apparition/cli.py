@@ -51,11 +51,14 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _partition_one(t: Fraction, args):
-    """The sweep of t and its rows: compared with the prediction, or bare counts."""
-    # the prediction before the sweep, so that a refused one exits at once
+def _prediction(t: Fraction, args):
+    """The prediction for t, or the error its sweep would raise."""
     partition.check_partition_args(t, args.r, args.limit, args.jmax, args.threads)
-    pred = predicted_densities(classify(t), args.r, args.jmax)
+    return predicted_densities(classify(t), args.r, args.jmax)
+
+
+def _partition_one(t: Fraction, pred, args):
+    """The sweep of t and its rows: compared with the prediction, or bare counts."""
     report = partition.compute_partition(
         t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
@@ -78,7 +81,10 @@ def _cmd_partition(args) -> int:
         raise ValueError("either t or --batch is required")
     else:
         ts = [parse_rational(args.t)]
-    results = [_partition_one(t, args) for t in ts]
+    # every t is checked and predicted before the first sweep, so that a
+    # refused t on any line of a batch exits at once
+    preds = [_prediction(t, args) for t in ts]
+    results = [_partition_one(t, pred, args) for t, pred in zip(ts, preds)]
     if args.format == "json":
         # a batch is one array of the per-t documents, each carrying its "t"
         docs = [partition.report_to_dict(report, rows) for report, rows in results]
@@ -127,11 +133,12 @@ def _spec(args):
 
 # suite name -> (its call, the largest limit it takes); experiments.<fn> is
 # looked up at call time, so a patched attribute (a test double, the
-# benchmark tracer) is the one called.  The suites that compute chi at every
-# prime are capped where a run ends within about a minute (2 vCPUs, Python
-# 3.11.7: 34-46 s for prop11, twin, circular and ballot at 10**7, 33 s for
-# cubic's three chis per prime at 5*10**6); splitting and sequences refuse
-# past their own caps in experiments.
+# benchmark tracer) is the one called.  The suites that compute chi or
+# v_r(chi) at every prime are capped where a run ends within about a minute
+# (2 vCPUs, Python 3.11.7: 34-46 s for prop11, twin and ballot at 10**7,
+# 13 s for circular's two v_2(chi) per prime at 10**7, 9 s for cubic's three
+# v_3(chi) per prime at 5*10**6); splitting and sequences refuse past their
+# own caps in experiments.
 _VERIFY = {
     "prop11": (lambda a: experiments.verify_prop11(_t(a), a.r, a.limit), 10**7),
     "twin": (lambda a: experiments.verify_twin(_t(a), a.limit), 10**7),

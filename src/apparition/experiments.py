@@ -9,6 +9,10 @@ splitting suite takes its theorem side from one per-prime function,
 `_splitting_verdicts`, which counts roots over F_p as
 deg gcd(f, x**p - x) rather than by evaluating at every residue, so its
 cost per prime grows with log p, not p.
+The suites that need only v_r(chi) (cubic, circular, quadmap,
+splitting, and the non-divisor suite's membership test) read it from
+`ring.chi_valuation`, which factors nothing; the others need chi itself
+and take it from `ring.chi_from_residue`.
 `all_suites` is the one run list of `apparition verify all`.
 """
 
@@ -183,7 +187,7 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     triple = (t, a1, a2)
     rep = CheckReport(name=f"cubic(t={t})")
     for p in _admissible(rep, limit, t.denominator, 3):
-        vs = tuple(primes.valuation(_chi(a, p), 3) for a in triple)
+        vs = tuple(ring.chi_valuation(ring.residue(a, p), p, 3) for a in triple)
         if sum(1 for v in vs if v == 0) > 1:
             rep.record(p, "at most one v=0", vs)
             continue
@@ -216,8 +220,8 @@ def verify_circular(t, limit: int) -> CheckReport:
         if lhs != 4:
             rep.record(0, f"C_{n}(t)^2 + C_{n}(w)^2 = 4 (n={n})", lhs)
     for p in _admissible(rep, limit, t.denominator, w.denominator):
-        jt = primes.valuation(_chi(t, p), 2)
-        jw = primes.valuation(_chi(w, p), 2)
+        jt = ring.chi_valuation(ring.residue(t, p), p, 2)
+        jw = ring.chi_valuation(ring.residue(w, p), p, 2)
         ok = (
             ((jt <= 1) == (jw == 2))
             and ((jw <= 1) == (jt == 2))
@@ -643,8 +647,7 @@ def verify_splitting_theorems(
             group = phat % r**j == 0
             if k[j] != group:
                 rep.record(p, f"K_{j} group={group}", f"theorem={k[j]}")
-        chi = ring.chi_from_residue(tm, p)
-        vchi = primes.valuation(chi, r)
+        vchi = ring.chi_valuation(tm, p, r)
         in_m_prev = True  # M_0 is everything
         for n in range(1, n_max + 1):
             in_m = (d_elem ** (phat // r ** min(n, v))).is_identity
@@ -729,7 +732,7 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
     rep = CheckReport(name=f"quadmap(t={t})")
     for p in _admissible(rep, limit, t.denominator):
         tm = ring.residue(t, p)
-        chi = ring.chi_from_residue(tm, p)
+        v2 = ring.chi_valuation(tm, p, 2)
         y = saved = tm
         steps, power = 0, 1
         while True:
@@ -745,8 +748,8 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
                 saved, steps, power = y, 0, 2 * power
         if found:
             rep.divisors.append(p)
-        if found != (chi % 2 == 1):
-            rep.record(p, f"divisor iff chi odd (chi={chi})", found)
+        if found != (v2 == 0):
+            rep.record(p, f"divisor iff chi odd (v_2(chi)={v2})", found)
     rep.metrics = {"t": t, "density": _ratio(len(rep.divisors), rep.primes_checked)}
     return rep
 
@@ -766,22 +769,30 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     `expected` density and the `trace` of Y.
 
     Membership in T reads three r-adic valuations and factors nothing.
-    One character ((t**2 - 4)/p) gives v = v_r(phat); the v_r(chi) kernel
+    One character ((t**2 - 4)/p) gives v = v_r(phat); `ring.chi_valuation`
     gives v_r(chi(t, p)), and v_r(ord Y) = v_r(chi(b, p)) for the trace b
     of Y, whose b**2 - 4 = y0**2 (t**2 - 4) has the same character.  When
     p | num(y0), Y = +-I and v_r(ord Y) = 0.
 
     At every prime with r | phat (and every p <= 10**4), v_r(ord Y) is also
     found from `RingElem` powers, Y**(n/r**v) for n = p -+ 1 (2p when
-    p | t**2 - 4) and then r-th powers, and a mismatch with the kernel is
+    p | t**2 - 4) and then r-th powers, and a mismatch with `chi_valuation` is
     a violation.  For p <= 10**4 the full orders are computed too, by
     factoring phat: violations there are primes where ord(Y)
-    differs from chi(b, p), where the full orders and the kernel place p
+    differs from chi(b, p), where the full orders and `chi_valuation` place p
     differently in T, or where an honest zero scan contradicts the
     subgroup divisor criterion or finds a member of T dividing Y.  There
     the literal criterion "ord(Y) | 2*chi" is compared against the
     subgroup criterion too, and its disagreements are counted in
     `criterion_disagreements` rather than resolved.
+
+    A Y with torsion trace, or Y = +-D^k, has no such witness and is
+    refused with TorsionTimesPower.  A zero of the sequence at index +-k
+    means y0 = +-U_k(t), and then 2**(k - 1) <= max(|num(y0)|, den(y0)):
+    for t = a/b with b > 1, den(U_k(t)) = b**(k - 1), because the numerator
+    is = a**(k - 1) mod b, and for an integer t, |t| >= 3, so
+    |U_(k+1)(t)| >= 2*|U_k(t)|.  So the search for a zero stops after
+    2 + the bit length of that maximum terms each way.
     """
     t, y0, y1 = parameter(t), Fraction(y0), Fraction(y1)
     det = y1 * y1 - t * y0 * y1 + y0 * y0
@@ -791,8 +802,9 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     b = 2 * y1 - t * y0
     if b in EXCLUDED:
         raise TorsionTimesPower(f"trace {b} is a torsion trace")
+    terms = 2 + max(abs(y0.numerator), y0.denominator).bit_length()
     for sign, (u, w) in ((1, (y0, y1)), (-1, (y0, t * y0 - y1))):  # y_0, y_(+-1), ...
-        for n in range(66):
+        for n in range(terms):
             if u == 0:
                 raise TorsionTimesPower(f"sequence element {sign * n} is zero: Y = +-D^k")
             u, w = w, t * w - u
@@ -803,7 +815,6 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     pi_limit = target_count = disagreements = 0
     disc = t.numerator**2 - 4 * t.denominator**2  # den(t)**2 * (t**2 - 4)
     dens = t.denominator * y0.denominator * y1.denominator
-    kernel = ring.chi_valuation_from_characters
     for p in primes.iter_primes(limit):
         pi_limit += 1
         if p == 2 or dens % p == 0:
@@ -818,13 +829,13 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         m = ring.ModParam.from_residue(tm, p)
         y_elem = ring.elem_from_rationals(m, y0, y1)
         y_scalar = y0.numerator % p == 0  # Y = +-I mod p
-        v_ord = 0 if y_scalar else kernel(b, p, r, delta_char, 0)  # 0 when v = 0
+        v_ord = 0 if y_scalar else ring.chi_valuation(ring.residue(b, p), p, r)  # 0 when v = 0
         z, v_pow = y_elem ** (n // r**v), 0
         while not z.is_identity and v_pow <= v:
             z, v_pow = z**r, v_pow + 1
         if v_pow != v_ord:
             rep.record(p, f"v_r(ord Y) = v_r(chi(trace)) = {v_ord}", v_pow)
-        in_target = v == 1 and v_ord > 0 and kernel(tm, p, r, delta_char, 0) == 0
+        in_target = v == 1 and v_ord > 0 and ring.chi_valuation(tm, p, r) == 0
         target_count += in_target
         if p <= ENUMERATION_CAP:
             phat = ring.group_order(m)

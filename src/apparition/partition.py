@@ -40,11 +40,17 @@ sweep works in two passes over each segment's odd-only sieve mask
   mask length), where a count could not pay.
 - The per-prime loop visits the special primes the pass hands back, or
   every prime of a segment the pass skips; it excludes p = r and the
-  divisors of b.  It reads the characters from per-segment dicts keyed
-  by p mod 4|N| (or, when that period is at least the segment width,
-  where a cache could never hit, from Euler's criterion) and calls
-  `chi_valuation_from_characters`.  So each segment's mask is read
-  once, by the class pass or by the loop.
+  divisors of b.  A prime dividing disc has t = +-2 mod p and chi = p
+  or 2p, so it is bucketed at once: 1 for r = 2 and t = -2 mod p, else
+  0.  A prime p < 1000 with p**2 | disc shares its class mod 4|k| with
+  other primes, so this comes before any cache is read.  For every
+  other prime the loop reads the characters from per-segment dicts
+  keyed by p mod 4|k|, the periods the class pass puts into L (or, when
+  a period is at least the segment width, where a cache could never
+  hit, from Euler's criterion), and then applies the same two rules as
+  the class pass: `chi_valuation_by_order`, then
+  `chi_valuation_by_ladder` where the rule leaves v_r(chi) open.  So
+  each segment's mask is read once, by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
 memory stays bounded by one segment's mask and its class caches however
@@ -68,8 +74,7 @@ from . import primes
 from .classify import Prediction, parameter
 from .errors import UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation_by_ladder, chi_valuation_by_order, chi_valuation_from_characters
-from .ring import legendre
+from .ring import chi_valuation_by_ladder, chi_valuation_by_order, legendre
 
 DEFAULT_J_MAX = 8
 # v_r(chi) <= log2(2p) < 64 for every p a sweep can reach, so a larger j_max
@@ -127,9 +132,10 @@ class _FixedClasses:
         # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not
         # dividing b; each depends only on p mod its period (quadratic reciprocity)
         self.disc, self.plus2 = a * a - 4 * b * b, (a + 2 * b) * b
-        periods = [4 * abs(_strip_trial_squares(self.disc)), _strip_trial_squares(b)]
+        self.char_periods = [4 * abs(_strip_trial_squares(n)) for n in (self.disc, self.plus2)]
+        periods = [self.char_periods[0], _strip_trial_squares(b)]
         if r == 2:
-            periods += [4 * abs(_strip_trial_squares(self.plus2)), 2 ** min(j_max + 1, 6)]
+            periods += [self.char_periods[1], 2 ** min(j_max + 1, 6)]
         else:
             periods.append(r)
         self.modulus = lcm(*periods)
@@ -211,9 +217,8 @@ class _FixedClasses:
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     fixed = _FixedClasses(t, r, j_max)
-    disc, plus2, b = fixed.disc, fixed.plus2, t.denominator
-    t_arg = t.numerator if b == 1 else t  # the kernel reduces an int t without inverting b
-    disc_period, plus2_period = 4 * abs(disc), 4 * abs(plus2)
+    a, b, disc, plus2 = fixed.a, fixed.b, fixed.disc, fixed.plus2
+    disc_period, plus2_period = fixed.char_periods
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
     cache_disc = disc_period < primes._SEGMENT
@@ -224,31 +229,36 @@ def _sweep_range(args) -> PartitionReport:
     excluded = {2: "is_two"} if lo <= 2 <= hi else {}
     for first, mask in primes.segment_masks(lo, hi):
         specials = fixed.count(first, mask, counts)
-        # residue class -> character, for this segment's primes only; a
-        # class holding a prime dividing 2 * disc or plus2 holds no other
+        # residue class -> character, for this segment's primes only
         disc_chars: dict = {}
         plus2_chars: dict = {}
         for p in primes._segment_primes(first, mask) if specials is None else specials:
             if barred % p == 0:
                 excluded[p] = "equals_r" if p == r else "divides_denominator"
                 continue
+            if disc % p == 0:
+                # t = +-2 mod p, so chi = p, or 2p where p | plus2 (t = -2); such
+                # a p can share its class with other primes, so it reads no cache
+                j = 1 if r == 2 and plus2 % p == 0 else 0
+                counts[j if j < top else top] += 1
+                continue
+            # each character is now +-1, so only a cache miss (None) reads false
             if cache_disc:
-                key = p % disc_period
-                delta_char = disc_chars.get(key)
-                if delta_char is None:
-                    delta_char = disc_chars[key] = legendre(disc, p)
+                c = p % disc_period
+                delta_char = disc_chars.get(c) or disc_chars.setdefault(c, legendre(disc, p))
             else:
                 delta_char = legendre(disc, p)
-            plus2_char = 0
-            if r == 2:
-                if cache_plus2:
-                    key = p % plus2_period
-                    plus2_char = plus2_chars.get(key)
-                    if plus2_char is None:
-                        plus2_char = plus2_chars[key] = legendre(plus2, p)
-                else:
-                    plus2_char = legendre(plus2, p)
-            j = chi_valuation_from_characters(t_arg, p, r, delta_char, plus2_char)
+            if r != 2:
+                plus2_char = 0
+            elif cache_plus2:
+                c = p % plus2_period
+                plus2_char = plus2_chars.get(c) or plus2_chars.setdefault(c, legendre(plus2, p))
+            else:
+                plus2_char = legendre(plus2, p)
+            j = chi_valuation_by_order(p, r, delta_char, plus2_char)
+            if j is None:
+                tm = a % p if b == 1 else a * pow(b, -1, p) % p
+                j = chi_valuation_by_ladder(tm, p, r, delta_char)
             counts[j if j < top else top] += 1
     return PartitionReport(
         t=t, r=r, limit=hi, j_max=j_max, j_counts=counts[:-1],

@@ -27,9 +27,10 @@
   non-divisor suite p -+ 1 (or 2p) below 10**4.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
   `ring.chi_from_residue` and for the bridge suite's rank certificate,
-  `experiments._rank_failure`.  The partition sweep, the membership test
-  of the non-divisor suite and the classifier factor nothing: the first
-  two read v_r(chi) from the ring kernel.
+  `experiments._rank_failure`.  The partition sweep, the cubic,
+  circular, quadmap and splitting suites, the membership test of the
+  non-divisor suite and the classifier factor nothing: all but the last
+  read v_r(chi) from the ring kernels.
 - `base_primes` and `spf_table`: the primes up to a bound, and a
   smallest-prime-factor table built on each call; the benchmark tracer
   names both, and no program path reads the table.

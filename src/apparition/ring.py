@@ -12,19 +12,19 @@ determinant of Y (Cayley-Hamilton), computed by the one fast-doubling
 ladder `chebyshev.lucas_pair_mod`; the trace ladder `cheb_c_mod`, two
 multiplications per bit, serves the chi kernels.
 
-`chi_valuation_from_characters` is the one v_r(chi) kernel: given the
-character of delta (which group) and, for r = 2, that of t + 2 (whether
-D is a square in it), it is the no-ladder rule plus the ladder part.  The
-rule is `chi_valuation_by_order`: r does not divide p -+ 1, or r = 2 with
-t + 2 a non-square or the 2-part of p -+ 1 equal to 2.  The ladder part
-is `chi_valuation_by_ladder`, one trace ladder on the residue of t.
-`chi_valuation` feeds the kernel Euler's criterion for a single prime;
-the partition sweep applies the rule once per residue class of p and
-calls the ladder part itself for the primes of the classes the rule
-leaves open, and the non-divisor suite feeds the kernel one character
-per prime.
+`chi_valuation(tm, p, r)` is the one single-prime v_r(chi) kernel, and it
+factors nothing: it reads the character of delta (which group) and, for
+r = 2, that of t + 2 (whether D is a square in it) by Euler's criterion,
+then applies the no-ladder rule and, where the rule leaves v_r(chi) open,
+the ladder part.  The rule is `chi_valuation_by_order`: r does not divide
+p -+ 1, or r = 2 with t + 2 a non-square or the 2-part of p -+ 1 equal
+to 2.  The ladder part is `chi_valuation_by_ladder`, one trace ladder on
+the residue of t.  The partition sweep applies the same two parts with
+characters it reads once per residue class of p, and every exact suite
+that needs only v_r(chi) calls the kernel.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
-call it on `residue(t, p)` at primes their sieve has already vouched for.
+that need chi itself call it on `residue(t, p)` at primes their sieve has
+already vouched for.
 `index` is the validating entry point of the CLI and library callers: it
 checks that p is an odd prime and reduces t with `reduce_param` first.
 `ModParam.from_residue` is the unvalidated constructor that
@@ -202,25 +202,34 @@ def chi_from_residue(tm: int, p: int) -> int:
 def chi_valuation(tm: int, p: int, r: int) -> int:
     """v_r(chi) for the residue tm = t mod p, with nothing factored.
 
-    Both quadratic characters come from Euler's criterion here; the
-    partition sweep reads them once per residue class of p instead.
+    Both quadratic characters come from Euler's criterion.  A delta
+    character of 0 means tm = +-2 and chi = p or 2p.  Otherwise the
+    no-ladder rule `chi_valuation_by_order` answers where it can, and
+    `chi_valuation_by_ladder` everywhere else.
     """
     delta_char = legendre(tm * tm - 4, p)
-    plus2_char = legendre(tm + 2, p) if r == 2 else 0
-    return chi_valuation_from_characters(tm, p, r, delta_char, plus2_char)
+    if delta_char == 0:
+        return valuation(p if tm == 2 else 2 * p, r)
+    j = chi_valuation_by_order(p, r, delta_char, legendre(tm + 2, p) if r == 2 else 0)
+    return chi_valuation_by_ladder(tm, p, r, delta_char) if j is None else j
 
 
 def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> Optional[int]:
     """v_r(chi) where the group order n = p - delta_char alone fixes it,
     else None (a ladder is needed); delta_char is +-1, and plus2_char is
-    ((t + 2)/p) when r = 2.
+    ((t + 2)/p) when r = 2.  The verdicts trust the characters.
 
-    chi divides n, so v_r(chi) = 0 for odd r with v_r(n) = 0.  For r = 2, a
-    non-square t + 2 gives v_2(chi) = v_2(n) (see
-    `chi_valuation_from_characters`); a square t + 2 with v_2(n) = 1 puts D
-    among the squares of a cyclic group whose 2-part is 2, a subgroup of
-    odd order n/2, so v_2(chi) = 0.  The partition sweep reads this once
-    per residue class of p whose characters and n are fixed by the class.
+    chi divides n, so v_r(chi) = 0 for odd r with v_r(n) = 0.  For r = 2
+    the character of t + 2 says whether the eigenvalue xi of D is a square
+    in its cyclic group.  When p splits, xi = (xi + 1)**2 / (t + 2) in F_p;
+    when it is inert, xi = (xi + 1)**(1 - p) and N(xi + 1) = t + 2, and the
+    norm-one power z**(1 - p) is a square of the norm-one group exactly
+    when z is a square in F_{p^2}, i.e. when N(z) is a square in F_p.
+    Either way xi is a square exactly when ((t + 2)/p) = 1.  A non-square
+    xi keeps the whole 2-part of n, so v_2(chi) = v_2(n); a square xi with
+    v_2(n) = 1 lies in the subgroup of odd order n/2, so v_2(chi) = 0.
+    The partition sweep reads this once per residue class of p whose
+    characters and n are fixed by the class.
     """
     n = p - delta_char
     if r == 2:
@@ -229,34 +238,6 @@ def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> 
             return v
         return 0 if v == 1 else None
     return None if n % r == 0 else 0
-
-
-def chi_valuation_from_characters(t, p: int, r: int, delta_char: int, plus2_char: int) -> int:
-    """v_r(chi) for t (int or Fraction, p not dividing its denominator),
-    given delta_char = ((t**2 - 4)/p) and, when r = 2, plus2_char = ((t + 2)/p).
-
-    delta_char = 0 means t = +-2 mod p and chi = p or 2p.  Otherwise the
-    no-ladder rule `chi_valuation_by_order` answers where it can, and
-    `chi_valuation_by_ladder` everywhere else.
-
-    For r = 2 the ladder is often not needed.  When p splits,
-    xi = (xi + 1)**2 / (t + 2) in F_p; when it is inert, xi = (xi + 1)**(1 - p)
-    and N(xi + 1) = t + 2, and the norm-one power z**(1 - p) is a square of
-    the norm-one group exactly when z is a square in F_{p^2}, i.e. when N(z)
-    is a square in F_p.  Either way xi is a square in its group exactly
-    when ((t + 2)/p) = 1; when it is -1, xi keeps the whole 2-part of the
-    group order, so v_2(chi) = v_2(p -+ 1).
-
-    The verdicts of `chi_valuation_by_order` trust the characters, and
-    the ladder rejects a delta character that does not fit t.
-    """
-    if delta_char == 0:
-        tm = residue(t, p)
-        return valuation(p if tm == 2 else 2 * p, r)
-    j = chi_valuation_by_order(p, r, delta_char, plus2_char)
-    if j is not None:
-        return j
-    return chi_valuation_by_ladder(residue(t, p), p, r, delta_char)
 
 
 def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
@@ -268,8 +249,8 @@ def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
     D.  C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is
     the number of steps y -> C_r(y) that take y = C_m(t) to 2; a delta_char
     that does not fit tm never reaches 2 within v_r(n) steps and raises
-    ValueError.  The partition sweep calls this directly for the primes of
-    the residue classes that `chi_valuation_by_order` leaves open.
+    ValueError.  The partition sweep calls this directly for the primes
+    where `chi_valuation_by_order` leaves v_r(chi) open.
     """
     m = p - delta_char
     if r == 2:
@@ -293,8 +274,8 @@ def index(t, p: int) -> int:
     """The index of appearance chi(t, p): order of D_t mod p.
 
     Factors p -+ 1 with `primes.factorize`, which answers for every odd
-    prime p that `is_prime` decides (below 3.3*10**24); a sweep that needs
-    only v_r(chi) calls `chi_valuation` or its kernel instead.
+    prime p that `is_prime` decides (below 3.3*10**24); a caller that needs
+    only v_r(chi) calls `chi_valuation` instead.
     """
     m = reduce_param(t, p)
     return chi_from_residue(m.t_mod, p)

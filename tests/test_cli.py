@@ -98,6 +98,18 @@ def test_partition_batch_json(tmp_path, capsys):
     assert docs == singles and [doc["t"] for doc in docs] == ["3", "2/7"]
 
 
+def test_partition_batch_checked_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # an excluded t on a later line exits before the sweep of an earlier one
+    swept = []
+    monkeypatch.setattr(partition, "compute_partition", lambda *args, **kw: swept.append(args))
+    batch = tmp_path / "batch.txt"
+    batch.write_text("3\n2\n")
+    assert main(["partition", "--batch", str(batch), "--limit", "3000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: t = 2 is excluded\n" and captured.out == ""
+    assert swept == []
+
+
 BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
 # |t| < 2 with den(t) a cube and a fifth power, and num(t) past the bound of is_prime

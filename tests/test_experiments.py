@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from apparition import experiments as ex
 from apparition import primes, ring
-from apparition.chebyshev import cheb_c_coeffs, cheb_c_mod, lucas_pair_mod
+from apparition.chebyshev import cheb_c_coeffs, cheb_c_mod, cheb_u_exact, lucas_pair_mod
 from apparition.classify import EXCLUDED
 from apparition.errors import (
     BadPrime,
@@ -624,6 +624,22 @@ def test_nondivisor_rejects():
         ex.nondivisor_density(3, F(-8, 19), F(-33, 19), 2, 100)
 
 
+def _torsion_forms(t, k):
+    """Y = D**k, -D**k, D**-k and -D**-k as (y0, y1), with D**n = [U_n, U_(n+1)]."""
+    u = {n: cheb_u_exact(n, t) for n in (k - 1, k, k + 1)}
+    return [(u[k], u[k + 1]), (-u[k], -u[k + 1]), (-u[k], -u[k - 1]), (u[k], u[k - 1])]
+
+
+@pytest.mark.parametrize("k", [1, 65, 66, 200])
+@pytest.mark.parametrize("t", [F(3), F(6, 5), F(-7, 2)], ids=str)
+def test_nondivisor_refuses_every_torsion_power(t, k):
+    # a zero at index +-k means y0 = +-U_k(t), and the scan for one runs
+    # 2 + the bit length of max(|num(y0)|, den(y0)) terms each way
+    for y0, y1 in _torsion_forms(t, k):
+        with pytest.raises(TorsionTimesPower, match="is zero: Y = \\+-D\\^k"):
+            ex.nondivisor_density(t, y0, y1, 7, 100)
+
+
 def test_nondivisor_divisor_spot():
     # p = 7: Y = [4, 6] has order 4 and the scan finds a zero at step 2
     from apparition.ring import RingElem, elem_from_rationals, reduce_param
@@ -679,9 +695,30 @@ def test_report_summary_appends_metrics():
     )
 
 
+def test_valuation_suites_factor_nothing(monkeypatch):
+    # the cubic, circular, quadmap and splitting suites need v_r(chi) alone,
+    # and read it from ring.chi_valuation, which factors nothing
+    factored = []
+    factorize = primes.factorize
+
+    def spy(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(primes, "factorize", spy)
+    reports = [
+        ex.verify_cubic_associates(F(2, 7), 3000),
+        ex.verify_circular(F(6, 5), 3000),
+        ex.quadmap_divisor_check(5, 3000),
+        ex.verify_splitting_theorems(3, 3, 2000),
+    ]
+    assert all(rep.passed and rep.primes_checked > 250 for rep in reports)
+    assert factored == []
+
+
 def test_dynamics_failures_go_through_record(monkeypatch):
     # an odd chi for every prime makes each non-divisor a violation
-    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p: 1)
+    monkeypatch.setattr(ex.ring, "chi_valuation", lambda tm, p, r: 0)
     rep = ex.quadmap_divisor_check(5, 2000)
     assert rep.violation_count > ex.VIOLATION_CAP
     assert len(rep.violations) == ex.VIOLATION_CAP

@@ -223,9 +223,11 @@ def test_window_below_the_cap_streams():
 
 
 def test_class_cache_skipped_when_it_cannot_hit(monkeypatch):
-    # the character periods 4|disc| and 4|plus2| are 20 and 20 for t = 3 and
-    # 768 and 448 for t = 2/7; with segments narrower than that, the sweep
-    # calls legendre once per character per prime, and reports as before
+    # the character periods 4|k| (k with the small squares divided out) are
+    # 20 and 20 for t = 3 and 12 and 28 for t = 2/7; with segments narrower
+    # than that, the sweep calls legendre once per character per prime, save
+    # at p = 5, which divides disc = 5 for t = 3 and reads no character, and
+    # reports as before
     calls = []
 
     def counting(x, p):
@@ -234,13 +236,14 @@ def test_class_cache_skipped_when_it_cannot_hit(monkeypatch):
 
     monkeypatch.setattr(partition, "legendre", counting)
     cases = ((3, 2), (F(2, 7), 3))
+    assert [_fixed_classes(t, r, 8).char_periods for t, r in cases] == [[20, 20], [12, 28]]
     cached = [compute_partition(t, r, 20000) for t, r in cases]
     cached_calls = len(calls)
-    monkeypatch.setattr(primes, "_SEGMENT", 16)
+    monkeypatch.setattr(primes, "_SEGMENT", 8)
     calls.clear()
     assert [compute_partition(t, r, 20000) for t, r in cases] == cached
     # r = 2 reads both characters, r = 3 only that of disc
-    assert len(calls) == 2 * cached[0].total + cached[1].total > cached_calls
+    assert len(calls) == 2 * (cached[0].total - 1) + cached[1].total > cached_calls
 
 
 def _per_prime_counts(t, r, j_max, lo, hi):
@@ -252,20 +255,31 @@ def _per_prime_counts(t, r, j_max, lo, hi):
     return counts
 
 
+def test_prime_dividing_disc_reads_no_class_cache(monkeypatch):
+    # t = 11: disc = 117 = 3**2 * 13 has the character period 4 * 13 = 52,
+    # and 3 and 107 share a class mod 52.  With 4096-wide segments the class
+    # pass is skipped (L = 832), so the per-prime loop buckets both; 3, where
+    # (disc/3) = 0, must read no cached character and leave none behind
+    monkeypatch.setattr(primes, "_SEGMENT", 4096)
+    assert _fixed_classes(F(11), 2, 8).char_periods[0] == 52 and 107 % 52 == 3
+    rep = compute_partition(11, 2, 20000)
+    assert rep.j_counts + [rep.overflow] == _per_prime_counts(F(11), 2, 8, 2, 20000)
+
+
 def _fixed_classes(t, r, j_max):
     return partition._FixedClasses(F(t), r, j_max)
 
 
 def _record_class_verdicts(monkeypatch):
-    """The argument tuples of every call the class pass makes to its rule."""
+    """The primes on which the class pass judges a class."""
     judged = []
-    by_order = partition.chi_valuation_by_order
+    verdict = partition._FixedClasses._verdict
 
-    def spy(*args):
-        judged.append(args)
-        return by_order(*args)
+    def spy(self, p):
+        judged.append(p)
+        return verdict(self, p)
 
-    monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
+    monkeypatch.setattr(partition._FixedClasses, "_verdict", spy)
     return judged
 
 
@@ -316,16 +330,16 @@ def test_class_pass_leaves_large_denominator_primes_excluded(monkeypatch):
 
 def test_class_pass_judges_each_class_once(monkeypatch):
     # t = 48/25: disc = -196 = -4 * 7**2 and plus2 = 2 * 5**2 * 7**2, so
-    # L = 32 for r = 2, j_max = 4, and the character periods 784 and 9800
-    # exceed a 512-wide segment, where the per-prime loop caches nothing.
-    # Each of the 16 classes prime to 32 is judged once in the whole sweep,
-    # with one Euler test per character, and every other Euler test is the
-    # per-prime loop's, two per prime it visits.  (2/p) = 1 with
-    # 4 | p - (-1/p) leaves half the primes to a ladder, which the class
-    # pass runs for the primes of its segments and the kernel for the rest
+    # L = 32 for r = 2, j_max = 4.  Each of the 16 classes prime to 32 is
+    # judged once in the whole sweep, with one Euler test per character;
+    # every other Euler test is the per-prime loop's, at most two per prime
+    # it judges, and the loop judges only the primes of the short last
+    # segment.  (2/p) = 1 with 4 | p - (-1/p) leaves half the primes to a
+    # ladder, which the class pass runs for the primes of its segments and
+    # the loop for the rest
     t, limit = F(48, 25), 20000
     monkeypatch.setattr(primes, "_SEGMENT", 512)
-    calls = {"legendre": 0, "class": 0, "kernel": 0, "ladder": 0}
+    calls = {"legendre": 0, "rule": 0, "ladder": 0}
 
     def counting(name, module, fn):
         def wrapper(*args):
@@ -335,14 +349,17 @@ def test_class_pass_judges_each_class_once(monkeypatch):
         monkeypatch.setattr(module, fn.__name__, wrapper)
 
     counting("legendre", partition, partition.legendre)
-    counting("class", partition, partition.chi_valuation_by_order)
-    counting("kernel", partition, partition.chi_valuation_from_characters)
+    counting("rule", partition, partition.chi_valuation_by_order)
     counting("ladder", partition, ring.chi_valuation_by_ladder)
     counting("ladder", ring, ring.chi_valuation_by_ladder)
+    judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, 2, limit, j_max=4)
     assert _fixed_classes(t, 2, 4).modulus == 32
-    assert calls["class"] == 16
-    assert calls["legendre"] == 2 * (calls["class"] + calls["kernel"])
+    assert len(judged) == 16
+    loop = calls["rule"] - len(judged)
+    last = 2 + (limit - 2) // 512 * 512  # where the short last segment starts
+    assert loop == len(primes.primes_in_range(last, limit)) > 0
+    assert 2 * len(judged) < calls["legendre"] <= 2 * (len(judged) + loop)
     assert 0.4 * rep.total < calls["ladder"] < 0.6 * rep.total
     assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 2, 4, 2, limit)
 
@@ -356,17 +373,19 @@ def test_class_pass_judges_each_class_once(monkeypatch):
 def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     # segments 16 * L wide, all full: the class pass buckets every prime of
     # them, with a ladder where its class has no bucket, and hands the
-    # special primes to the per-prime kernel (p = r and the divisors of b
-    # it excludes before any kernel call), so no mask is read twice
+    # special primes to the per-prime loop, so no mask is read twice.  Each
+    # special prime divides 2rb, and is excluded, or divides disc, and is
+    # bucketed with no character, so the no-ladder rule sees only the class
+    # pass
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
     seen = []
-    kernel = partition.chi_valuation_from_characters
+    by_order = partition.chi_valuation_by_order
 
-    def spy(t_arg, p, *args):
+    def spy(p, *args):
         seen.append(p)
-        return kernel(t_arg, p, *args)
+        return by_order(p, *args)
 
     read = []  # the mask lengths _segment_primes reads
     segment_primes = primes._segment_primes
@@ -377,10 +396,11 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
 
     hi = 1 + 3 * segment
     want = _per_prime_counts(t, r, j_max, 2, hi)
-    monkeypatch.setattr(partition, "chi_valuation_from_characters", spy)
+    monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
     monkeypatch.setattr(primes, "_segment_primes", reading)
+    judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, r, hi, j_max=j_max)
-    assert set(seen) <= set(fixed.specials), t
+    assert seen == judged, t
     # only the base sieve up to isqrt(hi) reads its masks by prime
     assert all(n < segment // 2 for n in read), t
     assert rep.j_counts + [rep.overflow] == want
@@ -389,7 +409,8 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
 def test_per_prime_loop_where_no_class_count_pays(monkeypatch):
     # L = 45632 for -27/2 (r = 2) and 49476 for -25/3 (r = 7): 8L exceeds
     # a default segment's mask, so the class pass judges no class and the
-    # per-prime loop buckets every prime of the three segments
+    # per-prime loop buckets every prime of the three segments, with the
+    # same no-ladder rule and ladder
     judged = _record_class_verdicts(monkeypatch)
     lo = 10**6
     hi = lo + 2 * primes._SEGMENT + 17

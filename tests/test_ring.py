@@ -15,7 +15,6 @@ from apparition.ring import (
     chi_valuation,
     chi_valuation_by_ladder,
     chi_valuation_by_order,
-    chi_valuation_from_characters,
     d_elem,
     elem_from_rationals,
     element_order,
@@ -187,19 +186,18 @@ def test_legendre():
 
 def test_chi_valuation_rejects_wrong_characters():
     # t = 3, p = 11 splits (delta = 5 = 4**2) with chi = 5; the inert
-    # character puts D in a group of order 12 that it does not lie in
+    # character puts D in a group of order 12 that it does not lie in.  The
+    # no-ladder rule trusts the characters and leaves v_3 open, and the
+    # ladder part rejects them
     assert legendre(5, 11) == 1 and chi_valuation(3, 11, 3) == 0
+    assert chi_valuation_by_order(11, 3, -1, 0) is None
     with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_from_characters(3, 11, 3, -1, 0)
+        chi_valuation_by_ladder(3, 11, 3, -1)
     # t = 3, p = 19: t + 2 = 5 is a square (9**2), so the r = 2 ladder runs;
     # a wrong delta character then cannot reach 2 within v_2(p -+ 1) steps
     assert legendre(5, 19) == 1 and legendre(3 * 3 - 4, 19) == 1
     assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
-    with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_from_characters(3, 19, 2, -1, 1)
-    # the ladder part alone rejects them too
-    with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_by_ladder(3, 11, 3, -1)
+    assert chi_valuation_by_order(19, 2, -1, 1) is None
     with pytest.raises(ValueError, match="do not fit"):
         chi_valuation_by_ladder(3, 19, 2, -1)
 
