@@ -11,8 +11,11 @@ deg gcd(f, x**p - x) rather than by evaluating at every residue, so its
 cost per prime grows with log p, not p.
 The suites that need only v_r(chi) (cubic, circular, quadmap,
 splitting, and the non-divisor suite's membership test) read it from
-`ring.chi_valuation`, which factors nothing; the others need chi itself
-and take it from `ring.chi_from_residue`.
+`ring.chi_valuation`, which factors nothing, or, where the non-divisor
+suite already holds the character of t**2 - 4, from the two rules that
+kernel applies; the others need chi itself and take it from
+`ring.chi_from_residue`, or from `ring.chi_with_primes` when they need
+its primes too.
 `all_suites` is the one run list of `apparition verify all`.
 """
 
@@ -332,29 +335,31 @@ def verify_bridge(spec: LucasSpec, limit: int) -> CheckReport:
     divides k, so chi is the rank when L_chi = 0 and L_{chi/q} != 0 for
     every prime q | chi.  L comes from the (T, Q) ladder `lucas_pair_mod`,
     chi from the trace ladder of `ring`, so the two sides stay apart, and
-    each prime costs a few O(log p) ladders, not a scan; a violation names
-    the condition that failed.  Odd p | T are skipped: there t = -2 mod p,
-    so D_t is not diagonalisable and chi = 2p, while xi = alpha/beta = -1
-    gives rank 2.  `lucas_index` is the scan oracle the tests compare with.
+    each prime costs a few O(log p) ladders, not a scan.  The primes of
+    chi are those of p -+ 1 that `ring.chi_with_primes` keeps, so nothing
+    is factored twice.  A violation names the condition that failed.  Odd
+    p | T are skipped: there t = -2 mod p, so D_t is not diagonalisable
+    and chi = 2p, while xi = alpha/beta = -1 gives rank 2.  `lucas_index`
+    is the scan oracle the tests compare with.
     """
     t = parameter(spec.t)
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"bridge(T={T}, Q={Q})")
     for p in _admissible(rep, limit, 2 * abs(T * Q * spec.delta) * t.denominator):
-        want = _chi(t, p)
-        failed = _rank_failure(T, Q, want, p)
+        want, qs = ring.chi_with_primes(ring.residue(t, p), p)
+        failed = _rank_failure(T, Q, want, qs, p)
         if failed:
             rep.record(p, f"rank={want}", failed)
     return rep
 
 
-def _rank_failure(T: int, Q: int, k: int, p: int) -> Optional[str]:
+def _rank_failure(T: int, Q: int, k: int, qs: list, p: int) -> Optional[str]:
     """None when k is the rank of L(T, Q) at p (p dividing neither Q nor
     delta), else the condition of the law of apparition that fails there:
-    L_k != 0, or L_{k/q} = 0 for a prime q | k."""
+    L_k != 0, or L_{k/q} = 0 for a prime q of qs, the primes of k ascending."""
     if lucas_pair_mod(T, Q, k, p)[0]:
         return f"L_{k}!=0"
-    for q in primes.distinct_prime_factors(k):
+    for q in qs:
         if not lucas_pair_mod(T, Q, k // q, p)[0]:
             return f"L_{k // q}=0"
     return None
@@ -768,18 +773,19 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     `target_count` = |T|, `pi_limit` = pi(limit), their `ratio`, the
     `expected` density and the `trace` of Y.
 
-    Membership in T reads three r-adic valuations and factors nothing.
-    One character ((t**2 - 4)/p) gives v = v_r(phat); `ring.chi_valuation`
-    gives v_r(chi(t, p)), and v_r(ord Y) = v_r(chi(b, p)) for the trace b
-    of Y, whose b**2 - 4 = y0**2 (t**2 - 4) has the same character.  When
-    p | num(y0), Y = +-I and v_r(ord Y) = 0.
+    Membership in T reads three r-adic valuations, factors nothing, and
+    takes one character per prime, ((t**2 - 4)/p) by Euler's criterion.
+    It gives v = v_r(phat), and `_valuation` reads v_r(chi(t, p)) and
+    v_r(ord Y) = v_r(chi(b, p)) from it for the trace b of Y, whose
+    b**2 - 4 = y0**2 (t**2 - 4) has the same character wherever p does not
+    divide num(y0).  When p | num(y0), Y = +-I and v_r(ord Y) = 0.
 
     At every prime with r | phat (and every p <= 10**4), v_r(ord Y) is also
     found from `RingElem` powers, Y**(n/r**v) for n = p -+ 1 (2p when
-    p | t**2 - 4) and then r-th powers, and a mismatch with `chi_valuation` is
+    p | t**2 - 4) and then r-th powers, and a mismatch with `_valuation` is
     a violation.  For p <= 10**4 the full orders are computed too, by
     factoring phat: violations there are primes where ord(Y)
-    differs from chi(b, p), where the full orders and `chi_valuation` place p
+    differs from chi(b, p), where the full orders and `_valuation` place p
     differently in T, or where an honest zero scan contradicts the
     subgroup divisor criterion or finds a member of T dividing Y.  There
     the literal criterion "ord(Y) | 2*chi" is compared against the
@@ -829,13 +835,13 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         m = ring.ModParam.from_residue(tm, p)
         y_elem = ring.elem_from_rationals(m, y0, y1)
         y_scalar = y0.numerator % p == 0  # Y = +-I mod p
-        v_ord = 0 if y_scalar else ring.chi_valuation(ring.residue(b, p), p, r)  # 0 when v = 0
+        v_ord = 0 if y_scalar else _valuation(ring.residue(b, p), p, r, delta_char)
         z, v_pow = y_elem ** (n // r**v), 0
         while not z.is_identity and v_pow <= v:
             z, v_pow = z**r, v_pow + 1
         if v_pow != v_ord:
             rep.record(p, f"v_r(ord Y) = v_r(chi(trace)) = {v_ord}", v_pow)
-        in_target = v == 1 and v_ord > 0 and ring.chi_valuation(tm, p, r) == 0
+        in_target = v == 1 and v_ord > 0 and _valuation(tm, p, r, delta_char) == 0
         target_count += in_target
         if p <= ENUMERATION_CAP:
             phat = ring.group_order(m)
@@ -864,6 +870,16 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         "criterion_disagreements": disagreements,
     }
     return rep
+
+
+def _valuation(x: int, p: int, r: int, delta_char: int) -> int:
+    """v_r(chi) for the residue x mod p whose ((x**2 - 4)/p) is delta_char,
+    odd r: `ring.chi_valuation` where delta_char = 0, else the no-ladder
+    rule and, where it leaves v_r(chi) open, the ladder part."""
+    if delta_char == 0:
+        return ring.chi_valuation(x, p, r)
+    j = ring.chi_valuation_by_order(p, r, delta_char, 0)
+    return ring.chi_valuation_by_ladder(x, p, r, delta_char) if j is None else j
 
 
 # ---------------------------------------------------------------------------

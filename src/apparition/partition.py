@@ -7,7 +7,14 @@ count (their index is p or 2p).  v_r(chi) is read off the cyclic group of
 order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
 ((t + 2)/p): `ring.chi_valuation_by_order` gives it whenever n alone does
 (r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
-otherwise `ring.chi_valuation_by_ladder` runs one trace ladder.
+otherwise the ladder part does.  For a reducible t, t = xi + 1/xi with xi
+rational (t**2 - 4 a rational square), chi(t, p) is the order of xi mod p,
+and the ladder part is `ring.order_valuation` of xi mod p, builtin pow
+with no trace ladder; xi is taken as an integer when xi or 1/xi is one.
+Both num(xi) and den(xi) divide b, so xi is a unit at every admissible p.
+For any other t the ladder part is `ring.chi_valuation_by_ladder`, one
+trace ladder on t mod p.  `_FixedClasses.ladder_part` is the one place
+that picks it, for the class pass and the per-prime loop alike.
 
 With t = a/b, both characters are characters of integers:
 ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and
@@ -25,11 +32,14 @@ sweep works in two passes over each segment's odd-only sieve mask
   class, once per sweep.  A class whose verdict is a bucket has its
   primes counted with one `bytes.count` on its strided slice of the mask.
   Any other class keeps its characters as its verdict, and its slice is
-  walked prime by prime with `find`: t is reduced mod p inline and
-  `chi_valuation_by_ladder` called directly, or for r = 2 with t + 2 a
-  non-square v_2(p - delta) is read off p.  For r = 2 the bucket v_2(n)
-  holds for the whole class only below v_2(L); at or above it the class
-  overflows when v_2(L) > j_max and is otherwise walked.  The special
+  walked prime by prime: `itertools.compress` pairs the slice with the
+  numbers p0 + k*L it stands for, as `primes._segment_primes` does for
+  a whole mask, and each prime goes to the ladder part with the class's
+  characters, with no character lookup and no repeat of the group-order
+  test.  For r = 2 with t + 2 a non-square the bucket v_2(n) holds for
+  the whole class only below v_2(L); at or above it the class overflows
+  when v_2(L) > j_max and is otherwise walked, and the ladder part then
+  returns the per-prime verdict of `chi_valuation_by_order`.  The special
   primes, the odd primes dividing L * b * disc, are held out of the
   pass: each is excluded (it divides 2rb) or has a character 0 (it
   divides disc).  They are listed once per sweep by trial up to
@@ -48,9 +58,9 @@ sweep works in two passes over each segment's odd-only sieve mask
   keyed by p mod 4|k|, the periods the class pass puts into L (or, when
   a period is at least the segment width, where a cache could never
   hit, from Euler's criterion), and then applies the same two rules as
-  the class pass: `chi_valuation_by_order`, then
-  `chi_valuation_by_ladder` where the rule leaves v_r(chi) open.  So
-  each segment's mask is read once, by the class pass or by the loop.
+  the class pass: `chi_valuation_by_order`, then the ladder part where
+  the rule leaves v_r(chi) open.  So each segment's mask is read once,
+  by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
 memory stays bounded by one segment's mask and its class caches however
@@ -67,14 +77,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import compress
 from math import gcd, lcm, sqrt
 from typing import Optional
 
 from . import primes
 from .classify import Prediction, parameter
 from .errors import UnsupportedPrediction
+from .exactnum import is_square
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation_by_ladder, chi_valuation_by_order, legendre
+from .ring import chi_valuation_by_ladder, chi_valuation_by_order, legendre, order_valuation
 
 DEFAULT_J_MAX = 8
 # v_r(chi) <= log2(2p) < 64 for every p a sweep can reach, so a larger j_max
@@ -128,7 +140,7 @@ class _FixedClasses:
 
     def __init__(self, t: Fraction, r: int, j_max: int):
         a, b = t.numerator, t.denominator
-        self.a, self.b, self.r, self.j_max = a, b, r, j_max
+        self.t, self.b, self.r, self.j_max = t, b, r, j_max
         # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not
         # dividing b; each depends only on p mod its period (quadratic reciprocity)
         self.disc, self.plus2 = a * a - 4 * b * b, (a + 2 * b) * b
@@ -196,28 +208,47 @@ class _FixedClasses:
 
     def _walk(self, p0: int, members: bytearray, chars: tuple, counts: list) -> None:
         """Bucket the primes p0 + k*L that members marks, one by one, for a
-        class with the characters chars: for r = 2 and a non-square t + 2
-        v_2(chi) is v_2(p - delta_char), and otherwise the ladder gives it."""
+        class with the characters chars."""
         delta_char, plus2_char = chars
-        a, b, r, top, step = self.a, self.b, self.r, self.j_max + 1, self.modulus
-        find = members.find
-        k = find(1)
-        while k >= 0:
-            p = p0 + k * step
-            if plus2_char == -1:
-                n = p - delta_char
-                j = (n & -n).bit_length() - 1
-            else:
-                tm = a % p if b == 1 else a * pow(b, -1, p) % p
-                j = chi_valuation_by_ladder(tm, p, r, delta_char)
+        top, step, ladder_part = self.j_max + 1, self.modulus, self.ladder_part
+        for p in compress(range(p0, p0 + step * len(members), step), members):
+            j = ladder_part(p, delta_char, plus2_char)
             counts[j if j < top else top] += 1
-            k = find(1, k + 1)
+
+    @cached_property
+    def ladder_part(self):
+        """The function (p, delta_char, plus2_char) -> v_r(chi) at an
+        admissible p prime to disc with those characters, where no class
+        bucket holds: for r = 2 and a non-square t + 2, the per-prime verdict
+        of `chi_valuation_by_order`; otherwise `ring.order_valuation` of xi
+        mod p for a reducible t, and `chi_valuation_by_ladder` of t mod p for
+        any other.  A closure, so the hot loops read no attribute per prime."""
+        t, r = self.t, self.r
+        # a reducible t = xi + 1/xi (t**2 - 4 a rational square) has chi(t, p) =
+        # ord_p(xi); num(xi) * den(xi) = +-b, so xi is a unit at every admissible p
+        root = is_square(t * t - 4)
+        reducible, base = bool(root), t  # base: the rational reduced mod p
+        if reducible:
+            base = (t + root.root) / 2  # xi
+            if base.denominator != 1 and abs(base.numerator) == 1:
+                base = 1 / base  # an integer, with no inverse to take per prime
+        num, den = base.numerator, base.denominator
+
+        def ladder_part(p: int, delta_char: int, plus2_char: int) -> int:
+            if plus2_char == -1:
+                return chi_valuation_by_order(p, r, delta_char, plus2_char)
+            x = num % p if den == 1 else num * pow(den, -1, p) % p
+            if reducible:
+                return order_valuation(x, p, r)
+            return chi_valuation_by_ladder(x, p, r, delta_char)
+
+        return ladder_part
 
 
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     fixed = _FixedClasses(t, r, j_max)
-    a, b, disc, plus2 = fixed.a, fixed.b, fixed.disc, fixed.plus2
+    b, disc, plus2, ladder_part = fixed.b, fixed.disc, fixed.plus2, fixed.ladder_part
     disc_period, plus2_period = fixed.char_periods
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
@@ -257,8 +288,7 @@ def _sweep_range(args) -> PartitionReport:
                 plus2_char = legendre(plus2, p)
             j = chi_valuation_by_order(p, r, delta_char, plus2_char)
             if j is None:
-                tm = a % p if b == 1 else a * pow(b, -1, p) % p
-                j = chi_valuation_by_ladder(tm, p, r, delta_char)
+                j = ladder_part(p, delta_char, plus2_char)
             counts[j if j < top else top] += 1
     return PartitionReport(
         t=t, r=r, limit=hi, j_max=j_max, j_counts=counts[:-1],

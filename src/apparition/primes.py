@@ -23,11 +23,11 @@
   variant of Pollard rho on the cofactor, with `is_prime` on every piece.
   It answers for every n whose cofactor `is_prime` can decide (below
   3.3*10**24) and raises ValueError past that.  It is the package's one
-  factoring path: `ring.chi_from_residue` factors p -+ 1 with it, and the
+  factoring path: `ring.chi_with_primes` factors p -+ 1 with it, and the
   non-divisor suite p -+ 1 (or 2p) below 10**4.
 - `distinct_prime_factors`: the primes of `factorize`, ascending, for
-  `ring.chi_from_residue` and for the bridge suite's rank certificate,
-  `experiments._rank_failure`.  The partition sweep, the cubic,
+  `ring.chi_with_primes`, which keeps those that divide chi for the
+  bridge suite's rank certificate.  The partition sweep, the cubic,
   circular, quadmap and splitting suites, the membership test of the
   non-divisor suite and the classifier factor nothing: all but the last
   read v_r(chi) from the ring kernels.

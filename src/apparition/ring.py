@@ -22,14 +22,20 @@ to 2.  The ladder part is `chi_valuation_by_ladder`, one trace ladder on
 the residue of t.  The partition sweep applies the same two parts with
 characters it reads once per residue class of p, and every exact suite
 that needs only v_r(chi) calls the kernel.
+`order_valuation(x, p, r)` is v_r of the multiplicative order of a unit
+x mod p: builtin pow to the r-free part of p - 1, then at most
+v_r(p - 1) r-th powers.  For a reducible t = xi + 1/xi with xi rational,
+chi(t, p) is the order of xi mod p, so the sweep takes this as its ladder
+part there, with no trace ladder.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 that need chi itself call it on `residue(t, p)` at primes their sieve has
-already vouched for.
+already vouched for.  `chi_with_primes` gives chi together with the
+primes of p -+ 1 that divide it, for the bridge suite's rank certificate.
 `index` is the validating entry point of the CLI and library callers: it
 checks that p is an odd prime and reduces t with `reduce_param` first.
 `ModParam.from_residue` is the unvalidated constructor that
 `reduce_param` and the suites share, and `group_order` and
-`chi_from_residue` share one order rule on residues.
+`chi_with_primes` share one order rule on residues.
 
 Residues live in [0, p); p = 2 is rejected everywhere.
 """
@@ -181,22 +187,31 @@ def element_order(a: RingElem, order_bound: dict) -> int:
 
 
 def chi_from_residue(tm: int, p: int) -> int:
-    """chi for the residue tm = t mod p, by factoring the group order.
+    """chi for the residue tm = t mod p, by factoring the group order:
+    the chi of `chi_with_primes`."""
+    return chi_with_primes(tm, p)[0]
+
+
+def chi_with_primes(tm: int, p: int) -> tuple:
+    """(chi, the primes dividing chi, ascending) for the residue tm = t mod p.
 
     Away from delta = 0, chi divides the group order n = p -+ 1.  With xi
     an eigenvalue of D, C_e(t) - 2 = (xi**e - 1)**2 / xi**e, so D**e = I
     exactly when C_e(t) = 2, whether xi lies in F_p (split) or in F_{p^2}
     (inert): primes are divided out of n while the trace stays 2, with
-    no square root.
+    no square root, and the primes of n that are left divide chi.
     """
     d = (tm * tm - 4) % p
     o = _group_order(tm, d, p)
     if d == 0:  # chi = p or 2p
-        return o
+        return o, [p] if o == p else [2, p]
+    kept = []
     for q in distinct_prime_factors(o):
         while o % q == 0 and cheb_c_mod(o // q, tm, p) == 2:
             o //= q
-    return o
+        if o % q == 0:
+            kept.append(q)
+    return o, kept
 
 
 def chi_valuation(tm: int, p: int, r: int) -> int:
@@ -268,6 +283,34 @@ def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
         # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
         y = (y * y - 2) % p if r == 2 else y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
     raise ValueError(f"characters do not fit t = {tm} mod {p}: delta character {delta_char}")
+
+
+def order_valuation(x: int, p: int, r: int) -> int:
+    """v_r of the multiplicative order of the unit x mod p, by builtin pow.
+
+    With m the r-free part of p - 1, x**m has order r**j for j the
+    answer, so j is the number of r-th powers that take x**m to 1.  For a
+    reducible t = xi + 1/xi with xi rational, D_t has the eigenvalues xi
+    and 1/xi in F_p wherever p divides neither den(t) nor t**2 - 4, so
+    chi(t, p) is the order of xi mod p and this is v_r(chi) with no trace
+    ladder.  An x that is no unit mod p never reaches 1 within v_r(p - 1)
+    powers and raises ValueError, as `chi_valuation_by_ladder` does.
+    """
+    m = p - 1  # split as in chi_valuation_by_ladder, inline on this hot path
+    if r == 2:
+        v = (m & -m).bit_length() - 1
+        m >>= v
+    else:
+        v = 0
+        while m % r == 0:
+            m //= r
+            v += 1
+    y = pow(x, m, p)
+    for j in range(v + 1):
+        if y == 1:
+            return j
+        y = y * y % p if r == 2 else pow(y, r, p)
+    raise ValueError(f"{x} is not a unit mod {p}")
 
 
 def index(t, p: int) -> int:

@@ -135,12 +135,13 @@ def test_rank_certificate_matches_scan(T, Q):
         if skip % p == 0:
             continue
         rank = ex.lucas_index(spec, p)
-        assert ex._chi(spec.t, p) == rank, p
-        assert ex._rank_failure(T, Q, rank, p) is None, p
-        assert ex._rank_failure(T, Q, 2 * rank, p) == f"L_{rank}=0", p
-        assert ex._rank_failure(T, Q, 3 * rank, p) == f"L_{rank}=0", p
+        assert ex.ring.chi_with_primes(residue(spec.t, p), p) == (rank, sorted(factorize(rank)))
+        assert ex._rank_failure(T, Q, rank, sorted(factorize(rank)), p) is None, p
+        for k in (2 * rank, 3 * rank):
+            assert ex._rank_failure(T, Q, k, sorted(factorize(k)), p) == f"L_{rank}=0", p
         for q in factorize(rank):
-            assert ex._rank_failure(T, Q, rank // q, p) == f"L_{rank // q}!=0", p
+            k = rank // q
+            assert ex._rank_failure(T, Q, k, sorted(factorize(k)), p) == f"L_{k}!=0", p
         checked += 1
     assert ex.verify_bridge(spec, 3000).primes_checked == checked
 
@@ -152,12 +153,32 @@ def test_verify_bridge_scans_nothing(monkeypatch):
     assert calls == []
 
 
+def test_verify_bridge_factors_each_group_order_once(monkeypatch):
+    # the primes of chi are those of p -+ 1 that ring.chi_with_primes keeps,
+    # so the rank certificate factors nothing again
+    factored = []
+    factorize = primes.factorize
+
+    def spy(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(primes, "factorize", spy)
+    rep = ex.verify_bridge(FIB, 10**4)
+    assert rep.passed and len(factored) == rep.primes_checked > 1000
+
+
 @pytest.mark.parametrize("wrong", [lambda chi: 1, lambda chi: 2 * chi])
 def test_verify_bridge_catches_a_wrong_chi(wrong, monkeypatch):
     # 1 is never the rank (L_1 = 1), and at 2 * chi the certificate finds
     # L_chi = 0, so every prime checked is a violation
-    chi = ex.ring.chi_from_residue
-    monkeypatch.setattr(ex.ring, "chi_from_residue", lambda tm, p: wrong(chi(tm, p)))
+    chi_with_primes = ex.ring.chi_with_primes
+
+    def wrong_with_primes(tm, p):
+        k = wrong(chi_with_primes(tm, p)[0])
+        return k, sorted(factorize(k))
+
+    monkeypatch.setattr(ex.ring, "chi_with_primes", wrong_with_primes)
     rep = ex.verify_bridge(FIB, 10**4)
     assert rep.violation_count == rep.primes_checked > ex.VIOLATION_CAP
     assert len(rep.violations) == ex.VIOLATION_CAP
@@ -604,6 +625,22 @@ def test_nondivisor_factors_only_below_enumeration_cap(monkeypatch):
             f"0 violations; target_count {count}, pi_limit 3245, ratio {ratio}, "
             f"expected {F(r - 1, r**3)}, trace {trace}, criterion_disagreements {disagreements}"
         )
+
+
+def test_nondivisor_reads_one_character_per_prime(monkeypatch):
+    # above ENUMERATION_CAP, ((t**2 - 4)/p) is read once per prime: v_r(chi)
+    # of t and of the trace of Y reuse it, since b**2 - 4 = y0**2 (t**2 - 4)
+    read = []
+    legendre = ring.legendre
+
+    def spy(x, p):
+        read.append(p)
+        return legendre(x, p)
+
+    monkeypatch.setattr(ring, "legendre", spy)
+    rep = ex.nondivisor_density(3, F(-8, 19), F(-33, 19), 7, 3 * 10**4)
+    above = [p for p in read if p > ex.ENUMERATION_CAP]
+    assert rep.passed and above == list(iter_primes(3 * 10**4, start=ex.ENUMERATION_CAP))
 
 
 @pytest.mark.parametrize("y0, y1", [(F(-32, 13), F(-3, 13)), (F(-75, 17), F(-8, 17))])

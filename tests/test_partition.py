@@ -376,7 +376,9 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     # special primes to the per-prime loop, so no mask is read twice.  Each
     # special prime divides 2rb, and is excluded, or divides disc, and is
     # bucketed with no character, so the no-ladder rule sees only the class
-    # pass
+    # pass: the prime each class is judged on, and each walked prime of a
+    # class with a non-square t + 2 (r = 2, v_2(L) <= j_max), whose bucket
+    # v_2(p - delta) it gives prime by prime
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
@@ -398,12 +400,20 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     want = _per_prime_counts(t, r, j_max, 2, hi)
     monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
     monkeypatch.setattr(primes, "_segment_primes", reading)
+    verdict = partition._FixedClasses._verdict
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, r, hi, j_max=j_max)
-    assert seen == judged, t
     # only the base sieve up to isqrt(hi) reads its masks by prime
     assert all(n < segment // 2 for n in read), t
     assert rep.j_counts + [rep.overflow] == want
+    swept = sorted(seen)  # before the verdicts below call the spy again
+    by_rule = {q % fixed.modulus for q in judged if verdict(fixed, q) in ((1, -1), (-1, -1))}
+    walked = [
+        p for p in iter_primes(hi)
+        if p % fixed.modulus in by_rule and p not in fixed.specials
+    ]
+    assert swept == sorted(judged + walked), t
+    assert bool(walked) == ((t, r, j_max) == (3, 2, 8)), t
 
 
 def test_per_prime_loop_where_no_class_count_pays(monkeypatch):
@@ -454,12 +464,65 @@ def test_ladder_only_where_group_order_leaves_v_open(monkeypatch, r):
     assert 0 < len(needed) < rep.total
 
 
+@pytest.mark.parametrize("t", [F(5, 2), F(10, 3), F(-5, 2), F(17, 4), F(13, 6)], ids=str)
+def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
+    # t = xi + 1/xi with xi rational: where the no-ladder rule leaves
+    # v_r(chi) open, the sweep reads v_r(ord_p xi) by builtin pow, in the
+    # per-prime loop (below 3000) and in the class pass (to 3 * 10**5), and
+    # never calls cheb_c_mod, the trace ladder
+    ladders, powers = [], []
+    cheb_c_mod = ring.cheb_c_mod
+    order_valuation = partition.order_valuation
+
+    def counting(n, x, p):
+        ladders.append(p)
+        return cheb_c_mod(n, x, p)
+
+    def spy(x, p, r):
+        powers.append(p)
+        return order_valuation(x, p, r)
+
+    monkeypatch.setattr(ring, "cheb_c_mod", counting)
+    monkeypatch.setattr(partition, "order_valuation", spy)
+    judged = _record_class_verdicts(monkeypatch)
+    for r in (2, 3, 5, 7):
+        for limit in (3000, 3 * 10**5):
+            compute_partition(t, r, limit)
+    assert judged and powers and ladders == []
+
+
+def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
+    # t = 4099 + 1/4099 has L = 4 * 4099 * 3 = 49188 for r = 3: 8L exceeds a
+    # default segment's mask, so the per-prime loop buckets every prime by
+    # the order of 4099 mod p, and agrees with the trace ladder of
+    # `chi_valuation`
+    t = F(4099) + F(1, 4099)
+    assert _fixed_classes(t, 3, 8).modulus == 49188 > primes._SEGMENT // 16
+    judged = _record_class_verdicts(monkeypatch)
+    powers = []
+    order_valuation = partition.order_valuation
+
+    def spy(x, p, r):
+        assert x == 4099 % p
+        powers.append(p)
+        return order_valuation(x, p, r)
+
+    monkeypatch.setattr(partition, "order_valuation", spy)
+    lo = 10**6
+    hi = lo + 2 * primes._SEGMENT + 17
+    rep = compute_partition(t, 3, hi, start=lo)
+    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 3, 8, lo, hi)
+    assert judged == [] and 0.4 * rep.total < len(powers) < 0.6 * rep.total
+
+
 # the ts of acceptance criterion 1 (with the square-disc cases 5/2 and 10/3),
 # a further negative t, a t of large height whose character caches never
-# hit below 3000, and the showcase ts 7 (t + 2 = 9 a square), 3/2 and 48/25
+# hit below 3000, the showcase ts 7 (t + 2 = 9 a square), 3/2 and 48/25, and
+# the reducible -5/2 = -2 - 1/2 and 13/6 = 2/3 + 3/2 (xi a negative integer,
+# and no integer)
 KERNEL_TS = [
     F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3),
-    F(-7, 2), F(123456789, 1000003), F(7), F(3, 2), F(48, 25),
+    F(-7, 2), F(123456789, 1000003), F(7), F(3, 2), F(48, 25), F(-5, 2), F(13, 6),
 ]
 
 

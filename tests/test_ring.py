@@ -15,6 +15,7 @@ from apparition.ring import (
     chi_valuation,
     chi_valuation_by_ladder,
     chi_valuation_by_order,
+    chi_with_primes,
     d_elem,
     elem_from_rationals,
     element_order,
@@ -23,6 +24,7 @@ from apparition.ring import (
     index,
     index_by_scan,
     legendre,
+    order_valuation,
     reduce_param,
     residue,
 )
@@ -223,6 +225,50 @@ def test_chi_valuation_by_order(t):
                 assert (j is None) == (n % r == 0), (p, r)
             if j is not None:
                 assert j == valuation(index_by_scan(t, p), r), (p, r)
+
+
+# reducible t = xi + 1/xi, with xi an integer (5/2, 10/3, 17/4), a negative
+# integer (-5/2) and neither (13/6 = 2/3 + 3/2)
+REDUCIBLE = [(F(5, 2), F(2)), (F(10, 3), F(3)), (F(-5, 2), F(-2)), (F(17, 4), F(4)),
+             (F(13, 6), F(3, 2))]
+
+
+@pytest.mark.parametrize("t,xi", REDUCIBLE, ids=str)
+def test_order_valuation_matches_scan_oracle(t, xi):
+    # chi(t, p) = ord_p(xi) at every p dividing neither den(t) nor t**2 - 4
+    assert xi + 1 / xi == t
+    disc = t.numerator**2 - 4 * t.denominator**2
+    checked = 0
+    for p in iter_primes(3000, start=3):
+        if (t.denominator * disc) % p == 0:
+            continue
+        chi = index_by_scan(t, p)
+        x = residue(xi, p)
+        for r in (2, 3, 5, 7):
+            assert order_valuation(x, p, r) == valuation(chi, r), (p, r)
+        checked += 1
+    assert checked > 400
+
+
+def test_order_valuation_raises_past_its_bound():
+    # 0 is no unit: its powers never reach 1 within v_r(p - 1) r-th powers
+    for p in (3, 5, 7, 11, 13, 97, 101):
+        for r in (2, 3, 5, 7):
+            with pytest.raises(ValueError, match="not a unit"):
+                order_valuation(0, p, r)
+    assert order_valuation(1, 97, 2) == 0 and order_valuation(96, 97, 2) == 1
+
+
+def test_chi_with_primes():
+    # chi with its primes, ascending, from the one factoring of p -+ 1; at
+    # delta = 0 (t = 3, p = 5: chi = 10; t = -3, p = 5: chi = 5) no factoring
+    for t in (F(3), F(2, 7), F(5, 2)):
+        for p in iter_primes(2000, start=3):
+            if t.denominator % p:
+                chi, qs = chi_with_primes(residue(t, p), p)
+                assert chi == index_by_scan(t, p) == chi_from_residue(residue(t, p), p)
+                assert qs == sorted(factorize(chi)), (t, p)
+    assert chi_with_primes(3, 5) == (10, [2, 5]) and chi_with_primes(2, 5) == (5, [5])
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
