@@ -10,12 +10,12 @@ splitting suite takes its theorem side from one per-prime function,
 deg gcd(f, x**p - x) rather than by evaluating at every residue, so its
 cost per prime grows with log p, not p.
 The suites that need only v_r(chi) (cubic, circular, quadmap,
-splitting, and the non-divisor suite's membership test) read it from
-`ring.chi_valuation`, which factors nothing, or, where the non-divisor
-suite already holds the character of t**2 - 4, from the two rules that
-kernel applies; the others need chi itself and take it from
-`ring.chi_from_residue`, or from `ring.chi_with_primes` when they need
-its primes too.
+splitting, and the non-divisor suite's membership test) build one
+`ring.ChiValuation` reader per parameter, which factors nothing, and
+call it at each prime, or, where the non-divisor suite already holds the
+character of t**2 - 4, call its `at` with that character; the others
+need chi itself and take it from `ring.chi_from_residue`, or from
+`ring.chi_with_primes` when they need its primes too.
 `all_suites` is the one run list of `apparition verify all`.
 """
 
@@ -50,6 +50,10 @@ from .errors import (
 from .exactnum import is_square
 
 ENUMERATION_CAP = 10_000  # full residue scans are O(p)
+# exact U_n, C_n and L_n of t have about n * h bits, h the bit length of
+# max(|num(t)|, den(t)), and the suites that build them keep n such values
+PROP11_BITS_CAP = 8_000  # r * h
+BALLOT_BITS_CAP = 48_000  # r * k_max * h
 EXACT_SUITE_CAP = 60  # identity checks need n_max**2 exact values
 SPLITTING_LIMIT_CAP = 10**5  # the splitting suite counts roots by gcd
 DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense gcd is O(deg**2 * log p)
@@ -132,6 +136,14 @@ def _require_prime(r: int) -> None:
         raise ValueError(f"r must be prime, got {r}")
 
 
+def _require_exact_bits(n_name: str, n: int, t: Fraction, cap: int) -> None:
+    """Refuse exact values of t up to index n once n * h, h the bit length
+    of max(|num(t)|, den(t)), exceeds cap."""
+    h = max(abs(t.numerator), t.denominator).bit_length()
+    if n * h > cap:
+        raise ValueError(f"{n_name} * height bits of t capped at {cap}, got {n} * {h}")
+
+
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
 
@@ -145,10 +157,16 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     """chi(C_r(t), p) equals chi(t, p), or chi(t, p)/r when r divides it.
 
     Valid away from primes dividing num(U_r(t)), where the conjugation
-    between the two rings degenerates.
+    between the two rings degenerates.  U_r(t) and C_r(t) are built
+    exactly, from a table of r + 2 values of up to about r * h bits, h
+    the bit length of max(|num(t)|, den(t)), so r * h is capped at
+    PROP11_BITS_CAP.  At the cap a run to 10**4 took at most 0.5 s and
+    20 MB (t = 1/3, 2/7, 5/7, 11/13, 3 and 123456789/1000003; 2 vCPUs,
+    Python 3.11.7); the time grows about as the cube of r.
     """
     _require_prime(r)
     t = parameter(t)
+    _require_exact_bits("r", r, t, PROP11_BITS_CAP)
     t_r = cheb_c_exact(r, t)
     u_r = cheb_u_exact(r, t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
@@ -187,10 +205,10 @@ def verify_cubic_associates(t, limit: int) -> CheckReport:
     if not cls.cubic:
         raise NotCubic(f"t = {t} is not cubic")
     a1, a2 = cls.cubic_associates
-    triple = (t, a1, a2)
+    readers = [ring.ChiValuation(a, 3) for a in (t, a1, a2)]
     rep = CheckReport(name=f"cubic(t={t})")
     for p in _admissible(rep, limit, t.denominator, 3):
-        vs = tuple(ring.chi_valuation(ring.residue(a, p), p, 3) for a in triple)
+        vs = tuple(read(p) for read in readers)
         if sum(1 for v in vs if v == 0) > 1:
             rep.record(p, "at most one v=0", vs)
             continue
@@ -222,9 +240,9 @@ def verify_circular(t, limit: int) -> CheckReport:
         lhs = cheb_c_exact(n, t) ** 2 + cheb_c_exact(n, w) ** 2
         if lhs != 4:
             rep.record(0, f"C_{n}(t)^2 + C_{n}(w)^2 = 4 (n={n})", lhs)
+    read_t, read_w = ring.ChiValuation(t, 2), ring.ChiValuation(w, 2)
     for p in _admissible(rep, limit, t.denominator, w.denominator):
-        jt = ring.chi_valuation(ring.residue(t, p), p, 2)
-        jw = ring.chi_valuation(ring.residue(w, p), p, 2)
+        jt, jw = read_t(p), read_w(p)
         ok = (
             ((jt <= 1) == (jw == 2))
             and ((jw <= 1) == (jt == 2))
@@ -376,11 +394,18 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     with k >= 1 is 0 once t has passed `classify.parameter`: L_k = 0 makes
     alpha/beta a root of unity of degree <= 2, so t = alpha/beta +
     beta/alpha is one of 0, +-1, -2.
+
+    L_0 ... L_{r*k_max} are built exactly, so r * k_max * h, h the bit
+    length of max(|num(t)|, den(t)), is capped at BALLOT_BITS_CAP.  At the
+    cap a run to 10**4 took at most 0.95 s and 45 MB ((T, Q) = (1, -1),
+    (2, -1), (3, 2), (7, 5), (100, 3) and (1, 1000003), k_max 30 and 60;
+    2 vCPUs, Python 3.11.7); the memory grows as the square of r * k_max.
     """
     _require_prime(r)
     if not 1 <= k_max <= 60:
         raise ValueError(f"k_max must be in [1, 60] (exact values), got {k_max}")
     t = parameter(spec.t)
+    _require_exact_bits("r * k_max", r * k_max, t, BALLOT_BITS_CAP)
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"ballot(T={T}, Q={Q}, r={r})")
 
@@ -450,7 +475,13 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     else z = chi.  The scan side looks for an actual zero of the sequence
     mod p within one period, or for the subsequence U_{rk+1} within
     (r - 1)*chi + 2 steps, which reach every residue class of z*m mod r.
-    `family` is one of SEQUENCE_FAMILIES, spelled exactly.
+    chi <= p + 1 off delta = 0, so a scan at p takes up to (r - 1)*(p + 1)
+    + 2 steps for the subsequence and 2*(p + 1) + 2 for the others; summed
+    over p, the subsequence scans do about (r - 1)/2 * (limit/cap)**2
+    times the work of the others at the cap, cap = ENUMERATION_CAP, and
+    are refused where that exceeds 1: (r - 1)*(limit + 1)**2 may not
+    exceed 2*(cap + 1)**2.  `family` is one of SEQUENCE_FAMILIES, spelled
+    exactly.
     """
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
@@ -460,6 +491,9 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
     skip = [t.denominator]
     if family == "subsequence":
         _require_prime(subseq_r)
+        if (subseq_r - 1) * (limit + 1) ** 2 > 2 * (ENUMERATION_CAP + 1) ** 2:
+            cap = f"2 * {ENUMERATION_CAP + 1}**2"
+            raise PrimeTooLarge(f"(r - 1) * (limit + 1)**2 capped at {cap} for subsequence scans")
         skip.append(subseq_r)
     b = None
     if family == "S":
@@ -640,6 +674,7 @@ def verify_splitting_theorems(
     if variant == "two":
         ms |= {2**i for i in range(j_max - 1)}
     c_polys = {m: cheb_c_coeffs(m) for m in ms}
+    read_v = ring.ChiValuation(t, r)
     rep = CheckReport(name=f"splitting(t={t}, r={r})")
     for p in _admissible(rep, limit, t.denominator, abs(delta.numerator), r):
         tm = ring.residue(t, p)
@@ -652,7 +687,7 @@ def verify_splitting_theorems(
             group = phat % r**j == 0
             if k[j] != group:
                 rep.record(p, f"K_{j} group={group}", f"theorem={k[j]}")
-        vchi = ring.chi_valuation(tm, p, r)
+        vchi = read_v(p)
         in_m_prev = True  # M_0 is everything
         for n in range(1, n_max + 1):
             in_m = (d_elem ** (phat // r ** min(n, v))).is_identity
@@ -734,10 +769,11 @@ def quadmap_divisor_check(t, limit: int) -> CheckReport:
     if limit > ENUMERATION_CAP:
         raise PrimeTooLarge(f"limit capped at {ENUMERATION_CAP} for O(p) scans")
     t = parameter(t)
+    read_v2 = ring.ChiValuation(t, 2)
     rep = CheckReport(name=f"quadmap(t={t})")
     for p in _admissible(rep, limit, t.denominator):
         tm = ring.residue(t, p)
-        v2 = ring.chi_valuation(tm, p, 2)
+        v2 = read_v2(p)
         y = saved = tm
         steps, power = 0, 1
         while True:
@@ -775,17 +811,18 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
 
     Membership in T reads three r-adic valuations, factors nothing, and
     takes one character per prime, ((t**2 - 4)/p) by Euler's criterion.
-    It gives v = v_r(phat), and `_valuation` reads v_r(chi(t, p)) and
-    v_r(ord Y) = v_r(chi(b, p)) from it for the trace b of Y, whose
-    b**2 - 4 = y0**2 (t**2 - 4) has the same character wherever p does not
-    divide num(y0).  When p | num(y0), Y = +-I and v_r(ord Y) = 0.
+    It gives v = v_r(phat), and the `at` of a `ring.ChiValuation` reader
+    reads v_r(chi(t, p)) and v_r(ord Y) = v_r(chi(b, p)) from it for the
+    trace b of Y, whose b**2 - 4 = y0**2 (t**2 - 4) has the same character
+    wherever p does not divide num(y0).  When p | num(y0), Y = +-I and
+    v_r(ord Y) = 0.
 
     At every prime with r | phat (and every p <= 10**4), v_r(ord Y) is also
     found from `RingElem` powers, Y**(n/r**v) for n = p -+ 1 (2p when
-    p | t**2 - 4) and then r-th powers, and a mismatch with `_valuation` is
+    p | t**2 - 4) and then r-th powers, and a mismatch with the reader is
     a violation.  For p <= 10**4 the full orders are computed too, by
     factoring phat: violations there are primes where ord(Y)
-    differs from chi(b, p), where the full orders and `_valuation` place p
+    differs from chi(b, p), where the full orders and the readers place p
     differently in T, or where an honest zero scan contradicts the
     subgroup divisor criterion or finds a member of T dividing Y.  There
     the literal criterion "ord(Y) | 2*chi" is compared against the
@@ -819,14 +856,14 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
 
     rep = CheckReport(name=f"nondivisor(t={t}, Y=[{y0}, {y1}], r={r})")
     pi_limit = target_count = disagreements = 0
-    disc = t.numerator**2 - 4 * t.denominator**2  # den(t)**2 * (t**2 - 4)
+    read_t, read_b = ring.ChiValuation(t, r), ring.ChiValuation(b, r)
     dens = t.denominator * y0.denominator * y1.denominator
     for p in primes.iter_primes(limit):
         pi_limit += 1
         if p == 2 or dens % p == 0:
             continue
         rep.primes_checked += 1
-        delta_char = ring.legendre(disc, p)
+        delta_char = ring.legendre(read_t.disc, p)
         n = p - delta_char if delta_char else 2 * p  # a multiple of ord(Y)
         v = primes.valuation(n, r)
         if v == 0 and p > ENUMERATION_CAP:
@@ -835,13 +872,13 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         m = ring.ModParam.from_residue(tm, p)
         y_elem = ring.elem_from_rationals(m, y0, y1)
         y_scalar = y0.numerator % p == 0  # Y = +-I mod p
-        v_ord = 0 if y_scalar else _valuation(ring.residue(b, p), p, r, delta_char)
+        v_ord = 0 if y_scalar else read_b.at(p, delta_char, 0)
         z, v_pow = y_elem ** (n // r**v), 0
         while not z.is_identity and v_pow <= v:
             z, v_pow = z**r, v_pow + 1
         if v_pow != v_ord:
             rep.record(p, f"v_r(ord Y) = v_r(chi(trace)) = {v_ord}", v_pow)
-        in_target = v == 1 and v_ord > 0 and _valuation(tm, p, r, delta_char) == 0
+        in_target = v == 1 and v_ord > 0 and read_t.at(p, delta_char, 0) == 0
         target_count += in_target
         if p <= ENUMERATION_CAP:
             phat = ring.group_order(m)
@@ -870,16 +907,6 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         "criterion_disagreements": disagreements,
     }
     return rep
-
-
-def _valuation(x: int, p: int, r: int, delta_char: int) -> int:
-    """v_r(chi) for the residue x mod p whose ((x**2 - 4)/p) is delta_char,
-    odd r: `ring.chi_valuation` where delta_char = 0, else the no-ladder
-    rule and, where it leaves v_r(chi) open, the ladder part."""
-    if delta_char == 0:
-        return ring.chi_valuation(x, p, r)
-    j = ring.chi_valuation_by_order(p, r, delta_char, 0)
-    return ring.chi_valuation_by_ladder(x, p, r, delta_char) if j is None else j
 
 
 # ---------------------------------------------------------------------------

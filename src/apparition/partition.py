@@ -7,14 +7,12 @@ count (their index is p or 2p).  v_r(chi) is read off the cyclic group of
 order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
 ((t + 2)/p): `ring.chi_valuation_by_order` gives it whenever n alone does
 (r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
-otherwise the ladder part does.  For a reducible t, t = xi + 1/xi with xi
-rational (t**2 - 4 a rational square), chi(t, p) is the order of xi mod p,
-and the ladder part is `ring.order_valuation` of xi mod p, builtin pow
-with no trace ladder; xi is taken as an integer when xi or 1/xi is one.
-Both num(xi) and den(xi) divide b, so xi is a unit at every admissible p.
-For any other t the ladder part is `ring.chi_valuation_by_ladder`, one
-trace ladder on t mod p.  `_FixedClasses.ladder_part` is the one place
-that picks it, for the class pass and the per-prime loop alike.
+otherwise the ladder part does: `ring.chi_valuation_by_ladder` on t mod
+p, or, for a reducible t = xi + 1/xi (chi(t, p) is then the order of xi
+mod p), builtin pow on xi mod p.  The sweep composes none of this: one
+`ring.ChiValuation` reader of t, built once per sweep, holds disc, plus2
+and the ladder part, and its `at` applies the whole rule to characters
+the sweep has read, for the class pass and the per-prime loop alike.
 
 With t = a/b, both characters are characters of integers:
 ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and
@@ -50,17 +48,17 @@ sweep works in two passes over each segment's odd-only sieve mask
   mask length), where a count could not pay.
 - The per-prime loop visits the special primes the pass hands back, or
   every prime of a segment the pass skips; it excludes p = r and the
-  divisors of b.  A prime dividing disc has t = +-2 mod p and chi = p
-  or 2p, so it is bucketed at once: 1 for r = 2 and t = -2 mod p, else
-  0.  A prime p < 1000 with p**2 | disc shares its class mod 4|k| with
+  divisors of b.  A prime dividing disc has t = +-2 mod p, so both its
+  characters are 0 and the reader's `at` buckets it by chi = p or 2p.
+  A prime p < 1000 with p**2 | disc shares its class mod 4|k| with
   other primes, so this comes before any cache is read.  For every
   other prime the loop reads the characters from per-segment dicts
   keyed by p mod 4|k|, the periods the class pass puts into L (or, when
   a period is at least the segment width, where a cache could never
-  hit, from Euler's criterion), and then applies the same two rules as
-  the class pass: `chi_valuation_by_order`, then the ladder part where
-  the rule leaves v_r(chi) open.  So each segment's mask is read once,
-  by the class pass or by the loop.
+  hit, from Euler's criterion), and hands them to `at`, which applies
+  the same two rules as the class pass: `chi_valuation_by_order`, then
+  the ladder part where the rule leaves v_r(chi) open.  So each
+  segment's mask is read once, by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
 memory stays bounded by one segment's mask and its class caches however
@@ -84,9 +82,8 @@ from typing import Optional
 from . import primes
 from .classify import Prediction, parameter
 from .errors import UnsupportedPrediction
-from .exactnum import is_square
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .ring import chi_valuation_by_ladder, chi_valuation_by_order, legendre, order_valuation
+from .ring import ChiValuation, chi_valuation_by_order, legendre
 
 DEFAULT_J_MAX = 8
 # v_r(chi) <= log2(2p) < 64 for every p a sweep can reach, so a larger j_max
@@ -139,11 +136,12 @@ class _FixedClasses:
     docstring), with their verdicts."""
 
     def __init__(self, t: Fraction, r: int, j_max: int):
-        a, b = t.numerator, t.denominator
-        self.t, self.b, self.r, self.j_max = t, b, r, j_max
+        self.reader = reader = ChiValuation(t, r)
+        b = t.denominator
+        self.b, self.r, self.j_max = b, r, j_max
         # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not
         # dividing b; each depends only on p mod its period (quadratic reciprocity)
-        self.disc, self.plus2 = a * a - 4 * b * b, (a + 2 * b) * b
+        self.disc, self.plus2 = reader.disc, reader.plus2
         self.char_periods = [4 * abs(_strip_trial_squares(n)) for n in (self.disc, self.plus2)]
         periods = [self.char_periods[0], _strip_trial_squares(b)]
         if r == 2:
@@ -208,47 +206,20 @@ class _FixedClasses:
 
     def _walk(self, p0: int, members: bytearray, chars: tuple, counts: list) -> None:
         """Bucket the primes p0 + k*L that members marks, one by one, for a
-        class with the characters chars."""
+        class with the characters chars, by the reader's ladder part: no
+        rule is repeated, and for a non-square t + 2 (r = 2) it gives the
+        rule's per-prime verdict."""
         delta_char, plus2_char = chars
-        top, step, ladder_part = self.j_max + 1, self.modulus, self.ladder_part
+        top, step, ladder_part = self.j_max + 1, self.modulus, self.reader.ladder_part
         for p in compress(range(p0, p0 + step * len(members), step), members):
             j = ladder_part(p, delta_char, plus2_char)
             counts[j if j < top else top] += 1
-
-    @cached_property
-    def ladder_part(self):
-        """The function (p, delta_char, plus2_char) -> v_r(chi) at an
-        admissible p prime to disc with those characters, where no class
-        bucket holds: for r = 2 and a non-square t + 2, the per-prime verdict
-        of `chi_valuation_by_order`; otherwise `ring.order_valuation` of xi
-        mod p for a reducible t, and `chi_valuation_by_ladder` of t mod p for
-        any other.  A closure, so the hot loops read no attribute per prime."""
-        t, r = self.t, self.r
-        # a reducible t = xi + 1/xi (t**2 - 4 a rational square) has chi(t, p) =
-        # ord_p(xi); num(xi) * den(xi) = +-b, so xi is a unit at every admissible p
-        root = is_square(t * t - 4)
-        reducible, base = bool(root), t  # base: the rational reduced mod p
-        if reducible:
-            base = (t + root.root) / 2  # xi
-            if base.denominator != 1 and abs(base.numerator) == 1:
-                base = 1 / base  # an integer, with no inverse to take per prime
-        num, den = base.numerator, base.denominator
-
-        def ladder_part(p: int, delta_char: int, plus2_char: int) -> int:
-            if plus2_char == -1:
-                return chi_valuation_by_order(p, r, delta_char, plus2_char)
-            x = num % p if den == 1 else num * pow(den, -1, p) % p
-            if reducible:
-                return order_valuation(x, p, r)
-            return chi_valuation_by_ladder(x, p, r, delta_char)
-
-        return ladder_part
 
 
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     fixed = _FixedClasses(t, r, j_max)
-    b, disc, plus2, ladder_part = fixed.b, fixed.disc, fixed.plus2, fixed.ladder_part
+    b, disc, plus2, at = fixed.b, fixed.disc, fixed.plus2, fixed.reader.at
     disc_period, plus2_period = fixed.char_periods
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
@@ -268,27 +239,24 @@ def _sweep_range(args) -> PartitionReport:
                 excluded[p] = "equals_r" if p == r else "divides_denominator"
                 continue
             if disc % p == 0:
-                # t = +-2 mod p, so chi = p, or 2p where p | plus2 (t = -2); such
-                # a p can share its class with other primes, so it reads no cache
-                j = 1 if r == 2 and plus2 % p == 0 else 0
-                counts[j if j < top else top] += 1
-                continue
-            # each character is now +-1, so only a cache miss (None) reads false
-            if cache_disc:
-                c = p % disc_period
-                delta_char = disc_chars.get(c) or disc_chars.setdefault(c, legendre(disc, p))
+                # t = +-2 mod p; such a p can share its class with other
+                # primes, so it reads no cache
+                delta_char = plus2_char = 0
             else:
-                delta_char = legendre(disc, p)
-            if r != 2:
-                plus2_char = 0
-            elif cache_plus2:
-                c = p % plus2_period
-                plus2_char = plus2_chars.get(c) or plus2_chars.setdefault(c, legendre(plus2, p))
-            else:
-                plus2_char = legendre(plus2, p)
-            j = chi_valuation_by_order(p, r, delta_char, plus2_char)
-            if j is None:
-                j = ladder_part(p, delta_char, plus2_char)
+                # each character is now +-1, so only a cache miss (None) reads false
+                if cache_disc:
+                    c = p % disc_period
+                    delta_char = disc_chars.get(c) or disc_chars.setdefault(c, legendre(disc, p))
+                else:
+                    delta_char = legendre(disc, p)
+                if r != 2:
+                    plus2_char = 0
+                elif cache_plus2:
+                    c = p % plus2_period
+                    plus2_char = plus2_chars.get(c) or plus2_chars.setdefault(c, legendre(plus2, p))
+                else:
+                    plus2_char = legendre(plus2, p)
+            j = at(p, delta_char, plus2_char)
             counts[j if j < top else top] += 1
     return PartitionReport(
         t=t, r=r, limit=hi, j_max=j_max, j_counts=counts[:-1],

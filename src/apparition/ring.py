@@ -12,21 +12,20 @@ determinant of Y (Cayley-Hamilton), computed by the one fast-doubling
 ladder `chebyshev.lucas_pair_mod`; the trace ladder `cheb_c_mod`, two
 multiplications per bit, serves the chi kernels.
 
-`chi_valuation(tm, p, r)` is the one single-prime v_r(chi) kernel, and it
-factors nothing: it reads the character of delta (which group) and, for
-r = 2, that of t + 2 (whether D is a square in it) by Euler's criterion,
-then applies the no-ladder rule and, where the rule leaves v_r(chi) open,
+`ChiValuation(t, r)` is the one v_r(chi) reader, built once per
+parameter, and it factors nothing: called on p, it reads the character
+of delta (which group) and, for r = 2, that of t + 2 (whether D is a
+square in it) by Euler's criterion; its `at(p, delta_char, plus2_char)`
+takes characters the caller already holds.  It applies the t = +-2 mod p
+case, then the no-ladder rule, and, where the rule leaves v_r(chi) open,
 the ladder part.  The rule is `chi_valuation_by_order`: r does not divide
 p -+ 1, or r = 2 with t + 2 a non-square or the 2-part of p -+ 1 equal
-to 2.  The ladder part is `chi_valuation_by_ladder`, one trace ladder on
-the residue of t.  The partition sweep applies the same two parts with
-characters it reads once per residue class of p, and every exact suite
-that needs only v_r(chi) calls the kernel.
-`order_valuation(x, p, r)` is v_r of the multiplicative order of a unit
-x mod p: builtin pow to the r-free part of p - 1, then at most
-v_r(p - 1) r-th powers.  For a reducible t = xi + 1/xi with xi rational,
-chi(t, p) is the order of xi mod p, so the sweep takes this as its ladder
-part there, with no trace ladder.
+to 2.  The ladder part is `chi_valuation_by_ladder`, the one ladder,
+which splits off the r-part of p -+ 1 and then runs the trace ladder on
+t mod p, or, for a reducible t = xi + 1/xi with xi rational (chi(t, p)
+is then the order of xi mod p), builtin pow on xi mod p.  The partition
+sweep, the exact suites that need only v_r(chi) and `chi_valuation(t,
+p, r)` all read v_r(chi) through a reader.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 that need chi itself call it on `residue(t, p)` at primes their sieve has
 already vouched for.  `chi_with_primes` gives chi together with the
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .chebyshev import cheb_c_mod, lucas_pair_mod
@@ -214,19 +214,68 @@ def chi_with_primes(tm: int, p: int) -> tuple:
     return o, kept
 
 
-def chi_valuation(tm: int, p: int, r: int) -> int:
-    """v_r(chi) for the residue tm = t mod p, with nothing factored.
+class ChiValuation:
+    """The v_r(chi(t, p)) reader of one parameter t and one prime r: built
+    once, then called at any odd prime p not dividing den(t), with nothing
+    factored.
 
-    Both quadratic characters come from Euler's criterion.  A delta
-    character of 0 means tm = +-2 and chi = p or 2p.  Otherwise the
-    no-ladder rule `chi_valuation_by_order` answers where it can, and
-    `chi_valuation_by_ladder` everywhere else.
+    t is a rational a/b or an int residue.  With disc = a**2 - 4b**2 and
+    plus2 = (a + 2b)*b, ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) =
+    (plus2/p).  Calling the reader on p reads both characters by Euler's
+    criterion and hands them to `at(p, delta_char, plus2_char)`, which a
+    caller that holds them already calls directly.  `at` applies:
+
+    - the +-2 case: a delta_char of 0 means t = +-2 mod p, and chi = p,
+      or 2p where p | plus2 (t = -2 mod p);
+    - then the no-ladder rule `chi_valuation_by_order`;
+    - then, where the rule leaves v_r(chi) open, `ladder_part(p,
+      delta_char, plus2_char)`: `chi_valuation_by_ladder` on t mod p, or,
+      for a reducible t = xi + 1/xi (disc a square), on xi mod p by
+      builtin pow.  num(xi) * den(xi) = +-b, so xi is a unit at every
+      admissible p, and it is taken as an integer when xi or 1/xi is one.
+      For plus2_char = -1, `ladder_part` gives the per-prime verdict of
+      the rule instead: the partition's class walk calls it with no rule
+      first.
+
+    `at` and `ladder_part` are closures, so hot loops read no attribute
+    per prime.
     """
-    delta_char = legendre(tm * tm - 4, p)
-    if delta_char == 0:
-        return valuation(p if tm == 2 else 2 * p, r)
-    j = chi_valuation_by_order(p, r, delta_char, legendre(tm + 2, p) if r == 2 else 0)
-    return chi_valuation_by_ladder(tm, p, r, delta_char) if j is None else j
+
+    def __init__(self, t, r: int):
+        a, b = t.numerator, t.denominator
+        disc, plus2 = a * a - 4 * b * b, (a + 2 * b) * b
+        self.r, self.disc, self.plus2 = r, disc, plus2
+        root = isqrt(disc) if disc > 0 else -1
+        reducible = root * root == disc  # t**2 - 4 = disc / b**2 is a square
+        num, den = a, b  # the rational the ladder reduces mod p
+        if reducible:
+            xi = Fraction(a + root, 2 * b)
+            if xi.denominator != 1 and abs(xi.numerator) == 1:
+                xi = 1 / xi  # an integer, with no inverse to take per prime
+            num, den = xi.numerator, xi.denominator
+
+        def ladder_part(p: int, delta_char: int, plus2_char: int) -> int:
+            if plus2_char == -1:
+                return chi_valuation_by_order(p, r, delta_char, plus2_char)
+            x = num % p if den == 1 else num * pow(den, -1, p) % p
+            return chi_valuation_by_ladder(x, p, r, delta_char, reducible)
+
+        def at(p: int, delta_char: int, plus2_char: int) -> int:
+            if delta_char == 0:
+                return valuation(2 * p if plus2 % p == 0 else p, r)
+            j = chi_valuation_by_order(p, r, delta_char, plus2_char)
+            return ladder_part(p, delta_char, plus2_char) if j is None else j
+
+        self.ladder_part, self.at = ladder_part, at
+
+    def __call__(self, p: int) -> int:
+        return self.at(p, legendre(self.disc, p), legendre(self.plus2, p) if self.r == 2 else 0)
+
+
+def chi_valuation(t, p: int, r: int) -> int:
+    """v_r(chi(t, p)) for a rational t or its residue mod p, by a
+    `ChiValuation` reader built for this one call."""
+    return ChiValuation(t, r)(p)
 
 
 def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> Optional[int]:
@@ -255,17 +304,19 @@ def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> 
     return None if n % r == 0 else 0
 
 
-def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
-    """v_r(chi) for the residue tm = t mod p by one trace ladder, given
-    delta_char = ((t**2 - 4)/p) = +-1.
+def chi_valuation_by_ladder(x: int, p: int, r: int, delta_char: int, reducible: bool) -> int:
+    """v_r(chi) by one ladder, given delta_char = ((t**2 - 4)/p) = +-1: on
+    x = t mod p, or, for a reducible t = xi + 1/xi, on x = xi mod p.
 
     D_t lies in a cyclic group of order n = p - delta_char; with m the
     r-free part of n, xi**m has order r**v_r(chi) for the eigenvalue xi of
-    D.  C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is
-    the number of steps y -> C_r(y) that take y = C_m(t) to 2; a delta_char
-    that does not fit tm never reaches 2 within v_r(n) steps and raises
-    ValueError.  The partition sweep calls this directly for the primes
-    where `chi_valuation_by_order` leaves v_r(chi) open.
+    D, so v_r(chi) is the number of r-th powers that take xi**m to 1.  For
+    a reducible t, xi is x itself, in F_p (delta_char = 1), and builtin pow
+    takes the powers.  For any other t the trace does: C_e(t) = xi**e +
+    xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is the number of steps
+    y -> C_r(y) that take y = C_m(t) to 2.  A delta_char that does not fit
+    x, or an x that is no unit, never gets there within v_r(n) steps and
+    raises ValueError.
     """
     m = p - delta_char
     if r == 2:
@@ -276,41 +327,17 @@ def chi_valuation_by_ladder(tm: int, p: int, r: int, delta_char: int) -> int:
         while m % r == 0:
             m //= r
             v += 1
-    y = cheb_c_mod(m, tm, p)
+    y, one = (pow(x, m, p), 1) if reducible else (cheb_c_mod(m, x, p), 2)
     for j in range(v + 1):
-        if y == 2:
+        if y == one:
             return j
-        # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
-        y = (y * y - 2) % p if r == 2 else y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
-    raise ValueError(f"characters do not fit t = {tm} mod {p}: delta character {delta_char}")
-
-
-def order_valuation(x: int, p: int, r: int) -> int:
-    """v_r of the multiplicative order of the unit x mod p, by builtin pow.
-
-    With m the r-free part of p - 1, x**m has order r**j for j the
-    answer, so j is the number of r-th powers that take x**m to 1.  For a
-    reducible t = xi + 1/xi with xi rational, D_t has the eigenvalues xi
-    and 1/xi in F_p wherever p divides neither den(t) nor t**2 - 4, so
-    chi(t, p) is the order of xi mod p and this is v_r(chi) with no trace
-    ladder.  An x that is no unit mod p never reaches 1 within v_r(p - 1)
-    powers and raises ValueError, as `chi_valuation_by_ladder` does.
-    """
-    m = p - 1  # split as in chi_valuation_by_ladder, inline on this hot path
-    if r == 2:
-        v = (m & -m).bit_length() - 1
-        m >>= v
-    else:
-        v = 0
-        while m % r == 0:
-            m //= r
-            v += 1
-    y = pow(x, m, p)
-    for j in range(v + 1):
-        if y == 1:
-            return j
-        y = y * y % p if r == 2 else pow(y, r, p)
-    raise ValueError(f"{x} is not a unit mod {p}")
+        if reducible:
+            y = y * y % p if r == 2 else pow(y, r, p)
+        elif r == 2:  # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
+            y = (y * y - 2) % p
+        else:
+            y = y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
+    raise ValueError(f"characters do not fit x = {x} mod {p}: delta character {delta_char}")
 
 
 def index(t, p: int) -> int:
@@ -318,7 +345,7 @@ def index(t, p: int) -> int:
 
     Factors p -+ 1 with `primes.factorize`, which answers for every odd
     prime p that `is_prime` decides (below 3.3*10**24); a caller that needs
-    only v_r(chi) calls `chi_valuation` instead.
+    only v_r(chi) reads it with a `ChiValuation` instead.
     """
     m = reduce_param(t, p)
     return chi_from_residue(m.t_mod, p)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,35 @@ def test_bridge_limit_capped(capsys):
     assert main(["verify", "bridge", "--limit", "10000001"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: limit capped at 10000000 for verify bridge\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ballot", "--r", "100003"], "r * k_max * height bits of t capped at 48000, got 3000090"),
+        (["ballot", "--r", "401", "--kmax", "60"], "capped at 48000, got 24060 * 2"),
+        (["ballot", "--T", "7", "--Q", "5", "--r", "269"], "capped at 48000, got 8070 * 6"),
+        (["prop11", "3", "--r", "1000003"], "r * height bits of t capped at 8000, got 1000003 * 2"),
+        (["prop11", "2/7", "--r", "2687"], "r * height bits of t capped at 8000, got 2687 * 3"),
+        (
+            ["sequences", "3", "--family", "subsequence", "--r", "10007", "--limit", "2000"],
+            "(r - 1) * (limit + 1)**2 capped at 2 * 10001**2 for subsequence scans",
+        ),
+        (
+            ["sequences", "3", "--family", "subsequence", "--r", "5", "--limit", "7072"],
+            "(r - 1) * (limit + 1)**2 capped at 2 * 10001**2 for subsequence scans",
+        ),
+    ],
+)
+def test_exact_suites_refuse_growing_work(argv, message, capsys):
+    # the exact L_n, U_r(t), C_r(t) tables and the subsequence scans grow
+    # with r: a run past its cap exits 1 before it builds or scans anything
+    t0 = time.perf_counter()
+    assert main(["verify", *argv]) == 1
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
 
 

@@ -264,6 +264,21 @@ def test_subsequence_family_for_any_r(t, r):
     assert rep.passed, rep.violations[:3]
 
 
+def test_growing_work_caps_admit_their_edges():
+    # the largest prime r each cap admits still runs, and the next is refused
+    assert ex.sequence_divisor_check(3, "subsequence", 2000, subseq_r=47).passed
+    with pytest.raises(PrimeTooLarge, match="for subsequence scans"):
+        ex.sequence_divisor_check(3, "subsequence", 2000, subseq_r=53)
+    t = F(123456789, 1000003)  # 27 height bits, so r <= 296
+    assert ex.verify_prop11(t, 293, 100).passed
+    with pytest.raises(ValueError, match="capped at 8000, got 307 \\* 27"):
+        ex.verify_prop11(t, 307, 100)
+    fib = ex.LucasSpec(1, -1)  # t = 3, 2 height bits, so r * k_max <= 24000
+    assert ex.ballot_check(fib, 397, 100, k_max=60).passed
+    with pytest.raises(ValueError, match="capped at 48000, got 24060 \\* 2"):
+        ex.ballot_check(fib, 401, 100, k_max=60)
+
+
 def test_sequence_families():
     for fam in ("W", "V", "C"):
         assert ex.sequence_divisor_check(3, fam, 2000).passed
@@ -734,7 +749,7 @@ def test_report_summary_appends_metrics():
 
 def test_valuation_suites_factor_nothing(monkeypatch):
     # the cubic, circular, quadmap and splitting suites need v_r(chi) alone,
-    # and read it from ring.chi_valuation, which factors nothing
+    # and read it from a ring.ChiValuation reader, which factors nothing
     factored = []
     factorize = primes.factorize
 
@@ -753,9 +768,29 @@ def test_valuation_suites_factor_nothing(monkeypatch):
     assert factored == []
 
 
+def test_reducible_suites_run_no_trace_ladder(monkeypatch):
+    # 10/3 = 3 + 1/3 and 5/2 = 2 + 1/2: the readers of the splitting and
+    # quadmap suites take builtin pow on xi mod p, never the trace ladder
+    ladders = []
+    cheb_c_mod = ring.cheb_c_mod
+
+    def counting(n, x, p):
+        ladders.append(p)
+        return cheb_c_mod(n, x, p)
+
+    monkeypatch.setattr(ring, "cheb_c_mod", counting)
+    assert ex.verify_splitting_theorems(F(10, 3), 3, 2000).summary() == (
+        "PASS splitting(t=10/3, r=3): 301 primes checked, 0 violations"
+    )
+    assert ex.quadmap_divisor_check(F(5, 2), 3000).summary() == (
+        "PASS quadmap(t=5/2): 429 primes checked, 0 violations; t 5/2, density 0.293706"
+    )
+    assert ladders == []
+
+
 def test_dynamics_failures_go_through_record(monkeypatch):
     # an odd chi for every prime makes each non-divisor a violation
-    monkeypatch.setattr(ex.ring, "chi_valuation", lambda tm, p, r: 0)
+    monkeypatch.setattr(ex.ring, "ChiValuation", lambda t, r: lambda p: 0)
     rep = ex.quadmap_divisor_check(5, 2000)
     assert rep.violation_count > ex.VIOLATION_CAP
     assert len(rep.violations) == ex.VIOLATION_CAP

@@ -350,7 +350,7 @@ def test_class_pass_judges_each_class_once(monkeypatch):
 
     counting("legendre", partition, partition.legendre)
     counting("rule", partition, partition.chi_valuation_by_order)
-    counting("ladder", partition, ring.chi_valuation_by_ladder)
+    counting("rule", ring, ring.chi_valuation_by_order)
     counting("ladder", ring, ring.chi_valuation_by_ladder)
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, 2, limit, j_max=4)
@@ -399,6 +399,7 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     hi = 1 + 3 * segment
     want = _per_prime_counts(t, r, j_max, 2, hi)
     monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
+    monkeypatch.setattr(ring, "chi_valuation_by_order", spy)
     monkeypatch.setattr(primes, "_segment_primes", reading)
     verdict = partition._FixedClasses._verdict
     judged = _record_class_verdicts(monkeypatch)
@@ -472,18 +473,19 @@ def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
     # never calls cheb_c_mod, the trace ladder
     ladders, powers = [], []
     cheb_c_mod = ring.cheb_c_mod
-    order_valuation = partition.order_valuation
+    ladder = ring.chi_valuation_by_ladder
 
     def counting(n, x, p):
         ladders.append(p)
         return cheb_c_mod(n, x, p)
 
-    def spy(x, p, r):
+    def spy(x, p, r, delta_char, reducible):
+        assert reducible
         powers.append(p)
-        return order_valuation(x, p, r)
+        return ladder(x, p, r, delta_char, reducible)
 
     monkeypatch.setattr(ring, "cheb_c_mod", counting)
-    monkeypatch.setattr(partition, "order_valuation", spy)
+    monkeypatch.setattr(ring, "chi_valuation_by_ladder", spy)
     judged = _record_class_verdicts(monkeypatch)
     for r in (2, 3, 5, 7):
         for limit in (3000, 3 * 10**5):
@@ -499,19 +501,22 @@ def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     t = F(4099) + F(1, 4099)
     assert _fixed_classes(t, 3, 8).modulus == 49188 > primes._SEGMENT // 16
     judged = _record_class_verdicts(monkeypatch)
-    powers = []
-    order_valuation = partition.order_valuation
-
-    def spy(x, p, r):
-        assert x == 4099 % p
-        powers.append(p)
-        return order_valuation(x, p, r)
-
-    monkeypatch.setattr(partition, "order_valuation", spy)
     lo = 10**6
     hi = lo + 2 * primes._SEGMENT + 17
+    # the reference reads residues, so it takes the trace ladder: it runs
+    # before the spy that asserts the pow path
+    want = _per_prime_counts(t, 3, 8, lo, hi)
+    powers = []
+    ladder = ring.chi_valuation_by_ladder
+
+    def spy(x, p, r, delta_char, reducible):
+        assert reducible and x == 4099 % p
+        powers.append(p)
+        return ladder(x, p, r, delta_char, reducible)
+
+    monkeypatch.setattr(ring, "chi_valuation_by_ladder", spy)
     rep = compute_partition(t, 3, hi, start=lo)
-    assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 3, 8, lo, hi)
+    assert rep.j_counts + [rep.overflow] == want
     assert judged == [] and 0.4 * rep.total < len(powers) < 0.6 * rep.total
 
 
@@ -553,7 +558,7 @@ def test_ladder_part_matches_scan_oracle(t):
         delta_char = legendre(tm * tm - 4, p)
         if delta_char:
             for r in (2, 3, 5, 7):
-                j = ring.chi_valuation_by_ladder(tm, p, r, delta_char)
+                j = ring.chi_valuation_by_ladder(tm, p, r, delta_char, False)
                 assert j == valuation(chi, r), (p, r)
 
 

@@ -24,7 +24,6 @@ from apparition.ring import (
     index,
     index_by_scan,
     legendre,
-    order_valuation,
     reduce_param,
     residue,
 )
@@ -153,8 +152,10 @@ def test_oracle_equivalence(t):
 
 
 def test_chi_valuation_matches_scan_oracle():
-    # the ts of acceptance criterion 1; each scan is shared by the four r
-    ts = [F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3)]
+    # the ts of acceptance criterion 1 and the reducible -5/2 = -2 - 1/2 and
+    # 13/6 = 2/3 + 3/2; each scan is shared by the four r.  The rational t
+    # takes builtin pow where it is reducible, its residue the trace ladder
+    ts = [F(3), F(-3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2), F(10, 3), F(-5, 2), F(13, 6)]
     rs = (2, 3, 5, 7)
     delta_zero = p_is_r = 0
     for t in ts:
@@ -167,6 +168,7 @@ def test_chi_valuation_matches_scan_oracle():
             p_is_r += p in rs
             for r in rs:
                 assert chi_valuation(tm, p, r) == valuation(chi, r), (t, p, r)
+                assert chi_valuation(t, p, r) == valuation(chi, r), (t, p, r)
     assert delta_zero and p_is_r
 
 
@@ -194,14 +196,14 @@ def test_chi_valuation_rejects_wrong_characters():
     assert legendre(5, 11) == 1 and chi_valuation(3, 11, 3) == 0
     assert chi_valuation_by_order(11, 3, -1, 0) is None
     with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_by_ladder(3, 11, 3, -1)
+        chi_valuation_by_ladder(3, 11, 3, -1, False)
     # t = 3, p = 19: t + 2 = 5 is a square (9**2), so the r = 2 ladder runs;
     # a wrong delta character then cannot reach 2 within v_2(p -+ 1) steps
     assert legendre(5, 19) == 1 and legendre(3 * 3 - 4, 19) == 1
     assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
     assert chi_valuation_by_order(19, 2, -1, 1) is None
     with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_by_ladder(3, 19, 2, -1)
+        chi_valuation_by_ladder(3, 19, 2, -1, False)
 
 
 @pytest.mark.parametrize("t", [F(3), F(7), F(2, 7), F(48, 25), F(-7, 2)], ids=str)
@@ -235,7 +237,8 @@ REDUCIBLE = [(F(5, 2), F(2)), (F(10, 3), F(3)), (F(-5, 2), F(-2)), (F(17, 4), F(
 
 @pytest.mark.parametrize("t,xi", REDUCIBLE, ids=str)
 def test_order_valuation_matches_scan_oracle(t, xi):
-    # chi(t, p) = ord_p(xi) at every p dividing neither den(t) nor t**2 - 4
+    # chi(t, p) = ord_p(xi) at every p dividing neither den(t) nor t**2 - 4,
+    # and the ladder's builtin-pow path reads its r-adic valuation
     assert xi + 1 / xi == t
     disc = t.numerator**2 - 4 * t.denominator**2
     checked = 0
@@ -245,7 +248,7 @@ def test_order_valuation_matches_scan_oracle(t, xi):
         chi = index_by_scan(t, p)
         x = residue(xi, p)
         for r in (2, 3, 5, 7):
-            assert order_valuation(x, p, r) == valuation(chi, r), (p, r)
+            assert chi_valuation_by_ladder(x, p, r, 1, True) == valuation(chi, r), (p, r)
         checked += 1
     assert checked > 400
 
@@ -254,9 +257,10 @@ def test_order_valuation_raises_past_its_bound():
     # 0 is no unit: its powers never reach 1 within v_r(p - 1) r-th powers
     for p in (3, 5, 7, 11, 13, 97, 101):
         for r in (2, 3, 5, 7):
-            with pytest.raises(ValueError, match="not a unit"):
-                order_valuation(0, p, r)
-    assert order_valuation(1, 97, 2) == 0 and order_valuation(96, 97, 2) == 1
+            with pytest.raises(ValueError, match="do not fit"):
+                chi_valuation_by_ladder(0, p, r, 1, True)
+    assert chi_valuation_by_ladder(1, 97, 2, 1, True) == 0
+    assert chi_valuation_by_ladder(96, 97, 2, 1, True) == 1
 
 
 def test_chi_with_primes():
