@@ -13,6 +13,13 @@ meant for small n only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+
+# n/d for coprime n and d > 0, built with no gcd (the constructor is
+# private: _from_coprime_ints from Python 3.12, _normalize before)
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
+    Fraction, _normalize=False
+)
 
 
 def lucas_pair_mod(T: int, Q: int, n: int, p: int):
@@ -40,9 +47,11 @@ def cheb_u_mod(n: int, x: int, p: int) -> int:
 def cheb_c_mod(n: int, x: int, p: int) -> int:
     """C_n(x) mod p, even in n, by the (C_k, C_{k+1}) trace ladder:
     C_{2k} = C_k**2 - 2 and C_{2k+1} = C_k*C_{k+1} - x, 2 mults per bit."""
+    if n == 0:
+        return 2
     x = x % p
-    a, b = 2, x
-    for bit in bin(abs(n))[2:]:
+    a, b = x, (x * x - 2) % p  # (C_1, C_2): the leading bit of |n|
+    for bit in bin(abs(n))[3:]:
         if bit == "1":
             a, b = (a * b - x) % p, (b * b - 2) % p
         else:
@@ -67,11 +76,21 @@ def cheb_v_mod(m: int, x: int, p: int) -> int:
 
 
 def u_table_exact(x, n: int) -> list:
-    """[U_0(x), ..., U_n(x)] exactly."""
+    """[U_0(x), ..., U_n(x)] exactly.
+
+    For x = a/b, U_k = N_k / b**(k-1) with N_0 = 0, N_1 = 1 and
+    N_{k+1} = a*N_k - b**2*N_{k-1}, a recurrence on integers.  N_k = a**(k-1)
+    mod b is prime to b, so each N_k / b**(k-1) is already in lowest terms
+    and is built with no gcd, where Fraction arithmetic would take one per
+    step on numbers of about k*bits(b) bits.
+    """
     x = Fraction(x)
-    table = [Fraction(0), Fraction(1)]
-    for _ in range(n - 1):
-        table.append(x * table[-1] - table[-2])
+    a, b = x.numerator, x.denominator
+    b2 = b * b
+    table, prev, cur, scale = [Fraction(0)], 0, 1, 1
+    for _ in range(n):
+        table.append(_coprime_fraction(cur, scale))
+        prev, cur, scale = cur, a * cur - b2 * prev, scale * b
     return table[: n + 1]
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .chebyshev import cheb_c_coeffs, cheb_c_exact
+from .chebyshev import lucas_pair_mod
 from .errors import ExcludedParameter
 from .exactnum import is_square, rth_root
 from .primes import is_prime
@@ -80,54 +80,76 @@ def cheb_preimages(r: int, t) -> list:
 
     For r = 2 this is the square test on 2 + t.  For odd r a reduced root
     c/d forces den(t) = d**r (the numerator of C_r(c/d) is prime to d), so
-    the roots are c/d for the integer roots c of the monic polynomial
-    F(c) = d**r * C_r(c/d) - num(t).  Each has |c| <= bound = 2d +
-    2**ceil(bits(num t)/r), since |x| <= 2 or x = y + 1/y with y**r < |t|.
-    A multiple root of C_r(x) - t mod q needs q | r or t = +-2 mod q, so
-    mod the least odd prime q prime to r*(num(t)**2 - 4*d**(2r)) every
-    root of F is simple and lifts to one q-adic root, a digit at a time,
-    until the modulus passes 2*bound; the lifts that are roots of F are
-    the answer, and nothing is factored.  t = +-2 has double roots mod
-    every q; there den(t) = 1 and, by Niven's theorem, a rational root is
-    +-1 or +-2.
+    the roots are c/d for the integer roots c of
+    F(c) = d**r * C_r(c/d) - num(t) = V_r(c, d**2) - num(t),
+    V the Lucas sequence V_0 = 2, V_1 = c, V_{k+1} = c*V_k - d**2*V_{k-1};
+    F'(c) = r*U_r(c, d**2), and one `lucas_pair_mod` ladder, log2(r)
+    steps, gives F and F' mod any modulus, with no coefficient list.  Each
+    root has |c| <= bound = 2d + 2**ceil(bits(num t)/r), since |x| <= 2 or
+    x = y + 1/y with y**r < |t|.  A multiple root of C_r(x) - t mod q
+    needs q | r or t = +-2 mod q, so mod the least odd prime q prime to
+    r*(num(t)**2 - 4*d**(2r)) every root of F is simple and lifts to one
+    q-adic root, a digit at a time, until the modulus passes 2*bound; the
+    lifts that are roots of F (`_is_root`) are the answer, and nothing is
+    factored.  t = +-2 has double roots mod every q; there den(t) = 1 and,
+    by Niven's theorem, a rational root is +-1 or +-2.
     """
     t = Fraction(t)
     if r == 2:
         sq = is_square(t + 2)
         return sorted({sq.root, -sq.root}) if sq else []
+    a = t.numerator
     if abs(t) == 2:
-        return [Fraction(x) for x in (-2, -1, 1, 2) if cheb_c_exact(r, x) == t]
+        return [Fraction(c) for c in (-2, -1, 1, 2) if _is_root(r, c, 1, a)]
     d = rth_root(t.denominator, r)
     if d is None:
         return []
-    a = t.numerator
-    f = [k * d ** (r - i) for i, k in enumerate(cheb_c_coeffs(r))]
-    f[0] -= a
-    df = [i * k for i, k in enumerate(f)][1:]
     bound = 2 * d + 2 ** -(-a.bit_length() // r)
     q = 3
-    while not is_prime(q) or r * (a * a - 4 * d ** (2 * r)) % q == 0:
+    while not is_prime(q) or r * (a * a - 4 * t.denominator**2) % q == 0:
         q += 2
     roots = []
     for c in range(q):
-        if _value(f, c) % q:
+        f, df = _lucas_value(r, c, d, a, q)
+        if f:
             continue
-        inv, m = pow(_value(df, c), -1, q), q
+        inv, m = pow(df, -1, q), q
         while m <= 2 * bound:
             m *= q
-            c = (c - _value(f, c) * inv) % m
+            c = (c - _lucas_value(r, c, d, a, m)[0] * inv) % m
         c = c - m if 2 * c > m else c
-        if _value(f, c) == 0:
+        if _is_root(r, c, d, a):
             roots.append(Fraction(c, d))
     return sorted(roots)
 
 
-def _value(f, x: int) -> int:
-    """The integer polynomial f (constant first) at x, by Horner's rule."""
-    acc = 0
-    for k in reversed(f):
-        acc = acc * x + k
-    return acc
+def _lucas_value(r: int, c: int, d: int, a: int, m: int) -> tuple:
+    """(F(c), F'(c)) mod m for F(c) = V_r(c, d**2) - a, by one ladder:
+    V_r = 2*U_{r+1} - c*U_r and F' = r*U_r."""
+    u, u_next = lucas_pair_mod(c, d * d, r, m)
+    return (2 * u_next - c * u - a) % m, r * u % m
+
+
+def _is_root(r: int, c: int, d: int, a: int) -> bool:
+    """F(c) = 0 exactly, read mod an m > 2|F(c)|, and with no evaluation
+    where |F(c)| is shown positive by sizes alone.
+
+    The roots psi of z**2 - c*z + d**2 have V_r = psi1**r + psi2**r.  For
+    |c| <= 2d they have modulus d, so |V_r| <= 2d**r.  For |c| > 2d they
+    are real, with |psi2| < d and |c| - d < |psi1| <= |c|, so |V_r| >
+    (|c| - d)**r - d**r, and |c| - d >= 2: once r*(bits(|c| - d) - 1)
+    reaches bits(|a| + d**r), |V_r| > |a|.  Short of that, r < B =
+    bits(|a| + d**r) and bits(|c|) <= 2*bits(|c| - d) - 1, so m has at
+    most 4B + 3 bits.
+    """
+    den = d**r
+    if abs(c) <= 2 * d:
+        m = 4 * den + 2 * abs(a) + 1
+    elif r * ((abs(c) - d).bit_length() - 1) >= (abs(a) + den).bit_length():
+        return False
+    else:
+        m = 1 << (r * abs(c).bit_length() + abs(a).bit_length() + 3)
+    return _lucas_value(r, c, d, a, m)[0] == 0
 
 
 def r_primitive(t, r: int) -> bool:

@@ -66,6 +66,8 @@ def rth_root(n: int, r: int) -> Optional[int]:
     if r == 2:
         x = isqrt(n)
         return x if x * x == n else None
+    if r >= n.bit_length():  # 1 < n < 2**r: no integer root
+        return None
     # Newton iteration on integers; converges from above.
     x = 1 << -(-n.bit_length() // r)
     while True:

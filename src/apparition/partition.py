@@ -7,12 +7,13 @@ count (their index is p or 2p).  v_r(chi) is read off the cyclic group of
 order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
 ((t + 2)/p): `ring.chi_valuation_by_order` gives it whenever n alone does
 (r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
-otherwise the ladder part does: `ring.chi_valuation_by_ladder` on t mod
-p, or, for a reducible t = xi + 1/xi (chi(t, p) is then the order of xi
-mod p), builtin pow on xi mod p.  The sweep composes none of this: one
-`ring.ChiValuation` reader of t, built once per sweep, holds disc, plus2
-and the ladder part, and its `at` applies the whole rule to characters
-the sweep has read, for the class pass and the per-prime loop alike.
+otherwise the ladder kernel `ring.chi_valuations_by_ladder` does: the
+trace ladder on t mod p, or, for a reducible t = xi + 1/xi (chi(t, p) is
+then the order of xi mod p), builtin pow on xi mod p.  The sweep
+composes none of this: one `ring.ChiValuation` reader of t, built once
+per sweep, holds disc, plus2 and the ladder's x, and applies the rule to
+characters the sweep has read: its `walk` buckets a whole residue class
+in one kernel call, and its `at` one prime of the per-prime loop.
 
 With t = a/b, both characters are characters of integers:
 ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and
@@ -30,14 +31,18 @@ sweep works in two passes over each segment's odd-only sieve mask
   class, once per sweep.  A class whose verdict is a bucket has its
   primes counted with one `bytes.count` on its strided slice of the mask.
   Any other class keeps its characters as its verdict, and its slice is
-  walked prime by prime: `itertools.compress` pairs the slice with the
-  numbers p0 + k*L it stands for, as `primes._segment_primes` does for
-  a whole mask, and each prime goes to the ladder part with the class's
-  characters, with no character lookup and no repeat of the group-order
-  test.  For r = 2 with t + 2 a non-square the bucket v_2(n) holds for
-  the whole class only below v_2(L); at or above it the class overflows
-  when v_2(L) > j_max and is otherwise walked, and the ladder part then
-  returns the per-prime verdict of `chi_valuation_by_order`.  The special
+  walked: `itertools.compress` pairs the slice with the numbers p0 + k*L
+  it stands for, as `primes._segment_primes` does for a whole mask, and
+  the reader's `walk` hands them all to the ladder kernel in one call,
+  with the class's characters, no character lookup and no repeat of the
+  group-order test.  What the class fixes is settled once per call, not
+  per prime; where den of the ladder's x divides L, that includes the
+  inverse of den mod p, read as (1 + k*p)/den for k = -p0**-1 mod den.
+  For r = 2 with t + 2 a non-square the bucket v_2(n) holds for the
+  whole class only below v_2(L); at or above it the class overflows when
+  v_2(L) > j_max and is otherwise walked, and the kernel then buckets
+  each prime by v_2(n), the per-prime verdict of
+  `chi_valuation_by_order`, with no ladder.  The special
   primes, the odd primes dividing L * b * disc, are held out of the
   pass: each is excluded (it divides 2rb) or has a character 0 (it
   divides disc).  They are listed once per sweep by trial up to
@@ -57,7 +62,7 @@ sweep works in two passes over each segment's odd-only sieve mask
   a period is at least the segment width, where a cache could never
   hit, from Euler's criterion), and hands them to `at`, which applies
   the same two rules as the class pass: `chi_valuation_by_order`, then
-  the ladder part where the rule leaves v_r(chi) open.  So each
+  the ladder kernel where the rule leaves v_r(chi) open.  So each
   segment's mask is read once, by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
@@ -205,15 +210,13 @@ class _FixedClasses:
         return min(j, self.j_max + 1)
 
     def _walk(self, p0: int, members: bytearray, chars: tuple, counts: list) -> None:
-        """Bucket the primes p0 + k*L that members marks, one by one, for a
-        class with the characters chars, by the reader's ladder part: no
-        rule is repeated, and for a non-square t + 2 (r = 2) it gives the
-        rule's per-prime verdict."""
-        delta_char, plus2_char = chars
-        top, step, ladder_part = self.j_max + 1, self.modulus, self.reader.ladder_part
-        for p in compress(range(p0, p0 + step * len(members), step), members):
-            j = ladder_part(p, delta_char, plus2_char)
-            counts[j if j < top else top] += 1
+        """Bucket the primes p0 + k*L that members marks, for a class with
+        the characters chars, by one call of the reader's `walk`: no rule is
+        repeated, and for a non-square t + 2 (r = 2) it gives the rule's
+        per-prime verdict."""
+        step = self.modulus
+        walked = compress(range(p0, p0 + step * len(members), step), members)
+        self.reader.walk(walked, p0, step, *chars, counts)
 
 
 def _sweep_range(args) -> PartitionReport:

@@ -18,14 +18,17 @@ of delta (which group) and, for r = 2, that of t + 2 (whether D is a
 square in it) by Euler's criterion; its `at(p, delta_char, plus2_char)`
 takes characters the caller already holds.  It applies the t = +-2 mod p
 case, then the no-ladder rule, and, where the rule leaves v_r(chi) open,
-the ladder part.  The rule is `chi_valuation_by_order`: r does not divide
+the ladder.  The rule is `chi_valuation_by_order`: r does not divide
 p -+ 1, or r = 2 with t + 2 a non-square or the 2-part of p -+ 1 equal
-to 2.  The ladder part is `chi_valuation_by_ladder`, the one ladder,
-which splits off the r-part of p -+ 1 and then runs the trace ladder on
-t mod p, or, for a reducible t = xi + 1/xi with xi rational (chi(t, p)
-is then the order of xi mod p), builtin pow on xi mod p.  The partition
-sweep, the exact suites that need only v_r(chi) and `chi_valuation(t,
-p, r)` all read v_r(chi) through a reader.
+to 2.  The ladder is the kernel `chi_valuations_by_ladder`, which buckets
+a run of primes sharing their characters: per prime it splits off the
+r-part of p -+ 1 and then runs the trace ladder on t mod p, or, for a
+reducible t = xi + 1/xi with xi rational (chi(t, p) is then the order of
+xi mod p), builtin pow on xi mod p, while what the run shares is settled
+once.  `chi_valuation_by_ladder` is its one-prime case, and the reader's
+`walk` hands it one residue class of the partition sweep at a time.  The
+partition sweep, the exact suites that need only v_r(chi) and
+`chi_valuation(t, p, r)` all read v_r(chi) through a reader.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 that need chi itself call it on `residue(t, p)` at primes their sieve has
 already vouched for.  `chi_with_primes` gives chi together with the
@@ -228,17 +231,21 @@ class ChiValuation:
     - the +-2 case: a delta_char of 0 means t = +-2 mod p, and chi = p,
       or 2p where p | plus2 (t = -2 mod p);
     - then the no-ladder rule `chi_valuation_by_order`;
-    - then, where the rule leaves v_r(chi) open, `ladder_part(p,
-      delta_char, plus2_char)`: `chi_valuation_by_ladder` on t mod p, or,
-      for a reducible t = xi + 1/xi (disc a square), on xi mod p by
-      builtin pow.  num(xi) * den(xi) = +-b, so xi is a unit at every
+    - then, where the rule leaves v_r(chi) open, the ladder kernel
+      `chi_valuations_by_ladder` on x = num/den mod p, through its
+      one-prime case `chi_valuation_by_ladder`.  x is t, or, for a
+      reducible t = xi + 1/xi (disc a square), xi, whose powers builtin
+      pow takes.  num(xi) * den(xi) = +-b, so xi is a unit at every
       admissible p, and it is taken as an integer when xi or 1/xi is one.
-      For plus2_char = -1, `ladder_part` gives the per-prime verdict of
-      the rule instead: the partition's class walk calls it with no rule
-      first.
 
-    `at` and `ladder_part` are closures, so hot loops read no attribute
-    per prime.
+    `walk(ps, p0, modulus, delta_char, plus2_char, counts)` buckets the
+    primes of one residue class p0 mod modulus, whose characters the
+    class fixes, with one call of the kernel and no rule first: for
+    plus2_char = -1 the kernel buckets the rule's v_2(p - delta_char).
+    Where den divides the modulus the class fixes p mod den, and the
+    inverse of den is hoisted out of the kernel's loop (see there).
+
+    `at` is a closure, so hot loops read no attribute per prime.
     """
 
     def __init__(self, t, r: int):
@@ -253,23 +260,33 @@ class ChiValuation:
             if xi.denominator != 1 and abs(xi.numerator) == 1:
                 xi = 1 / xi  # an integer, with no inverse to take per prime
             num, den = xi.numerator, xi.denominator
-
-        def ladder_part(p: int, delta_char: int, plus2_char: int) -> int:
-            if plus2_char == -1:
-                return chi_valuation_by_order(p, r, delta_char, plus2_char)
-            x = num % p if den == 1 else num * pow(den, -1, p) % p
-            return chi_valuation_by_ladder(x, p, r, delta_char, reducible)
+        self.num, self.den, self.reducible = num, den, reducible
 
         def at(p: int, delta_char: int, plus2_char: int) -> int:
             if delta_char == 0:
                 return valuation(2 * p if plus2 % p == 0 else p, r)
             j = chi_valuation_by_order(p, r, delta_char, plus2_char)
-            return ladder_part(p, delta_char, plus2_char) if j is None else j
+            if j is not None:
+                return j
+            x = num % p if den == 1 else num * pow(den, -1, p) % p
+            return chi_valuation_by_ladder(x, p, r, delta_char, reducible)
 
-        self.ladder_part, self.at = ladder_part, at
+        self.at = at
 
     def __call__(self, p: int) -> int:
         return self.at(p, legendre(self.disc, p), legendre(self.plus2, p) if self.r == 2 else 0)
+
+    def walk(self, ps, p0: int, modulus: int, delta_char: int, plus2_char: int, counts: list) -> None:
+        """Add v_r(chi) at each prime of ps, all = p0 mod modulus and
+        sharing the characters given, to counts (the last slot takes every
+        larger j), by one kernel call."""
+        num, den = self.num, self.den
+        # (1 + k*p)/den is the inverse of den mod p for k = -p**-1 mod den,
+        # which the class fixes when den | modulus
+        lift = num * (-pow(p0, -1, den) % den) if modulus % den == 0 else None
+        chi_valuations_by_ladder(
+            ps, self.r, delta_char, plus2_char, self.reducible, num, den, lift, counts
+        )
 
 
 def chi_valuation(t, p: int, r: int) -> int:
@@ -305,39 +322,78 @@ def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> 
 
 
 def chi_valuation_by_ladder(x: int, p: int, r: int, delta_char: int, reducible: bool) -> int:
-    """v_r(chi) by one ladder, given delta_char = ((t**2 - 4)/p) = +-1: on
-    x = t mod p, or, for a reducible t = xi + 1/xi, on x = xi mod p.
+    """v_r(chi) at the one prime p by the kernel `chi_valuations_by_ladder`,
+    given delta_char = ((t**2 - 4)/p) = +-1: on x = t mod p, or, for a
+    reducible t = xi + 1/xi, on x = xi mod p.  Raises ValueError where the
+    kernel does."""
+    counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
+    chi_valuations_by_ladder((p,), r, delta_char, 0, reducible, x, 1, 0, counts)
+    return counts.index(1)
 
-    D_t lies in a cyclic group of order n = p - delta_char; with m the
-    r-free part of n, xi**m has order r**v_r(chi) for the eigenvalue xi of
-    D, so v_r(chi) is the number of r-th powers that take xi**m to 1.  For
-    a reducible t, xi is x itself, in F_p (delta_char = 1), and builtin pow
-    takes the powers.  For any other t the trace does: C_e(t) = xi**e +
-    xi**-e is 2 exactly when xi**e = 1, so v_r(chi) is the number of steps
-    y -> C_r(y) that take y = C_m(t) to 2.  A delta_char that does not fit
-    x, or an x that is no unit, never gets there within v_r(n) steps and
-    raises ValueError.
+
+def chi_valuations_by_ladder(
+    ps, r: int, delta_char: int, plus2_char: int, reducible: bool,
+    num: int, den: int, lift: Optional[int], counts: list,
+) -> None:
+    """Add v_r(chi) at each prime p of ps to counts (the last slot takes
+    every larger j): the ladder kernel, for primes that share delta_char =
+    ((t**2 - 4)/p) = +-1 and, for r = 2, plus2_char = ((t + 2)/p).
+
+    The ladder runs on x = num/den mod p: t mod p, or, for a reducible t =
+    xi + 1/xi, xi mod p.  D_t lies in a cyclic group of order n = p -
+    delta_char; with m the r-free part of n, xi**m has order r**v_r(chi)
+    for the eigenvalue xi of D, so v_r(chi) is the number of r-th powers
+    that take xi**m to 1.  For a reducible t, xi is x itself, in F_p
+    (delta_char = 1), and builtin pow takes the powers.  For any other t
+    the trace does: C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1,
+    so v_r(chi) is the number of steps y -> C_r(y) that take y = C_m(t)
+    (`cheb_c_mod`, the one trace ladder) to 2.  A delta_char that does not
+    fit x, or an x that is no unit, never gets there within v_r(n) steps
+    and raises ValueError.
+
+    What every prime shares is settled once, outside the loop: r = 2 or
+    odd r, reducible or not, and plus2_char = -1 (r = 2): t + 2 is then a
+    non-square, each prime takes the verdict v_2(n) of
+    `chi_valuation_by_order`, and no ladder runs.  So is the inverse of
+    den, where every p of ps lies in one class mod den: the caller then
+    passes lift = num*k for k = -p**-1 mod den, and x = (num + lift*p)/den
+    exactly, with no pow per prime; otherwise lift is None and x takes
+    pow(den, -1, p).
     """
-    m = p - delta_char
-    if r == 2:
-        v = (m & -m).bit_length() - 1
-        m >>= v
-    else:
-        v = 0
-        while m % r == 0:
-            m //= r
-            v += 1
-    y, one = (pow(x, m, p), 1) if reducible else (cheb_c_mod(m, x, p), 2)
-    for j in range(v + 1):
-        if y == one:
-            return j
-        if reducible:
-            y = y * y % p if r == 2 else pow(y, r, p)
-        elif r == 2:  # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
-            y = (y * y - 2) % p
+    top = len(counts) - 1
+    if plus2_char == -1:
+        for p in ps:
+            j = chi_valuation_by_order(p, 2, delta_char, -1)
+            counts[j if j < top else top] += 1
+        return
+    one = 1 if reducible else 2  # xi**e = 1, or C_e(t) = 2
+    halving = r == 2
+    for p in ps:
+        m = p - delta_char
+        if halving:
+            v = (m & -m).bit_length() - 1
+            m >>= v
         else:
-            y = y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
-    raise ValueError(f"characters do not fit x = {x} mod {p}: delta character {delta_char}")
+            v = 0
+            while m % r == 0:
+                m //= r
+                v += 1
+        x = (num + lift * p) // den % p if lift is not None else num * pow(den, -1, p) % p
+        y = pow(x, m, p) if reducible else cheb_c_mod(m, x, p)
+        j = 0
+        while y != one:
+            if j == v:
+                raise ValueError(
+                    f"characters do not fit x = {x} mod {p}: delta character {delta_char}"
+                )
+            j += 1
+            if reducible:
+                y = y * y % p if halving else pow(y, r, p)
+            elif halving:  # C_2(y) = y**2 - 2 and C_3(y) = y**3 - 3y inline, C_r otherwise by ladder
+                y = (y * y - 2) % p
+            else:
+                y = y * (y * y - 3) % p if r == 3 else cheb_c_mod(r, y, p)
+        counts[j if j < top else top] += 1
 
 
 def index(t, p: int) -> int:

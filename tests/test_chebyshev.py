@@ -81,6 +81,24 @@ def test_doubling_consistency_huge(n, x, p):
 
 def test_u_table():
     assert u_table_exact(3, 5) == [0, 1, 3, 8, 21, 55]
+    assert u_table_exact(F(2, 7), 0) == [0] and u_table_exact(F(2, 7), 1) == [0, 1]
+
+
+@settings(max_examples=80)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(0, 60))
+def test_u_table_matches_fraction_recurrence(a, b, n):
+    # the integer-numerator table holds the values of U_{k+1} = x*U_k - U_{k-1}
+    # taken in Fractions, each in lowest terms with a positive denominator
+    x = F(a, b)
+    want = [F(0), F(1)]
+    for _ in range(n - 1):
+        want.append(x * want[-1] - want[-2])
+    got = u_table_exact(x, n)
+    assert got == want[: n + 1]
+    assert [(u.numerator, u.denominator) for u in got] == [
+        (u.numerator, u.denominator) for u in want[: n + 1]
+    ]
+    assert all(type(u) is F and u.denominator > 0 for u in got)
 
 
 def test_lucas_lift():

@@ -143,6 +143,18 @@ def test_preimages_forward_roots_past_factoring_bound(r):
     assert cheb_preimages(r, -2) == ([-2, 1] if r == 3 else [-2])
 
 
+def test_preimages_at_a_huge_r():
+    # one lucas_pair_mod ladder per evaluation of F(c) = V_r(c, d**2) - num(t):
+    # at r = 10**9 + 7 (= 5 mod 6) the roots of C_r(x) = t are found with
+    # no coefficient list, and no exact power of a lift past |x| = 2 is taken
+    r = 10**9 + 7
+    assert cheb_preimages(r, 3) == cheb_preimages(r, F(3, 2)) == []
+    assert [cheb_preimages(r, t) for t in (2, -2, 1, -1)] == [[2], [-2], [1], [-1]]
+    assert r_primitive(F(5, 2**40), r) and r_primitive(-7, r)
+    # a root past 2 at a moderate r: num C_101(5/2) has 203 bits
+    assert cheb_preimages(101, cheb_c_exact(101, F(5, 2))) == [F(5, 2)]
+
+
 def test_twin_mirror():
     for t in (F(3), F(2, 7), F(6, 5), F(2, 3), F(6), F(5, 2)):
         c, cm = classify(t), classify(-t)

@@ -345,6 +345,18 @@ def test_partition_limit_cap(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("t", ["3", "-3", "3/2"])
+def test_partition_with_a_huge_r_answers_at_once(capsys, t):
+    # the prediction asks whether C_r(x) = t has a rational root; at
+    # r = 10**9 + 7 each evaluation of C_r is one ladder of 30 steps, with
+    # no coefficient list of C_r, so the whole command takes well under 1 s
+    start = time.perf_counter()
+    assert main(["partition", t, "--r", "1000000007", "--limit", "1000"]) == 0
+    assert time.perf_counter() - start < 10
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("0,") and rows[2].endswith(",1/1000000008,0.000000,-0.000409")
+
+
 def test_partition_rejects_non_prime_r(capsys):
     assert main(["partition", "3", "--r", "0", "--limit", "100"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -335,8 +335,8 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     # every other Euler test is the per-prime loop's, at most two per prime
     # it judges, and the loop judges only the primes of the short last
     # segment.  (2/p) = 1 with 4 | p - (-1/p) leaves half the primes to a
-    # ladder, which the class pass runs for the primes of its segments and
-    # the loop for the rest
+    # ladder, which the kernel runs, class by class for the primes of the
+    # class pass's segments and one at a time for the loop's
     t, limit = F(48, 25), 20000
     monkeypatch.setattr(primes, "_SEGMENT", 512)
     calls = {"legendre": 0, "rule": 0, "ladder": 0}
@@ -351,7 +351,15 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     counting("legendre", partition, partition.legendre)
     counting("rule", partition, partition.chi_valuation_by_order)
     counting("rule", ring, ring.chi_valuation_by_order)
-    counting("ladder", ring, ring.chi_valuation_by_ladder)
+    kernel = ring.chi_valuations_by_ladder
+
+    def laddering(ps, r, delta_char, plus2_char, *rest):
+        ps = list(ps)
+        if plus2_char != -1:  # -1 buckets v_2(p - delta) with no ladder
+            calls["ladder"] += len(ps)
+        return kernel(ps, r, delta_char, plus2_char, *rest)
+
+    monkeypatch.setattr(ring, "chi_valuations_by_ladder", laddering)
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, 2, limit, j_max=4)
     assert _fixed_classes(t, 2, 4).modulus == 32
@@ -372,13 +380,13 @@ def test_class_pass_judges_each_class_once(monkeypatch):
 )
 def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     # segments 16 * L wide, all full: the class pass buckets every prime of
-    # them, with a ladder where its class has no bucket, and hands the
-    # special primes to the per-prime loop, so no mask is read twice.  Each
-    # special prime divides 2rb, and is excluded, or divides disc, and is
-    # bucketed with no character, so the no-ladder rule sees only the class
-    # pass: the prime each class is judged on, and each walked prime of a
-    # class with a non-square t + 2 (r = 2, v_2(L) <= j_max), whose bucket
-    # v_2(p - delta) it gives prime by prime
+    # them, with one kernel call for each class it walks in a segment, and
+    # hands the special primes to the per-prime loop, so no mask is read
+    # twice.  Each special prime divides 2rb, and is excluded, or divides
+    # disc, and is bucketed with no character, so the no-ladder rule sees
+    # only the class pass: the prime each class is judged on, and each
+    # walked prime of a class with a non-square t + 2 (r = 2, v_2(L) <=
+    # j_max), whose bucket v_2(p - delta) the kernel asks it for
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
@@ -389,6 +397,14 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         seen.append(p)
         return by_order(p, *args)
 
+    walks = []  # (primes, plus2_char) of each kernel call
+    kernel = ring.chi_valuations_by_ladder
+
+    def walking(ps, r, delta_char, plus2_char, *rest):
+        ps = list(ps)
+        walks.append((ps, plus2_char))
+        return kernel(ps, r, delta_char, plus2_char, *rest)
+
     read = []  # the mask lengths _segment_primes reads
     segment_primes = primes._segment_primes
 
@@ -396,11 +412,20 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         read.append(len(mask))
         return segment_primes(first, mask)
 
+    class_walks = []
+    walk = partition._FixedClasses._walk
+
+    def counting(self, p0, *args):
+        class_walks.append(p0)
+        return walk(self, p0, *args)
+
     hi = 1 + 3 * segment
     want = _per_prime_counts(t, r, j_max, 2, hi)
     monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
     monkeypatch.setattr(ring, "chi_valuation_by_order", spy)
+    monkeypatch.setattr(ring, "chi_valuations_by_ladder", walking)
     monkeypatch.setattr(primes, "_segment_primes", reading)
+    monkeypatch.setattr(partition._FixedClasses, "_walk", counting)
     verdict = partition._FixedClasses._verdict
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, r, hi, j_max=j_max)
@@ -408,12 +433,17 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     assert all(n < segment // 2 for n in read), t
     assert rep.j_counts + [rep.overflow] == want
     swept = sorted(seen)  # before the verdicts below call the spy again
+    # one kernel call per class walk, each on primes of that one class
+    assert len(walks) == len(class_walks), t
+    for (ps, _), p0 in zip(walks, class_walks):
+        assert all(p % fixed.modulus == p0 % fixed.modulus for p in ps), t
     by_rule = {q % fixed.modulus for q in judged if verdict(fixed, q) in ((1, -1), (-1, -1))}
     walked = [
         p for p in iter_primes(hi)
         if p % fixed.modulus in by_rule and p not in fixed.specials
     ]
     assert swept == sorted(judged + walked), t
+    assert sorted(p for ps, plus2_char in walks if plus2_char == -1 for p in ps) == walked, t
     assert bool(walked) == ((t, r, j_max) == (3, 2, 8)), t
 
 
@@ -470,22 +500,25 @@ def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
     # t = xi + 1/xi with xi rational: where the no-ladder rule leaves
     # v_r(chi) open, the sweep reads v_r(ord_p xi) by builtin pow, in the
     # per-prime loop (below 3000) and in the class pass (to 3 * 10**5), and
-    # never calls cheb_c_mod, the trace ladder
+    # never calls cheb_c_mod, the trace ladder.  Both reach the kernel: the
+    # loop through its one-prime case, the class pass once per class walk
     ladders, powers = [], []
     cheb_c_mod = ring.cheb_c_mod
-    ladder = ring.chi_valuation_by_ladder
+    kernel = ring.chi_valuations_by_ladder
 
     def counting(n, x, p):
         ladders.append(p)
         return cheb_c_mod(n, x, p)
 
-    def spy(x, p, r, delta_char, reducible):
+    def spy(ps, r, delta_char, plus2_char, reducible, *rest):
         assert reducible
-        powers.append(p)
-        return ladder(x, p, r, delta_char, reducible)
+        ps = list(ps)
+        if plus2_char != -1:  # -1 buckets v_2(p - delta) with no ladder
+            powers.extend(ps)
+        return kernel(ps, r, delta_char, plus2_char, reducible, *rest)
 
     monkeypatch.setattr(ring, "cheb_c_mod", counting)
-    monkeypatch.setattr(ring, "chi_valuation_by_ladder", spy)
+    monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     judged = _record_class_verdicts(monkeypatch)
     for r in (2, 3, 5, 7):
         for limit in (3000, 3 * 10**5):
@@ -547,6 +580,38 @@ def test_sweep_matches_scan_oracle(t):
                 counts[min(valuation(chi, r), rep.j_max + 1)] += 1
         assert rep.j_counts + [rep.overflow] == counts, r
         assert rep.total == sum(counts)
+
+
+@pytest.mark.parametrize(
+    "t,r,j_max,hoisted",
+    [(F(2, 7), 3, 8, True), (F(6, 5), 2, 1, True), (F(48, 25), 2, 1, False)],
+    ids=str,
+)
+def test_class_walk_inverse_matches_scan_oracle(monkeypatch, t, r, j_max, hoisted):
+    # den(t) divides L for 2/7 (L = 84) and 6/5 (L = 20 at j_max = 1), so
+    # each walked class fixes p mod den and the kernel reads x = t mod p as
+    # (num + lift*p)/den; 48/25 has L = 8 at j_max = 1, prime to 25, and
+    # takes pow(25, -1, p) per prime.  Segments 16 * L wide put every
+    # ladder prime below 3000 but the short last segment's in a class walk
+    fixed = _fixed_classes(t, r, j_max)
+    assert (fixed.modulus % t.denominator == 0) == hoisted
+    monkeypatch.setattr(primes, "_SEGMENT", 16 * fixed.modulus)
+    lifts = []
+    kernel = ring.chi_valuations_by_ladder
+
+    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts):
+        if den != 1:  # not the one-prime case, which takes x reduced
+            lifts.append(lift)
+        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts)
+
+    monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
+    rep = compute_partition(t, r, 3000, j_max=j_max)
+    counts = [0] * (j_max + 2)
+    for p, chi in _scan_chis(t).items():
+        if p != r:
+            counts[min(valuation(chi, r), j_max + 1)] += 1
+    assert rep.j_counts + [rep.overflow] == counts
+    assert len(lifts) > 10 and all((lift is not None) == hoisted for lift in lifts)
 
 
 @pytest.mark.parametrize("t", KERNEL_TS, ids=str)

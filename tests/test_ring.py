@@ -192,7 +192,7 @@ def test_chi_valuation_rejects_wrong_characters():
     # t = 3, p = 11 splits (delta = 5 = 4**2) with chi = 5; the inert
     # character puts D in a group of order 12 that it does not lie in.  The
     # no-ladder rule trusts the characters and leaves v_3 open, and the
-    # ladder part rejects them
+    # ladder kernel rejects them
     assert legendre(5, 11) == 1 and chi_valuation(3, 11, 3) == 0
     assert chi_valuation_by_order(11, 3, -1, 0) is None
     with pytest.raises(ValueError, match="do not fit"):
@@ -261,6 +261,27 @@ def test_order_valuation_raises_past_its_bound():
                 chi_valuation_by_ladder(0, p, r, 1, True)
     assert chi_valuation_by_ladder(1, 97, 2, 1, True) == 0
     assert chi_valuation_by_ladder(96, 97, 2, 1, True) == 1
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 10**12), st.integers(1, 10**6), st.integers(-(10**6), 10**6), st.integers(0, 50))
+@example(2, 1, 1, 0)
+@example(3, 7, 2, 0)
+def test_class_inverse_lift(n, den, num, shift):
+    # a class mod a multiple of den fixes p mod den, so from any member p0
+    # of the class, k = -p0**-1 mod den makes den | 1 + k*p, and
+    # (1 + k*p)/den is the inverse of den mod p: the lift the class walk
+    # hands the ladder kernel in place of one pow(den, -1, p) per prime
+    p = n
+    while not is_prime(p):
+        p += 1
+    if den % p == 0:
+        den += 1
+    p0 = p % den + shift * den  # any member of p's class mod den
+    k = -pow(p0, -1, den) % den
+    assert (1 + k * p) % den == 0
+    assert (1 + k * p) // den % p == pow(den, -1, p)
+    assert (num + num * k * p) // den % p == num * pow(den, -1, p) % p
 
 
 def test_chi_with_primes():
