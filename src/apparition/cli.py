@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 invalid input (parse errors, excluded or
-inadmissible parameters) or no stdout to write to, 2 verification failure
-(a suite reported violations).  All configuration is via flags; rationals
-use the strict "a/b" format; decimals are fixed at six places.
+inadmissible parameters, a suite that checks no prime) or no stdout to
+write to, 2 verification failure (a suite reported violations).  All
+configuration is via flags; rationals use the strict "a/b" format;
+decimals are fixed at six places.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -111,16 +112,26 @@ def _required(text: Optional[str], name: str) -> Fraction:
     return parse_rational(text)
 
 
-def _report_exit(reports, out: Optional[str]) -> int:
-    """Print each report's summary as it comes; --out gets every violation."""
-    lines, passed = ["p,expected,actual"], True
+def _report_exit(reports, limit: int, out: Optional[str]) -> int:
+    """Print each report's summary as it comes; --out gets every violation.
+
+    A report that passed with no prime checked up to limit (its parameters
+    exclude them all) passed vacuously, unless it is an identity suite,
+    which visits no prime: its line becomes an error on stderr, and the
+    run exits 1, or 2 where a suite failed."""
+    lines, status = ["p,expected,actual"], 0
     for rep in reports:
-        print(rep.summary())
         lines += [f"{p},{e},{a}" for p, e, a in rep.violations]
-        passed = passed and rep.passed
+        if not rep.passed:
+            status = 2
+        elif rep.primes_checked == 0 and "identities" not in rep.metrics:
+            print(f"error: {rep.name} checked no prime up to {limit}", file=sys.stderr)
+            status = max(status, 1)
+            continue
+        print(rep.summary())
     if out:
         _write("\n".join(lines) + "\n", out)
-    return 0 if passed else 2
+    return status
 
 
 def _t(args) -> Fraction:
@@ -167,8 +178,8 @@ def _cmd_verify(args) -> int:
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
     if args.suite == "all":
-        return _report_exit(experiments.all_suites(args.limit), args.out)
-    return _report_exit([_VERIFY[args.suite][0](args)], args.out)
+        return _report_exit(experiments.all_suites(args.limit), args.limit, args.out)
+    return _report_exit([_VERIFY[args.suite][0](args)], args.limit, args.out)
 
 
 def _cmd_dynamics(args) -> int:
@@ -179,7 +190,7 @@ def _cmd_dynamics(args) -> int:
         )
     else:
         rep = experiments.quadmap_divisor_check(_required(args.x0, "t"), args.limit)
-    return _report_exit([rep], None)
+    return _report_exit([rep], args.limit, None)
 
 
 def _cmd_nondivisor(args) -> int:
@@ -191,7 +202,7 @@ def _cmd_nondivisor(args) -> int:
         args.r,
         args.limit,
     )
-    return _report_exit([rep], None)
+    return _report_exit([rep], args.limit, None)
 
 
 # let argparse accept negative rationals like -8/19 as positionals

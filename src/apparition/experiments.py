@@ -54,7 +54,6 @@ ENUMERATION_CAP = 10_000  # full residue scans are O(p)
 # max(|num(t)|, den(t)), and the suites that build them keep n such values
 PROP11_BITS_CAP = 8_000  # r * h
 BALLOT_BITS_CAP = 48_000  # r * k_max * h
-EXACT_SUITE_CAP = 60  # identity checks need n_max**2 exact values
 SPLITTING_LIMIT_CAP = 10**5  # the splitting suite counts roots by gcd
 DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense gcd is O(deg**2 * log p)
 VIOLATION_CAP = 100
@@ -259,18 +258,18 @@ def verify_circular(t, limit: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def identity_suite(t, n_max: int = 30) -> CheckReport:
-    """Verify the product/square identities exactly for indices <= n_max.
+def identity_suite(t) -> CheckReport:
+    """Verify the product/square identities of t exactly for indices <= 30.
 
     Covered: the Lucas-square identity C_n(t) - 2 = (Delta/Q**n) L_n**2
     for the canonical lift (T, Q); the Pell-type identity
     C_s**2 - (t**2-4) U_s**2 = 4; the factorizations U_{2m+1} = W*V and
-    U_{2m} = C_m * U_m; and the composition rule U_{mn} = U_m(C_n) * U_n.
-    No prime is visited: a failing identity is recorded at p = 0, and the
-    number checked is the `identities` metric.
+    U_{2m} = C_m * U_m; and the composition rule U_{mn} = U_m(C_n) * U_n,
+    which needs U_k(t) up to k = 30**2 + 1.  No prime is visited: a
+    failing identity is recorded at p = 0, and the number checked is the
+    `identities` metric, 4 * 30 + 30**2 = 1020.
     """
-    if n_max > EXACT_SUITE_CAP:
-        raise ValueError(f"n_max capped at {EXACT_SUITE_CAP}")
+    n_max = 30
     t = Fraction(t)
     rep = CheckReport(name=f"identity(t={t}, n_max={n_max})", metrics={"identities": 0})
 
@@ -291,11 +290,9 @@ def identity_suite(t, n_max: int = 30) -> CheckReport:
         lucas.append(T * lucas[-1] - Q * lucas[-2])
     for n in range(1, n_max + 1):
         check("lucas-square", (n,), c(n) - 2, Fraction(delta_lift, Q**n) * lucas[n] ** 2)
-    for s in range(1, n_max + 1):
-        check("pell", (s,), c(s) ** 2 - (t * t - 4) * u[s] ** 2, Fraction(4))
-    for m in range(1, n_max + 1):
-        check("odd-split", (m,), u[2 * m + 1], (u[m + 1] + u[m]) * (u[m + 1] - u[m]))
-        check("even-split", (m,), u[2 * m], c(m) * u[m])
+        check("pell", (n,), c(n) ** 2 - (t * t - 4) * u[n] ** 2, Fraction(4))
+        check("odd-split", (n,), u[2 * n + 1], (u[n + 1] + u[n]) * (u[n + 1] - u[n]))
+        check("even-split", (n,), u[2 * n], c(n) * u[n])
     for m in range(1, n_max + 1):
         for n in range(1, n_max + 1):
             check("composition", (m, n), u[m * n], cheb_u_exact(m, c(n)) * u[n])
@@ -945,4 +942,4 @@ def all_suites(limit: int):
     yield verify_splitting_theorems(Fraction(10, 3), 3, cap)
     yield quadmap_divisor_check(Fraction(5), min(n, ENUMERATION_CAP))
     yield chebyshev_orbit_divisors(three, 2, 20, n)
-    yield identity_suite(three, 30)
+    yield identity_suite(three)

@@ -75,7 +75,6 @@ out.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,8 +145,7 @@ class _FixedClasses:
         self.b, self.r, self.j_max = b, r, j_max
         # ((t**2 - 4)/p) = (disc/p) and ((t + 2)/p) = (plus2/p) for p not
         # dividing b; each depends only on p mod its period (quadratic reciprocity)
-        self.disc, self.plus2 = reader.disc, reader.plus2
-        self.char_periods = [4 * abs(_strip_trial_squares(n)) for n in (self.disc, self.plus2)]
+        self.char_periods = [4 * abs(_strip_trial_squares(n)) for n in (reader.disc, reader.plus2)]
         periods = [self.char_periods[0], _strip_trial_squares(b)]
         if r == 2:
             periods += [self.char_periods[1], 2 ** min(j_max + 1, 6)]
@@ -166,7 +164,7 @@ class _FixedClasses:
     def specials(self) -> list:
         """The odd primes dividing L * b * disc, which no class counts:
         every prime factor of b * disc is below 1000 or divides L."""
-        held = self.modulus * self.b * self.disc
+        held = self.modulus * self.b * self.reader.disc
         odd = range(3, max(self.modulus, 999) + 1, 2)
         return [q for q in odd if held % q == 0 and primes.is_prime(q)]
 
@@ -181,27 +179,28 @@ class _FixedClasses:
         specials = [q for q in self.specials if first <= q < first + 2 * len(mask)]
         for q in specials:
             mask[(q - first) >> 1] = 0
-        step, verdicts = self.modulus >> 1, self.verdicts
+        modulus, verdicts = self.modulus, self.verdicts
         for c in self.classes:
-            i = ((c - first) % self.modulus) >> 1  # the first odd number of the piece in c
-            members = mask[i::step]
+            p0 = first + (c - first) % modulus  # the first number of the piece in c
+            members = mask[(p0 - first) >> 1 :: modulus >> 1]  # p0 + k*L for each k
             verdict = verdicts.get(c)
             if verdict is None:  # judged on the first prime the sweep meets in c
                 k = members.find(1)
                 if k < 0:
                     continue
-                verdict = verdicts[c] = self._verdict(first + 2 * (i + k * step))
+                verdict = verdicts[c] = self._verdict(p0 + k * modulus)
             if isinstance(verdict, int):
                 counts[verdict] += members.count(1)
-            else:
-                self._walk(first + 2 * i, members, verdict, counts)
+            else:  # the primes members marks, in one kernel call
+                walked = compress(range(p0, p0 + modulus * len(members), modulus), members)
+                self.reader.walk(walked, p0, modulus, *verdict, counts)
         return specials
 
     def _verdict(self, p: int):
         """The bucket of every prime in p's class, or, where the bucket
         varies within the class, the class's characters (delta_char, plus2_char)."""
-        delta_char = legendre(self.disc, p)
-        plus2_char = legendre(self.plus2, p) if self.r == 2 else 0
+        delta_char = legendre(self.reader.disc, p)
+        plus2_char = legendre(self.reader.plus2, p) if self.r == 2 else 0
         j = chi_valuation_by_order(p, self.r, delta_char, plus2_char)
         if j is None:
             return delta_char, plus2_char
@@ -209,20 +208,11 @@ class _FixedClasses:
             return self.j_max + 1 if self.exact_below > self.j_max else (delta_char, plus2_char)
         return min(j, self.j_max + 1)
 
-    def _walk(self, p0: int, members: bytearray, chars: tuple, counts: list) -> None:
-        """Bucket the primes p0 + k*L that members marks, for a class with
-        the characters chars, by one call of the reader's `walk`: no rule is
-        repeated, and for a non-square t + 2 (r = 2) it gives the rule's
-        per-prime verdict."""
-        step = self.modulus
-        walked = compress(range(p0, p0 + step * len(members), step), members)
-        self.reader.walk(walked, p0, step, *chars, counts)
-
 
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     fixed = _FixedClasses(t, r, j_max)
-    b, disc, plus2, at = fixed.b, fixed.disc, fixed.plus2, fixed.reader.at
+    b, disc, plus2, at = fixed.b, fixed.reader.disc, fixed.reader.plus2, fixed.reader.at
     disc_period, plus2_period = fixed.char_periods
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
@@ -378,13 +368,8 @@ def counts_rows(report: PartitionReport) -> list:
     ]
 
 
-def report_to_json(report: PartitionReport, rows=None) -> str:
-    """JSON mirror of the report and comparison rows."""
-    return json.dumps(report_to_dict(report, rows), indent=2)
-
-
 def report_to_dict(report: PartitionReport, rows=None) -> dict:
-    """The document of `report_to_json`, before it is dumped."""
+    """The JSON document of the report and its rows, before it is dumped."""
     doc = {
         "t": str(report.t),
         "r": report.r,

@@ -25,10 +25,9 @@ a run of primes sharing their characters: per prime it splits off the
 r-part of p -+ 1 and then runs the trace ladder on t mod p, or, for a
 reducible t = xi + 1/xi with xi rational (chi(t, p) is then the order of
 xi mod p), builtin pow on xi mod p, while what the run shares is settled
-once.  `chi_valuation_by_ladder` is its one-prime case, and the reader's
-`walk` hands it one residue class of the partition sweep at a time.  The
-partition sweep, the exact suites that need only v_r(chi) and
-`chi_valuation(t, p, r)` all read v_r(chi) through a reader.
+once.  The reader's `at` hands it one prime, and its `walk` one residue
+class of the partition sweep at a time.  The partition sweep and the
+exact suites that need only v_r(chi) read v_r(chi) through a reader.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 that need chi itself call it on `residue(t, p)` at primes their sieve has
 already vouched for.  `chi_with_primes` gives chi together with the
@@ -232,11 +231,12 @@ class ChiValuation:
       or 2p where p | plus2 (t = -2 mod p);
     - then the no-ladder rule `chi_valuation_by_order`;
     - then, where the rule leaves v_r(chi) open, the ladder kernel
-      `chi_valuations_by_ladder` on x = num/den mod p, through its
-      one-prime case `chi_valuation_by_ladder`.  x is t, or, for a
-      reducible t = xi + 1/xi (disc a square), xi, whose powers builtin
-      pow takes.  num(xi) * den(xi) = +-b, so xi is a unit at every
-      admissible p, and it is taken as an integer when xi or 1/xi is one.
+      `chi_valuations_by_ladder`, handed the one prime p and x =
+      num/den, which only the kernel reduces mod p (lift 0 where den =
+      1, else None).  x is t, or, for a reducible t = xi + 1/xi (disc a
+      square), xi, whose powers builtin pow takes.  num(xi) * den(xi) =
+      +-b, so xi is a unit at every admissible p, and it is taken as an
+      integer when xi or 1/xi is one.
 
     `walk(ps, p0, modulus, delta_char, plus2_char, counts)` buckets the
     primes of one residue class p0 mod modulus, whose characters the
@@ -261,6 +261,7 @@ class ChiValuation:
                 xi = 1 / xi  # an integer, with no inverse to take per prime
             num, den = xi.numerator, xi.denominator
         self.num, self.den, self.reducible = num, den, reducible
+        lift = 0 if den == 1 else None
 
         def at(p: int, delta_char: int, plus2_char: int) -> int:
             if delta_char == 0:
@@ -268,8 +269,9 @@ class ChiValuation:
             j = chi_valuation_by_order(p, r, delta_char, plus2_char)
             if j is not None:
                 return j
-            x = num % p if den == 1 else num * pow(den, -1, p) % p
-            return chi_valuation_by_ladder(x, p, r, delta_char, reducible)
+            counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
+            chi_valuations_by_ladder((p,), r, delta_char, 0, reducible, num, den, lift, counts)
+            return counts.index(1)
 
         self.at = at
 
@@ -287,12 +289,6 @@ class ChiValuation:
         chi_valuations_by_ladder(
             ps, self.r, delta_char, plus2_char, self.reducible, num, den, lift, counts
         )
-
-
-def chi_valuation(t, p: int, r: int) -> int:
-    """v_r(chi(t, p)) for a rational t or its residue mod p, by a
-    `ChiValuation` reader built for this one call."""
-    return ChiValuation(t, r)(p)
 
 
 def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> Optional[int]:
@@ -319,16 +315,6 @@ def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> 
             return v
         return 0 if v == 1 else None
     return None if n % r == 0 else 0
-
-
-def chi_valuation_by_ladder(x: int, p: int, r: int, delta_char: int, reducible: bool) -> int:
-    """v_r(chi) at the one prime p by the kernel `chi_valuations_by_ladder`,
-    given delta_char = ((t**2 - 4)/p) = +-1: on x = t mod p, or, for a
-    reducible t = xi + 1/xi, on x = xi mod p.  Raises ValueError where the
-    kernel does."""
-    counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
-    chi_valuations_by_ladder((p,), r, delta_char, 0, reducible, x, 1, 0, counts)
-    return counts.index(1)
 
 
 def chi_valuations_by_ladder(

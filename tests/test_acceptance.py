@@ -107,7 +107,7 @@ def test_criterion_03_lucas_bridge():
 
 
 def test_criterion_04_identity_suite():
-    reps = [ex.identity_suite(t, 30) for t in (F(3), F(-3), F(2, 7))]
+    reps = [ex.identity_suite(t) for t in (F(3), F(-3), F(2, 7))]
     ok = all(r.passed and r.metrics["identities"] > 100 for r in reps)
     _report(4, ok, "; ".join(r.summary() for r in reps))
 

@@ -387,7 +387,7 @@ def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
         if inspect.isfunction(fn) and not name.startswith("_"):
             def double(*args, _name=name, **kwargs):
                 called.append(_name)
-                return CheckReport(name=_name)
+                return CheckReport(name=_name, primes_checked=1)
             monkeypatch.setattr(experiments, name, double)
     verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
     choices = next(a.choices for a in verify._actions if a.dest == "suite")
@@ -397,7 +397,7 @@ def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
         called.clear()
         assert main(["verify", suite, "3", "--limit", "10"]) == 0, suite
         assert len(called) == 1, (suite, called)
-        assert capsys.readouterr().out == f"PASS {called[0]}: 0 primes checked, 0 violations\n"
+        assert capsys.readouterr().out == f"PASS {called[0]}: 1 primes checked, 0 violations\n"
         seen.add(called[0])
     assert len(seen) == len(choices) - 1
 
@@ -573,7 +573,7 @@ def test_chi_suites_capped_by_cost(suite, argv, fn, monkeypatch, capsys):
 
     def double(*args, **kwargs):
         limits.append(args[-1])  # every one of them takes the limit last
-        rep = CheckReport(name=suite)
+        rep = CheckReport(name=suite, primes_checked=1)
         return iter([rep]) if fn == "all_suites" else rep
 
     monkeypatch.setattr(experiments, fn, double)
@@ -584,6 +584,49 @@ def test_chi_suites_capped_by_cost(suite, argv, fn, monkeypatch, capsys):
 def test_limit_three_checks_one_prime(capsys):
     assert main(["verify", "twin", "3", "--limit", "3"]) == 0
     assert capsys.readouterr().out.startswith("PASS twin(t=3): 1 primes checked")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["prop11", "3", "--r", "2", "--limit", "3"], "prop11(t=3, r=2)"),
+        (["splitting", "3", "--r", "3", "--limit", "5"], "splitting(t=3, r=3)"),
+    ],
+)
+def test_suite_that_checks_no_prime_exits_1(argv, name, capsys):
+    # every prime up to the limit is one the suite's parameters exclude:
+    # the suite would pass vacuously, so it prints an error, not PASS
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} checked no prime up to {argv[-1]}\n"
+    assert captured.out == ""
+
+
+def test_verify_all_runs_past_a_suite_that_checks_no_prime(monkeypatch, capsys):
+    # the other suites still run and print; the identity suite visits no
+    # prime by design and passes; a failing suite makes the exit 2
+    reps = [
+        CheckReport(name="a", primes_checked=2),
+        CheckReport(name="b"),
+        CheckReport(name="identity", metrics={"identities": 1}),
+    ]
+    monkeypatch.setattr(experiments, "all_suites", lambda limit: iter(reps))
+    assert main(["verify", "all", "--limit", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: b checked no prime up to 3\n"
+    assert captured.out == (
+        "PASS a: 2 primes checked, 0 violations\n"
+        "PASS identity: 0 primes checked, 0 violations; identities 1\n"
+    )
+    reps[0].record(3, "x", "y")
+    assert main(["verify", "all", "--limit", "3"]) == 2
+    assert capsys.readouterr().err == "error: b checked no prime up to 3\n"
+
+
+def test_verify_all_at_seven_checks_a_prime_in_every_suite(capsys):
+    assert main(["verify", "all", "--limit", "7"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("PASS ") == 21
 
 
 def test_sequences_rejects_unknown_family(capsys):

@@ -542,9 +542,9 @@ def test_suites_do_not_revalidate_their_primes(monkeypatch):
 
 def test_identity_suite_records_failures_at_p0(monkeypatch):
     monkeypatch.setattr(ex, "cheb_u_exact", lambda n, x: 0)  # breaks composition only
-    rep = ex.identity_suite(3, 4)
-    assert rep.name == "identity(t=3, n_max=4)" and rep.primes_checked == 0
-    assert rep.violation_count == 16 and rep.metrics["identities"] == 4 * 4 + 4 * 4
+    rep = ex.identity_suite(3)
+    assert rep.name == "identity(t=3, n_max=30)" and rep.primes_checked == 0
+    assert rep.violation_count == 30 * 30 and rep.metrics["identities"] == 4 * 30 + 30 * 30
     assert rep.violations[0] == (0, "composition(1, 1): 0", "1")
 
 

@@ -17,12 +17,12 @@ from apparition.partition import (
     compute_partition,
     counts_rows,
     merge_reports,
-    report_to_json,
+    report_to_dict,
     rows_to_csv,
 )
 from apparition import partition, primes, ring
 from apparition.primes import iter_primes, sieve, valuation
-from apparition.ring import chi_valuation, index, index_by_scan, legendre, residue
+from apparition.ring import ChiValuation, index, index_by_scan, legendre, residue
 
 
 def test_example_t3_r2():
@@ -151,11 +151,11 @@ def test_spawn_matches_fork(monkeypatch):
             return context.Pool(*args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", pool)
-        out = report_to_json(compute_partition(3, 2, 300000, threads=2))
+        out = report_to_dict(compute_partition(3, 2, 300000, threads=2))
         assert used == [method]
         return out
 
-    one = report_to_json(compute_partition(3, 2, 300000, threads=1))
+    one = report_to_dict(compute_partition(3, 2, 300000, threads=1))
     assert run("fork") == one
     assert run("spawn") == one
 
@@ -204,7 +204,7 @@ def test_sweep_is_segmented(monkeypatch):
         counts = [0] * 8
         for p in iter_primes(limit, start=start):
             if t.denominator % p:
-                counts[min(chi_valuation(residue(t, p), p, r), 7)] += 1
+                counts[min(ChiValuation(residue(t, p), r)(p), 7)] += 1
         assert rep.j_counts + [rep.overflow] == counts, (t, r)
 
 
@@ -247,11 +247,11 @@ def test_class_cache_skipped_when_it_cannot_hit(monkeypatch):
 
 
 def _per_prime_counts(t, r, j_max, lo, hi):
-    """Buckets plus overflow from one `chi_valuation` per admissible prime."""
+    """Buckets plus overflow from one reader of t mod p per admissible prime."""
     counts = [0] * (j_max + 2)
     for p in iter_primes(hi, start=lo):
         if p != 2 and p != r and t.denominator % p:
-            counts[min(chi_valuation(residue(t, p), p, r), j_max + 1)] += 1
+            counts[min(ChiValuation(residue(t, p), r)(p), j_max + 1)] += 1
     return counts
 
 
@@ -413,11 +413,11 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         return segment_primes(first, mask)
 
     class_walks = []
-    walk = partition._FixedClasses._walk
+    walk = ring.ChiValuation.walk
 
-    def counting(self, p0, *args):
+    def counting(self, ps, p0, *args):
         class_walks.append(p0)
-        return walk(self, p0, *args)
+        return walk(self, ps, p0, *args)
 
     hi = 1 + 3 * segment
     want = _per_prime_counts(t, r, j_max, 2, hi)
@@ -425,7 +425,7 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     monkeypatch.setattr(ring, "chi_valuation_by_order", spy)
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", walking)
     monkeypatch.setattr(primes, "_segment_primes", reading)
-    monkeypatch.setattr(partition._FixedClasses, "_walk", counting)
+    monkeypatch.setattr(ring.ChiValuation, "walk", counting)
     verdict = partition._FixedClasses._verdict
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, r, hi, j_max=j_max)
@@ -529,8 +529,8 @@ def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
 def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     # t = 4099 + 1/4099 has L = 4 * 4099 * 3 = 49188 for r = 3: 8L exceeds a
     # default segment's mask, so the per-prime loop buckets every prime by
-    # the order of 4099 mod p, and agrees with the trace ladder of
-    # `chi_valuation`
+    # the order of 4099 mod p, and agrees with the trace ladder of a reader
+    # of t mod p
     t = F(4099) + F(1, 4099)
     assert _fixed_classes(t, 3, 8).modulus == 49188 > primes._SEGMENT // 16
     judged = _record_class_verdicts(monkeypatch)
@@ -540,14 +540,15 @@ def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     # before the spy that asserts the pow path
     want = _per_prime_counts(t, 3, 8, lo, hi)
     powers = []
-    ladder = ring.chi_valuation_by_ladder
+    kernel = ring.chi_valuations_by_ladder
 
-    def spy(x, p, r, delta_char, reducible):
-        assert reducible and x == 4099 % p
-        powers.append(p)
-        return ladder(x, p, r, delta_char, reducible)
+    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts):
+        # one prime at a time, x = 4099 with nothing to invert
+        assert reducible and (len(ps), num, den, lift) == (1, 4099, 1, 0)
+        powers.extend(ps)
+        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts)
 
-    monkeypatch.setattr(ring, "chi_valuation_by_ladder", spy)
+    monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     rep = compute_partition(t, 3, hi, start=lo)
     assert rep.j_counts + [rep.overflow] == want
     assert judged == [] and 0.4 * rep.total < len(powers) < 0.6 * rep.total
@@ -600,7 +601,7 @@ def test_class_walk_inverse_matches_scan_oracle(monkeypatch, t, r, j_max, hoiste
     kernel = ring.chi_valuations_by_ladder
 
     def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts):
-        if den != 1:  # not the one-prime case, which takes x reduced
+        if not isinstance(ps, tuple):  # a class walk, not the loop's one prime (p,)
             lifts.append(lift)
         return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts)
 
@@ -623,8 +624,9 @@ def test_ladder_part_matches_scan_oracle(t):
         delta_char = legendre(tm * tm - 4, p)
         if delta_char:
             for r in (2, 3, 5, 7):
-                j = ring.chi_valuation_by_ladder(tm, p, r, delta_char, False)
-                assert j == valuation(chi, r), (p, r)
+                counts = [0] * 13  # v_r(p -+ 1) <= 11 below 3000
+                ring.chi_valuations_by_ladder((p,), r, delta_char, 0, False, tm, 1, 0, counts)
+                assert counts.index(1) == valuation(chi, r), (p, r)
 
 
 def _is_rational_square(q):
@@ -700,7 +702,7 @@ def test_csv_format():
 def test_json_round_trip():
     rep = compute_partition(3, 2, 20, j_max=3)
     rows = compare(rep, predicted_densities(classify(3), 2, 3))
-    doc = json.loads(report_to_json(rep, rows))
+    doc = json.loads(json.dumps(report_to_dict(rep, rows)))
     assert doc["t"] == "3" and doc["r"] == 2 and doc["total"] == 7
     assert doc["j_counts"] == [2, 3, 1, 1]
     assert doc["rows"][0]["predicted"] == "1/3"

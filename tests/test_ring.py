@@ -9,12 +9,12 @@ from apparition.chebyshev import cheb_c_mod
 from apparition.errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
 from apparition.primes import factorize, is_prime, iter_primes, sieve, valuation
 from apparition.ring import (
+    ChiValuation,
     ModParam,
     RingElem,
     chi_from_residue,
-    chi_valuation,
-    chi_valuation_by_ladder,
     chi_valuation_by_order,
+    chi_valuations_by_ladder,
     chi_with_primes,
     d_elem,
     elem_from_rationals,
@@ -27,6 +27,14 @@ from apparition.ring import (
     reduce_param,
     residue,
 )
+
+
+def _ladder(x, p, r, delta_char, reducible):
+    """v_r(chi) at the one prime p by the ladder kernel, on x reduced mod p."""
+    counts = [0] * (p.bit_length() + 1)
+    chi_valuations_by_ladder((p,), r, delta_char, 0, reducible, x, 1, 0, counts)
+    return counts.index(1)
+
 
 ODD_PRIMES = [p for p in sieve(300) if p > 2]
 
@@ -167,19 +175,19 @@ def test_chi_valuation_matches_scan_oracle():
             delta_zero += (tm * tm - 4) % p == 0
             p_is_r += p in rs
             for r in rs:
-                assert chi_valuation(tm, p, r) == valuation(chi, r), (t, p, r)
-                assert chi_valuation(t, p, r) == valuation(chi, r), (t, p, r)
+                assert ChiValuation(tm, r)(p) == valuation(chi, r), (t, p, r)
+                assert ChiValuation(t, r)(p) == valuation(chi, r), (t, p, r)
     assert delta_zero and p_is_r
 
 
 def test_chi_valuation_edge_cases():
     # delta = 0: t = 3, p = 5 has chi = 2p = 10; t = -3, p = 5 has chi = p = 5
     assert index_by_scan(3, 5) == 10 and index_by_scan(-3, 5) == 5
-    assert [chi_valuation(3, 5, r) for r in (2, 3, 5)] == [1, 0, 1]
-    assert [chi_valuation(2, 5, r) for r in (2, 3, 5)] == [0, 0, 1]
+    assert [ChiValuation(3, r)(5) for r in (2, 3, 5)] == [1, 0, 1]
+    assert [ChiValuation(2, r)(5) for r in (2, 3, 5)] == [0, 0, 1]
     # p == r off the delta = 0 line: r does not divide p -+ 1, so v_r(chi) = 0
-    assert index_by_scan(3, 7) == 8 and chi_valuation(3, 7, 7) == 0
-    assert chi_valuation(3, 7, 2) == 3
+    assert index_by_scan(3, 7) == 8 and ChiValuation(3, 7)(7) == 0
+    assert ChiValuation(3, 2)(7) == 3
 
 
 def test_legendre():
@@ -193,17 +201,17 @@ def test_chi_valuation_rejects_wrong_characters():
     # character puts D in a group of order 12 that it does not lie in.  The
     # no-ladder rule trusts the characters and leaves v_3 open, and the
     # ladder kernel rejects them
-    assert legendre(5, 11) == 1 and chi_valuation(3, 11, 3) == 0
+    assert legendre(5, 11) == 1 and ChiValuation(3, 3)(11) == 0
     assert chi_valuation_by_order(11, 3, -1, 0) is None
     with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_by_ladder(3, 11, 3, -1, False)
+        _ladder(3, 11, 3, -1, False)
     # t = 3, p = 19: t + 2 = 5 is a square (9**2), so the r = 2 ladder runs;
     # a wrong delta character then cannot reach 2 within v_2(p -+ 1) steps
     assert legendre(5, 19) == 1 and legendre(3 * 3 - 4, 19) == 1
-    assert chi_valuation(3, 19, 2) == valuation(index_by_scan(3, 19), 2)
+    assert ChiValuation(3, 2)(19) == valuation(index_by_scan(3, 19), 2)
     assert chi_valuation_by_order(19, 2, -1, 1) is None
     with pytest.raises(ValueError, match="do not fit"):
-        chi_valuation_by_ladder(3, 19, 2, -1, False)
+        _ladder(3, 19, 2, -1, False)
 
 
 @pytest.mark.parametrize("t", [F(3), F(7), F(2, 7), F(48, 25), F(-7, 2)], ids=str)
@@ -248,7 +256,7 @@ def test_order_valuation_matches_scan_oracle(t, xi):
         chi = index_by_scan(t, p)
         x = residue(xi, p)
         for r in (2, 3, 5, 7):
-            assert chi_valuation_by_ladder(x, p, r, 1, True) == valuation(chi, r), (p, r)
+            assert _ladder(x, p, r, 1, True) == valuation(chi, r), (p, r)
         checked += 1
     assert checked > 400
 
@@ -258,9 +266,9 @@ def test_order_valuation_raises_past_its_bound():
     for p in (3, 5, 7, 11, 13, 97, 101):
         for r in (2, 3, 5, 7):
             with pytest.raises(ValueError, match="do not fit"):
-                chi_valuation_by_ladder(0, p, r, 1, True)
-    assert chi_valuation_by_ladder(1, 97, 2, 1, True) == 0
-    assert chi_valuation_by_ladder(96, 97, 2, 1, True) == 1
+                _ladder(0, p, r, 1, True)
+    assert _ladder(1, 97, 2, 1, True) == 0
+    assert _ladder(96, 97, 2, 1, True) == 1
 
 
 @settings(max_examples=300)
@@ -302,7 +310,7 @@ def test_chi_valuation_above_spf_cap(r):
     t = F(2, 7)
     for p in iter_primes(10**8, start=10**8 - 10**4):
         tm = residue(t, p)
-        assert chi_valuation(tm, p, r) == valuation(chi_from_residue(tm, p), r), p
+        assert ChiValuation(tm, r)(p) == valuation(chi_from_residue(tm, p), r), p
 
 
 @settings(max_examples=80, deadline=None)
