@@ -501,7 +501,8 @@ def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
     # v_r(chi) open, the sweep reads v_r(ord_p xi) by builtin pow, in the
     # per-prime loop (below 3000) and in the class pass (to 3 * 10**5), and
     # never calls cheb_c_mod, the trace ladder.  Both reach the kernel: the
-    # loop through its one-prime case, the class pass once per class walk
+    # loop one prime per call of the reader's `at`, the class pass once per
+    # class walk
     ladders, powers = [], []
     cheb_c_mod = ring.cheb_c_mod
     kernel = ring.chi_valuations_by_ladder
