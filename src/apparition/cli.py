@@ -6,6 +6,12 @@ write to, 2 verification failure (a suite reported violations).  All
 configuration is via flags; rationals use the strict "a/b" format;
 decimals are fixed at six places.
 
+`partition` sweeps one t, or every t of a --batch file (not both, and not
+a file with no t), and prints the rows of `partition.compare`; for a t
+with no supported prediction it first writes a `note:` line on stderr,
+and the rows carry no prediction.  `verify all` is one row of the suite
+table `_VERIFY`, with its own limit cap, like every suite.
+
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
 with rationals rendered as "a/b" strings.
@@ -59,25 +65,26 @@ def _prediction(t: Fraction, args):
 
 
 def _partition_one(t: Fraction, pred, args):
-    """The sweep of t and its rows: compared with the prediction, or bare counts."""
+    """The sweep of t and its rows compared with the prediction, if any."""
     report = partition.compute_partition(
         t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
-    if pred.supported:
-        return report, partition.compare(report, pred)
-    print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
-    return report, partition.counts_rows(report)
+    if not pred.supported:
+        print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
+    return report, partition.compare(report, pred)
 
 
 def _cmd_partition(args) -> int:
     if args.limit > LIMIT_CAP:
         raise ValueError(f"limit capped at {LIMIT_CAP}")
-    if args.threads < 1:
-        raise ValueError("threads must be >= 1")
     if args.batch:
+        if args.t is not None:
+            raise ValueError("give t or --batch, not both")
         with open(args.batch, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
         ts = [parse_rational(line) for line in lines if line and not line.startswith("#")]
+        if not ts:
+            raise ValueError(f"no t in {args.batch}")
     elif args.t is None:
         raise ValueError("either t or --batch is required")
     else:
@@ -142,44 +149,41 @@ def _spec(args):
     return experiments.LucasSpec(args.T, args.Q)
 
 
-# suite name -> (its call, the largest limit it takes); experiments.<fn> is
-# looked up at call time, so a patched attribute (a test double, the
-# benchmark tracer) is the one called.  The suites that compute chi or
-# v_r(chi) at every prime are capped where a run ends within about a minute
-# (2 vCPUs, Python 3.11.7: 34-46 s for prop11, twin and ballot at 10**7,
-# 13 s for circular's two v_2(chi) per prime at 10**7, 9 s for cubic's three
-# v_3(chi) per prime at 5*10**6); splitting and sequences refuse past their
-# own caps in experiments.
+# suite name -> (its call, giving a list of reports, and the largest limit
+# it takes); experiments.<fn> is looked up at call time, so a patched
+# attribute (a test double, the benchmark tracer) is the one called.  The
+# suites that compute chi or v_r(chi) at every prime are capped where a run
+# ends within about a minute (2 vCPUs, Python 3.11.7, at 10**7: 11 s for
+# circular, 21 s for cubic, 23-33 s for ballot, prop11 and twin, 40 s for
+# bridge); `all` runs every suite once, both bridges to the limit (25 s at
+# 10**6); splitting and sequences refuse past their own caps in experiments.
 _VERIFY = {
-    "prop11": (lambda a: experiments.verify_prop11(_t(a), a.r, a.limit), 10**7),
-    "twin": (lambda a: experiments.verify_twin(_t(a), a.limit), 10**7),
-    "cubic": (lambda a: experiments.verify_cubic_associates(_t(a), a.limit), 5 * 10**6),
-    "circular": (lambda a: experiments.verify_circular(_t(a), a.limit), 10**7),
-    "bridge": (lambda a: experiments.verify_bridge(_spec(a), a.limit), 10**7),
+    "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7),
+    "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7),
+    "cubic": (lambda a: [experiments.verify_cubic_associates(_t(a), a.limit)], 10**7),
+    "circular": (lambda a: [experiments.verify_circular(_t(a), a.limit)], 10**7),
+    "bridge": (lambda a: [experiments.verify_bridge(_spec(a), a.limit)], 10**7),
     "splitting": (
-        lambda a: experiments.verify_splitting_theorems(
-            _t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax
-        ),
+        lambda a: [
+            experiments.verify_splitting_theorems(_t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax)
+        ],
         LIMIT_CAP,
     ),
-    "ballot": (lambda a: experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax), 10**7),
+    "ballot": (lambda a: [experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax)], 10**7),
     "sequences": (
-        lambda a: experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r),
+        lambda a: [experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r)],
         LIMIT_CAP,
     ),
+    "all": (lambda a: experiments.all_suites(a.limit), 10**6),
 }
-# every suite once, both bridges to the limit: 31-33 s at 10**6 on the same host
-_VERIFY_ALL_CAP = 10**6
 
 
 def _cmd_verify(args) -> int:
     _check_limit(args.limit)
-    cap = _VERIFY_ALL_CAP if args.suite == "all" else _VERIFY[args.suite][1]
+    run, cap = _VERIFY[args.suite]
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
-    if args.suite == "all":
-        return _report_exit(experiments.all_suites(args.limit), args.limit, args.out)
-    return _report_exit([_VERIFY[args.suite][0](args)], args.limit, args.out)
+    return _report_exit(run(args), args.limit, args.out)
 
 
 def _cmd_dynamics(args) -> int:
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("verify", help="exact per-prime verification suites")
-    p.add_argument("suite", choices=(*_VERIFY, "all"), help="one suite, or all of them")
+    p.add_argument("suite", choices=tuple(_VERIFY), help="one suite, or all of them")
     p.add_argument("t", nargs="?")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--limit", type=int, default=10**4)

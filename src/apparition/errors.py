@@ -21,10 +21,6 @@ class BoundViolation(ApparitionError):
     """The claimed order bound does not annihilate the element."""
 
 
-class UnsupportedPrediction(ApparitionError):
-    """No exact density prediction is available for this parameter."""
-
-
 class NotCubic(ApparitionError):
     """t**2 - 4 is not -3 times a rational square."""
 

@@ -818,7 +818,7 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     found from `RingElem` powers, Y**(n/r**v) for n = p -+ 1 (2p when
     p | t**2 - 4) and then r-th powers, and a mismatch with the reader is
     a violation.  For p <= 10**4 the full orders are computed too, by
-    factoring phat: violations there are primes where ord(Y)
+    factoring n: violations there are primes where ord(Y)
     differs from chi(b, p), where the full orders and the readers place p
     differently in T, or where an honest zero scan contradicts the
     subgroup divisor criterion or finds a member of T dividing Y.  There
@@ -878,14 +878,14 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
         in_target = v == 1 and v_ord > 0 and read_t.at(p, delta_char, 0) == 0
         target_count += in_target
         if p <= ENUMERATION_CAP:
-            phat = ring.group_order(m)
             fac = primes.factorize(n)  # not phat: for t = 2 mod p, chi | p but ord(Y) | 2p
             chi = ring.chi_from_residue(tm, p)
             ord_y = ring.element_order(y_elem, fac)
             idx_b = ord_y if y_scalar else _chi(b, p)
             if ord_y != idx_b:
                 rep.record(p, f"ord(Y) = chi(trace) = {idx_b}", ord_y)
-            full_target = primes.valuation(phat, r) == 1 and chi % r != 0 and ord_y % r == 0
+            # v_r(phat) = v: phat is n, or p where n = 2p, and r is odd
+            full_target = v == 1 and chi % r != 0 and ord_y % r == 0
             if full_target != in_target:
                 rep.record(p, f"full orders place p in T: {full_target}", in_target)
             scan_div = _scan_zero(y_elem.x0, y_elem.x1, tm, p, 2 * chi + 2) is not None

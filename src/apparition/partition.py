@@ -85,7 +85,6 @@ from typing import Optional
 
 from . import primes
 from .classify import Prediction, parameter
-from .errors import UnsupportedPrediction
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .ring import ChiValuation, chi_valuation_by_order, legendre
 
@@ -120,7 +119,7 @@ class ComparisonRow:
     j: int
     count: int
     empirical: float
-    predicted: Fraction
+    predicted: Optional[Fraction]  # None where the prediction is unsupported
     abs_error: float
     z_score: float
 
@@ -314,27 +313,26 @@ def merge_reports(a: PartitionReport, b: PartitionReport) -> PartitionReport:
 
 
 def compare(report: PartitionReport, pred: Prediction) -> list:
-    """Per-level comparison rows against a supported prediction."""
-    if not pred.supported:
-        raise UnsupportedPrediction(pred.source)
+    """Per-level comparison rows against the prediction; an unsupported
+    one leaves each row's predicted None, with abs_error and z_score 0."""
     if pred.r != report.r:
         raise ValueError("prediction r does not match report")
-    if len(pred.densities) < report.j_max + 1:
+    if pred.supported and len(pred.densities) < report.j_max + 1:
         raise ValueError("prediction too short for report j_max")
     rows = []
     n = report.total
     for j in range(report.j_max + 1):
         count = report.j_counts[j]
-        d = pred.densities[j]
         emp = count / n if n else 0.0
-        var = n * float(d) * (1.0 - float(d))
-        z = (count - n * float(d)) / sqrt(var) if var > 0 else 0.0
-        rows.append(
-            ComparisonRow(
-                j=j, count=count, empirical=emp, predicted=d,
-                abs_error=abs(emp - float(d)), z_score=z,
-            )
+        row = ComparisonRow(
+            j=j, count=count, empirical=emp, predicted=None, abs_error=0.0, z_score=0.0
         )
+        if pred.supported:
+            d = row.predicted = pred.densities[j]
+            var = n * float(d) * (1.0 - float(d))
+            row.abs_error = abs(emp - float(d))
+            row.z_score = (count - n * float(d)) / sqrt(var) if var > 0 else 0.0
+        rows.append(row)
     return rows
 
 
@@ -353,19 +351,6 @@ def rows_to_csv(rows) -> str:
                 f"{row.abs_error:.6f},{row.z_score:.6f}"
             )
     return "\n".join(lines) + "\n"
-
-
-def counts_rows(report: PartitionReport) -> list:
-    """Comparison-shaped rows with no prediction attached."""
-    n = report.total
-    return [
-        ComparisonRow(
-            j=j, count=report.j_counts[j],
-            empirical=report.j_counts[j] / n if n else 0.0,
-            predicted=None, abs_error=0.0, z_score=0.0,
-        )
-        for j in range(report.j_max + 1)
-    ]
 
 
 def report_to_dict(report: PartitionReport, rows=None) -> dict:

@@ -111,6 +111,43 @@ def test_partition_batch_checked_before_any_sweep(tmp_path, capsys, monkeypatch)
     assert swept == []
 
 
+@pytest.mark.parametrize(
+    "t, text, message",
+    [
+        ([], "# only a comment\n\n", "no t in {batch}"),
+        ([], "", "no t in {batch}"),
+        (["3"], "2/7\n", "give t or --batch, not both"),
+    ],
+)
+def test_partition_batch_refused_before_any_sweep(t, text, message, tmp_path, capsys, monkeypatch):
+    # a batch with no t, or a t beside --batch, exits 1 with nothing swept
+    swept = []
+    monkeypatch.setattr(partition, "compute_partition", lambda *args, **kw: swept.append(args))
+    batch = tmp_path / "batch.txt"
+    batch.write_text(text)
+    argv = ["partition", *t, "--batch", str(batch), "--limit", "1000"]
+    for fmt in ("csv", "json"):
+        assert main([*argv, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(batch=batch)}\n" and captured.out == ""
+    assert swept == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_partition_without_a_prediction_prints_bare_counts(fmt, capsys):
+    # -7 is in the r = 2 gap: a note on stderr, and rows with no prediction
+    assert main(["partition", "-7", "--r", "2", "--limit", "20000", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: no supported prediction for t=-7 (no-two-adic-rule)\n"
+    if fmt == "csv":
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 9 and all(row[3:] == ["", "", ""] for row in rows)
+    else:
+        rows = json.loads(captured.out)["rows"]
+        assert len(rows) == 9
+        assert all(row["predicted"] is None for row in rows)
+
+
 BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
 MERSENNE_89 = str(2**89 - 1)  # prime, past the 3.3 * 10**24 bound of is_prime
 # |t| < 2 with den(t) a cube and a fifth power, and num(t) past the bound of is_prime
@@ -296,6 +333,7 @@ def test_partition_refuses_before_sweeping(monkeypatch, capsys):
         (["--r", "4"], "r must be prime, got 4"),
         (["--jmax", "65"], "j_max capped at 64"),
         (["--jmax", "100000000"], "j_max capped at 64"),
+        (["--threads", "0"], "need limit >= 2, threads >= 1, j_max >= 0"),
     ],
 )
 def test_partition_argument_errors(argv, message, capsys):
@@ -563,7 +601,7 @@ def test_limit_out_of_range(argv, capsys):
 def test_chi_suites_capped_by_cost(suite, argv, fn, monkeypatch, capsys):
     # the suites that compute chi at every prime take a limit up to a cap
     # sized by their cost, below LIMIT_CAP; past it they refuse at once
-    cap = cli._VERIFY_ALL_CAP if suite == "all" else cli._VERIFY[suite][1]
+    cap = cli._VERIFY[suite][1]
     assert cap < LIMIT_CAP
     assert main(["verify", suite, *argv, "--limit", str(cap + 1)]) == 1
     captured = capsys.readouterr()

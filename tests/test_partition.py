@@ -10,12 +10,11 @@ from math import isqrt
 import pytest
 
 from apparition.classify import EXCLUDED, classify, predicted_densities
-from apparition.errors import ExcludedParameter, UnsupportedPrediction
+from apparition.errors import ExcludedParameter
 from apparition.partition import (
     ComparisonRow,
     compare,
     compute_partition,
-    counts_rows,
     merge_reports,
     report_to_dict,
     rows_to_csv,
@@ -681,11 +680,27 @@ def test_compare_exact_match_is_zero():
     assert rows[0].predicted == F(1, 3)
 
 
-def test_compare_requires_support():
+def test_compare_without_support_gives_bare_counts():
+    # -7 is in the r = 2 gap: 2 - t is a square and no rule applies
     rep = compute_partition(-7, 2, 100, j_max=2)
     pred = predicted_densities(classify(-7), 2, 2)
-    with pytest.raises(UnsupportedPrediction):
-        compare(rep, pred)
+    assert not pred.supported
+    assert compare(rep, pred) == [
+        ComparisonRow(
+            j=j, count=c, empirical=c / rep.total, predicted=None, abs_error=0.0, z_score=0.0
+        )
+        for j, c in enumerate(rep.j_counts)
+    ]
+    with pytest.raises(ValueError, match="prediction r does not match report"):
+        compare(compute_partition(-7, 3, 100, j_max=2), pred)
+
+
+def test_compare_guards_a_supported_prediction():
+    rep = compute_partition(3, 2, 20, j_max=3)
+    with pytest.raises(ValueError, match="prediction r does not match report"):
+        compare(rep, predicted_densities(classify(3), 3, 3))
+    with pytest.raises(ValueError, match="prediction too short for report j_max"):
+        compare(rep, predicted_densities(classify(3), 2, 2))
 
 
 def test_csv_format():
@@ -711,9 +726,9 @@ def test_json_round_trip():
     assert doc["excluded"] == {"2": "is_two"}
 
 
-def test_counts_rows_without_prediction():
+def test_compare_rows_without_prediction():
     rep = compute_partition(-7, 2, 100, j_max=2)
-    rows = counts_rows(rep)
+    rows = compare(rep, predicted_densities(classify(-7), 2, 2))
     assert all(r.predicted is None for r in rows)
     text = rows_to_csv(rows)
     assert ",,," in text.split("\n")[1]
