@@ -153,10 +153,11 @@ def _spec(args):
 # it takes); experiments.<fn> is looked up at call time, so a patched
 # attribute (a test double, the benchmark tracer) is the one called.  The
 # suites that compute chi or v_r(chi) at every prime are capped where a run
-# ends within about a minute (2 vCPUs, Python 3.11.7, at 10**7: 11 s for
-# circular, 21 s for cubic, 23-33 s for ballot, prop11 and twin, 40 s for
-# bridge); `all` runs every suite once, both bridges to the limit (25 s at
-# 10**6); splitting and sequences refuse past their own caps in experiments.
+# ends within about a minute (2 vCPUs, Python 3.11.7, two runs each at
+# 10**7: 8-11 s for circular, 15-21 s for cubic, 20-33 s for ballot, prop11
+# and twin, 30-40 s for bridge); `all` runs every suite once, both bridges
+# to the limit (20-25 s at 10**6); splitting and sequences refuse past their
+# own caps in experiments.
 _VERIFY = {
     "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7),
     "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7),
