@@ -7,7 +7,8 @@ configuration is via flags; rationals use the strict "a/b" format;
 decimals are fixed at six places.
 
 `partition` sweeps one t, or every t of a --batch file (not both, and not
-a file with no t), and prints the rows of `partition.compare`; for a t
+a file with no t; a malformed or excluded t there is refused as
+FILE:LINE: ...), and prints the rows of `partition.compare`; for a t
 with no supported prediction it first writes a `note:` line on stderr,
 and the rows carry no prediction.  `verify all` is one row of the suite
 table `_VERIFY`, with its own limit cap, like every suite.
@@ -29,8 +30,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import experiments, partition, ring
-from .classify import classify, predicted_densities, to_json_dict
-from .errors import ApparitionError
+from .classify import classify, parameter, predicted_densities, to_json_dict
+from .errors import ApparitionError, ExcludedParameter
 from .exactnum import parse_rational
 
 LIMIT_CAP = 10**8
@@ -82,7 +83,13 @@ def _cmd_partition(args) -> int:
             raise ValueError("give t or --batch, not both")
         with open(args.batch, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
-        ts = [parse_rational(line) for line in lines if line and not line.startswith("#")]
+        ts = []
+        for number, line in enumerate(lines, 1):
+            if line and not line.startswith("#"):
+                try:
+                    ts.append(parameter(parse_rational(line)))
+                except (ExcludedParameter, ValueError) as exc:
+                    raise ValueError(f"{args.batch}:{number}: {exc}") from None
         if not ts:
             raise ValueError(f"no t in {args.batch}")
     elif args.t is None:
@@ -90,7 +97,7 @@ def _cmd_partition(args) -> int:
     else:
         ts = [parse_rational(args.t)]
     # every t is checked and predicted before the first sweep, so that a
-    # refused t on any line of a batch exits at once
+    # refused t on any line of a batch exits at once, named by file and line
     preds = [_prediction(t, args) for t in ts]
     results = [_partition_one(t, pred, args) for t, pred in zip(ts, preds)]
     if args.format == "json":

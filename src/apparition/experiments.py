@@ -6,9 +6,10 @@ splitting equivalences), so a passing run has zero violations.  Every
 suite returns a `CheckReport`; the only statistical outputs are the
 `metrics` of the orbit, quadratic-map and non-divisor suites.  The
 splitting suite takes its theorem side from one per-prime function,
-`_splitting_verdicts`, which counts roots over F_p as
-deg gcd(f, x**p - x) rather than by evaluating at every residue, so its
-cost per prime grows with log p, not p.
+`_splitting_verdicts`, which decides that a squarefree f splits over F_p
+by x**p = x mod f rather than by evaluating at every residue, so its
+cost per prime grows with log p, not p.  The index-shift suite takes
+C_r(t) and U_r(t) mod p from one ladder, so r may be of any size.
 The suites that need only v_r(chi) (cubic, circular, quadmap,
 splitting, and the non-divisor suite's membership test) build one
 `ring.ChiValuation` reader per parameter, which factors nothing, and
@@ -50,12 +51,11 @@ from .errors import (
 from .exactnum import is_square
 
 ENUMERATION_CAP = 10_000  # full residue scans are O(p)
-# exact U_n, C_n and L_n of t have about n * h bits, h the bit length of
-# max(|num(t)|, den(t)), and the suites that build them keep n such values
-PROP11_BITS_CAP = 8_000  # r * h
+# exact L_n of t have about n * h bits, h the bit length of
+# max(|num(t)|, den(t)), and the Ballot suite keeps r * k_max of them
 BALLOT_BITS_CAP = 48_000  # r * k_max * h
-SPLITTING_LIMIT_CAP = 10**5  # the splitting suite counts roots by gcd
-DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense gcd is O(deg**2 * log p)
+SPLITTING_LIMIT_CAP = 10**5  # the splitting suite tests x**p = x mod f
+DEGREE_CAP = 169  # C_{r^2} for every r <= 13; a dense x**p mod f is O(deg**2 * log p)
 VIOLATION_CAP = 100
 SEQUENCE_FAMILIES = ("W", "V", "C", "S", "subsequence")
 
@@ -114,8 +114,8 @@ def _admissible(rep: CheckReport, limit: int, *dens: int):
     Each p is counted in `rep.primes_checked` once the caller's loop body
     for it has run, so the body reads the count of the earlier primes.
     Every dens is nonzero once the caller's t has passed
-    `classify.parameter`: a zero needs U_r(t) = 0 (t in {0, +-1}),
-    t**2 - 4 = 0 or T = 0 (t = +-2), or a cubic b = 0 (t = +-2).
+    `classify.parameter`: a zero needs t**2 - 4 = 0 or T = 0 (t = +-2),
+    or a cubic b = 0 (t = +-2).
     """
     skip = prod(dens)
     for p in primes.iter_primes(limit, start=3):
@@ -135,14 +135,6 @@ def _require_prime(r: int) -> None:
         raise ValueError(f"r must be prime, got {r}")
 
 
-def _require_exact_bits(n_name: str, n: int, t: Fraction, cap: int) -> None:
-    """Refuse exact values of t up to index n once n * h, h the bit length
-    of max(|num(t)|, den(t)), exceeds cap."""
-    h = max(abs(t.numerator), t.denominator).bit_length()
-    if n * h > cap:
-        raise ValueError(f"{n_name} * height bits of t capped at {cap}, got {n} * {h}")
-
-
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
 
@@ -156,25 +148,27 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     """chi(C_r(t), p) equals chi(t, p), or chi(t, p)/r when r divides it.
 
     Valid away from primes dividing num(U_r(t)), where the conjugation
-    between the two rings degenerates.  U_r(t) and C_r(t) are built
-    exactly, from a table of r + 2 values of up to about r * h bits, h
-    the bit length of max(|num(t)|, den(t)), so r * h is capped at
-    PROP11_BITS_CAP.  At the cap a run to 10**4 took at most 0.5 s and
-    20 MB (t = 1/3, 2/7, 5/7, 11/13, 3 and 123456789/1000003; 2 vCPUs,
-    Python 3.11.7); the time grows about as the cube of r.
+    between the two rings degenerates; they are skipped, and not counted.
+    Both values are needed only mod p: one ladder gives
+    (U_r, U_{r+1}) = `lucas_pair_mod(t, 1, r, p)`, so p | num(U_r(t))
+    exactly when U_r = 0, and C_r(t) = 2 U_{r+1} - t U_r.
     """
     _require_prime(r)
     t = parameter(t)
-    _require_exact_bits("r", r, t, PROP11_BITS_CAP)
-    t_r = cheb_c_exact(r, t)
-    u_r = cheb_u_exact(r, t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
-    for p in _admissible(rep, limit, t.denominator, abs(u_r.numerator)):
-        chi = _chi(t, p)
-        got = _chi(t_r, p)
+    for p in primes.iter_primes(limit, start=3):
+        if t.denominator % p == 0:
+            continue
+        tm = ring.residue(t, p)
+        u_r, u_next = lucas_pair_mod(tm, 1, r, p)
+        if u_r == 0:
+            continue
+        rep.primes_checked += 1
+        chi = ring.chi_from_residue(tm, p)
+        got = ring.chi_from_residue((2 * u_next - tm * u_r) % p, p)
         want = chi // r if chi % r == 0 else chi
         if got != want:
-            rep.record(p, f"chi({t_r})={want}", got)
+            rep.record(p, f"chi(C_{r}(t))={want}", got)
     return rep
 
 
@@ -402,7 +396,11 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     if not 1 <= k_max <= 60:
         raise ValueError(f"k_max must be in [1, 60] (exact values), got {k_max}")
     t = parameter(spec.t)
-    _require_exact_bits("r * k_max", r * k_max, t, BALLOT_BITS_CAP)
+    h = max(abs(t.numerator), t.denominator).bit_length()
+    if r * k_max * h > BALLOT_BITS_CAP:
+        raise ValueError(
+            f"r * k_max * height bits of t capped at {BALLOT_BITS_CAP}, got {r * k_max} * {h}"
+        )
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"ballot(T={T}, Q={Q}, r={r})")
 
@@ -537,17 +535,19 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
 # ---------------------------------------------------------------------------
 
 
-def _root_count(f: list, p: int) -> int:
-    """Distinct roots in F_p of the monic f of degree >= 1 (coefficients mod p,
-    constant first).
+def _splits(f: list, p: int) -> bool:
+    """Whether the monic f of degree >= 1 (coefficients mod p, constant
+    first) splits into distinct linear factors over F_p, that is, divides
+    x**p - x.
 
-    That is deg gcd(f, x**p - x): x**p mod f by square-and-multiply on
-    coefficient lists, then Euclid, O(deg**2 * log p) in all.  The
-    reduction mod f and the times-x step walk only the nonzero lower
-    coefficients of f; the C_m - shift of the splitting suite has about
-    m/2 + 1 of them.
+    x**p mod f by square-and-multiply on coefficient lists, O(deg**2 * log p),
+    is compared with x; a repeated root makes it differ.  The reduction
+    mod f and the times-x step walk only the nonzero lower coefficients of
+    f; the C_m - shift of the splitting suite has about m/2 + 1 of them.
     """
     d = len(f) - 1
+    if d == 1:
+        return True
     neg = [(i, -c % p) for i, c in enumerate(f[:d]) if c]  # x**d = sum(n * x**i) mod f
     h = [1] + [0] * (d - 1)
     for bit in bin(p)[2:]:
@@ -570,27 +570,7 @@ def _root_count(f: list, p: int) -> int:
             if top:
                 for i, ni in neg:
                     h[i] = (h[i] + top * ni) % p
-    if d == 1:  # x = -f[0] mod f
-        h[0] = (h[0] + f[0]) % p
-    else:
-        h[1] = (h[1] - 1) % p
-    a, b = f, h
-    while b and not b[-1]:
-        b.pop()
-    while b:  # a, b = b, a mod b
-        a = a[:]
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for k in range(len(a) - 1, db - 1, -1):
-            q = a[k] * inv % p
-            if q:
-                for i, bi in enumerate(b, k - db):
-                    a[i] = (a[i] - q * bi) % p
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
+    return h == [0, 1] + [0] * (d - 2)
 
 
 def _splitting_verdicts(tm: int, r: int, p: int, n_max: int, j_max: int,
@@ -605,20 +585,23 @@ def _splitting_verdicts(tm: int, r: int, p: int, n_max: int, j_max: int,
     Phi_{r^j} splits linearly when r^j | p - 1, and quadratically when it
     has no root in F_p, gcd(r^j, p - 1) = gcd(r^(j-1), p - 1), but all its
     roots lie in the quadratic extension, r^j | p**2 - 1.  The other
-    polynomials' roots are counted by `_root_count`, those of C_{2^i} only
-    when x**2 + delta has roots.
+    polynomials are tested by `_splits`, C_{2^i} only when x**2 + delta
+    splits.  At the suite's primes, which divide none of r, den(t) and
+    num(t**2 - 4), each of them is squarefree, so it splits linearly
+    exactly when it has deg f roots, and a quadratic with no split has
+    no root.
     """
 
-    def splits(m, shift):  # C_m(x) - shift has m roots in F_p
+    def splits(m, shift):  # C_m(x) - shift splits linearly over F_p
         f = [c % p for c in c_polys[m]]
         f[0] = (f[0] - shift) % p
-        return _root_count(f, p) == m
+        return _splits(f, p)
 
     if variant == "two":
-        quad = _root_count([(tm * tm - 4) % p, 0, 1], p) > 0
+        quad = _splits([(tm * tm - 4) % p, 0, 1], p)
         k = [None, True] + [quad and splits(2 ** (j - 2), 0) for j in range(2, j_max + 1)]
     else:
-        quadratic = variant == "odd" and _root_count([1, -tm % p, 1], p) == 0
+        quadratic = variant == "odd" and not _splits([1, -tm % p, 1], p)
         k = [None] + [
             gcd(r**j, p - 1) == gcd(r ** (j - 1), p - 1) and (p * p - 1) % r**j == 0
             if quadratic else (p - 1) % r**j == 0
@@ -637,10 +620,10 @@ def verify_splitting_theorems(
     for M_n (decided by a power test in the cyclic group).  Theorem side:
     `_splitting_verdicts`, in the variant that t and r select: "reducible"
     when t**2 - 4 is a rational square, else "two" for r = 2 and "odd" for
-    odd r.  It counts roots by gcd, so the limit goes to
-    SPLITTING_LIMIT_CAP, and the degrees of the C_m it needs, r**n_max and
-    for "two" 2**(j_max - 2), go to DEGREE_CAP, since one dense gcd costs
-    O(deg**2 * log p).  j_max stops at the bit length of
+    odd r.  It tests each split by one power x**p mod f, so the limit
+    goes to SPLITTING_LIMIT_CAP, and the degrees of the C_m it needs,
+    r**n_max and for "two" 2**(j_max - 2), go to DEGREE_CAP, since one
+    dense power costs O(deg**2 * log p).  j_max stops at the bit length of
     SPLITTING_LIMIT_CAP + 1: past it r^j > p + 1 for every prime checked,
     so K_j is empty.  Primes dividing num(t**2-4) are exceptional and
     skipped.
@@ -889,7 +872,7 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
             if full_target != in_target:
                 rep.record(p, f"full orders place p in T: {full_target}", in_target)
             scan_div = _scan_zero(y_elem.x0, y_elem.x1, tm, p, 2 * chi + 2) is not None
-            subgroup_div = chi % ord_y == 0 or chi % ring.element_order(-y_elem, fac) == 0
+            subgroup_div = chi % ord_y == 0 or ((-y_elem) ** chi).is_identity
             if scan_div != subgroup_div:
                 rep.record(p, f"scan agrees with subgroup criterion ({subgroup_div})", scan_div)
             elif in_target and scan_div:

@@ -119,9 +119,10 @@ class ComparisonRow:
     j: int
     count: int
     empirical: float
-    predicted: Optional[Fraction]  # None where the prediction is unsupported
-    abs_error: float
-    z_score: float
+    # all three None where the prediction is unsupported
+    predicted: Optional[Fraction]
+    abs_error: Optional[float]
+    z_score: Optional[float]
 
 
 def _strip_trial_squares(n: int) -> int:
@@ -314,7 +315,7 @@ def merge_reports(a: PartitionReport, b: PartitionReport) -> PartitionReport:
 
 def compare(report: PartitionReport, pred: Prediction) -> list:
     """Per-level comparison rows against the prediction; an unsupported
-    one leaves each row's predicted None, with abs_error and z_score 0."""
+    one leaves each row's predicted, abs_error and z_score None."""
     if pred.r != report.r:
         raise ValueError("prediction r does not match report")
     if pred.supported and len(pred.densities) < report.j_max + 1:
@@ -325,7 +326,7 @@ def compare(report: PartitionReport, pred: Prediction) -> list:
         count = report.j_counts[j]
         emp = count / n if n else 0.0
         row = ComparisonRow(
-            j=j, count=count, empirical=emp, predicted=None, abs_error=0.0, z_score=0.0
+            j=j, count=count, empirical=emp, predicted=None, abs_error=None, z_score=None
         )
         if pred.supported:
             d = row.predicted = pred.densities[j]
@@ -372,8 +373,8 @@ def report_to_dict(report: PartitionReport, rows=None) -> dict:
                 "count": row.count,
                 "empirical": round(row.empirical, 6),
                 "predicted": None if row.predicted is None else str(Fraction(row.predicted)),
-                "abs_error": round(row.abs_error, 6),
-                "z_score": round(row.z_score, 6),
+                "abs_error": None if row.abs_error is None else round(row.abs_error, 6),
+                "z_score": None if row.z_score is None else round(row.z_score, 6),
             }
             for row in rows
         ]

@@ -107,8 +107,20 @@ def test_partition_batch_checked_before_any_sweep(tmp_path, capsys, monkeypatch)
     batch.write_text("3\n2\n")
     assert main(["partition", "--batch", str(batch), "--limit", "3000000"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: t = 2 is excluded\n" and captured.out == ""
+    assert captured.err == f"error: {batch}:2: t = 2 is excluded\n" and captured.out == ""
     assert swept == []
+
+
+def test_partition_batch_names_a_malformed_line(tmp_path, capsys, monkeypatch):
+    # the line number counts comments and blank lines too
+    swept = []
+    monkeypatch.setattr(partition, "compute_partition", lambda *args, **kw: swept.append(args))
+    batch = tmp_path / "batch.txt"
+    batch.write_text("# c\n3\n\nfoo\n")
+    assert main(["partition", "--batch", str(batch), "--limit", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {batch}:4: not a rational literal: 'foo'\n"
+    assert captured.out == "" and swept == []
 
 
 @pytest.mark.parametrize(
@@ -145,7 +157,7 @@ def test_partition_without_a_prediction_prints_bare_counts(fmt, capsys):
     else:
         rows = json.loads(captured.out)["rows"]
         assert len(rows) == 9
-        assert all(row["predicted"] is None for row in rows)
+        assert all(row[k] is None for row in rows for k in ("predicted", "abs_error", "z_score"))
 
 
 BELOW_BOUND = "1000000000000000003"  # prime, past the old 2**48 trial-division cap
@@ -282,8 +294,6 @@ def test_bridge_limit_capped(capsys):
         (["ballot", "--r", "100003"], "r * k_max * height bits of t capped at 48000, got 3000090"),
         (["ballot", "--r", "401", "--kmax", "60"], "capped at 48000, got 24060 * 2"),
         (["ballot", "--T", "7", "--Q", "5", "--r", "269"], "capped at 48000, got 8070 * 6"),
-        (["prop11", "3", "--r", "1000003"], "r * height bits of t capped at 8000, got 1000003 * 2"),
-        (["prop11", "2/7", "--r", "2687"], "r * height bits of t capped at 8000, got 2687 * 3"),
         (
             ["sequences", "3", "--family", "subsequence", "--r", "10007", "--limit", "2000"],
             "(r - 1) * (limit + 1)**2 capped at 2 * 10001**2 for subsequence scans",
@@ -295,14 +305,24 @@ def test_bridge_limit_capped(capsys):
     ],
 )
 def test_exact_suites_refuse_growing_work(argv, message, capsys):
-    # the exact L_n, U_r(t), C_r(t) tables and the subsequence scans grow
-    # with r: a run past its cap exits 1 before it builds or scans anything
+    # the exact L_n table and the subsequence scans grow with r: a run past
+    # its cap exits 1 before it builds or scans anything
     t0 = time.perf_counter()
     assert main(["verify", *argv]) == 1
     assert time.perf_counter() - t0 < 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_prop11_takes_any_prime_r(capsys):
+    # C_r(t) and U_r(t) come mod p from one ladder, so a large r has no cap
+    t0 = time.perf_counter()
+    assert main(["verify", "prop11", "3", "--r", "1000003", "--limit", "10000"]) == 0
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == "PASS prop11(t=3, r=1000003): 1228 primes checked, 0 violations\n"
+    assert captured.err == ""
 
 
 def test_partition_refuses_before_sweeping(monkeypatch, capsys):

@@ -72,6 +72,26 @@ def test_verify_prop11():
     assert index(3, 7) == 8 and index(7, 7) == 4
 
 
+def test_prop11_skips_exactly_the_primes_of_u_r(monkeypatch):
+    # U_r = 0 mod p from the ladder against the exact U_r(t): the primes the
+    # suite skips, and does not count, are those dividing num(U_r(t))
+    chi = ring.chi_from_residue
+    visited = set()
+    monkeypatch.setattr(ring, "chi_from_residue", lambda tm, p: visited.add(p) or chi(tm, p))
+    skipped_any = False
+    for t in (F(3), F(2, 7), F(-5, 3), F(10, 3), F(7)):
+        for r in (2, 3, 5, 7, 37):
+            visited.clear()
+            rep = ex.verify_prop11(t, r, 1000)
+            num_u = cheb_u_exact(r, t).numerator
+            admissible = [p for p in iter_primes(1000, start=3) if t.denominator % p]
+            skipped = {p for p in admissible if num_u % p == 0}
+            assert visited == set(admissible) - skipped, (t, r)
+            assert rep.passed and rep.primes_checked == len(visited), (t, r)
+            skipped_any |= bool(skipped)
+    assert skipped_any
+
+
 def test_verify_twin():
     assert ex.verify_twin(3, 2000).passed
     assert ex.verify_twin(F(2, 7), 1000).passed
@@ -269,10 +289,6 @@ def test_growing_work_caps_admit_their_edges():
     assert ex.sequence_divisor_check(3, "subsequence", 2000, subseq_r=47).passed
     with pytest.raises(PrimeTooLarge, match="for subsequence scans"):
         ex.sequence_divisor_check(3, "subsequence", 2000, subseq_r=53)
-    t = F(123456789, 1000003)  # 27 height bits, so r <= 296
-    assert ex.verify_prop11(t, 293, 100).passed
-    with pytest.raises(ValueError, match="capped at 8000, got 307 \\* 27"):
-        ex.verify_prop11(t, 307, 100)
     fib = ex.LucasSpec(1, -1)  # t = 3, 2 height bits, so r * k_max <= 24000
     assert ex.ballot_check(fib, 397, 100, k_max=60).passed
     with pytest.raises(ValueError, match="capped at 48000, got 24060 \\* 2"):
@@ -313,16 +329,16 @@ def _verdicts(t, r: int, p: int, n_max: int, j_max: int):
 def test_splitting_verdicts_spot():
     # p = 7: x**2 - 3x + 1 has no root but Phi_3 splits linearly (3 | 6), a
     # mixed split: 7 is not in K_1, and 3 does not divide p + 1 = 8
-    assert ex._root_count([1, -3 % 7, 1], 7) == 0
+    assert not ex._splits([1, -3 % 7, 1], 7)
     assert _verdicts(F(3), 3, 7, 0, 1)[0][1] is False
     # p = 5: x**2 - x + 1 has no root and Phi_3 none either, but 3 | 5**2 - 1
-    assert ex._root_count([1, -1 % 5, 1], 5) == 0
+    assert not ex._splits([1, -1 % 5, 1], 5)
     assert ex._splitting_verdicts(1, 3, 5, 0, 1, "odd", {})[0][1] is True
     # C_3(x) - 3 = x**3 - 3x - 3 has one root at 11 and at 10**5 + 3, so it
-    # does not split linearly; roots are counted by gcd, so a prime past the
-    # enumeration cap answers as fast
+    # does not split linearly; the split is tested by x**p mod f, so a prime
+    # past the enumeration cap answers as fast
     for p in (11, 10**5 + 3):
-        assert ex._root_count([-3 % p, -3 % p, 0, 1], p) == 1
+        assert not ex._splits([-3 % p, -3 % p, 0, 1], p)
         assert _enumerated_roots(lambda x: x**3 - 3 * x - 3, p) == 1
         assert _verdicts(F(3), 3, p, 1, 1)[1][1] is False
 
@@ -384,18 +400,19 @@ def _horner(f, x: int, p: int) -> int:
     return acc
 
 
-def test_root_count_matches_enumeration():
-    # every polynomial whose roots the splitting suite counts, for every prime 5 <= p < 1000
+def test_splits_matches_enumeration():
+    # every polynomial whose split the splitting suite tests, for every prime
+    # 5 <= p < 1000: it splits exactly when its distinct roots number deg f
     ms = {r**n for r in ROOT_RS for n in (1, 2)} | {2**i for i in range(4)}
     coeffs = {m: cheb_c_coeffs(m) for m in ms}
     for p in iter_primes(999, start=5):
         tms = [residue(t, p) for t in ROOT_TS if t.denominator % p]
         for tm in tms:
             f = [1, -tm % p, 1]
-            assert ex._root_count(f, p) == _enumerated_roots(lambda x: x * x - tm * x + 1, p)
+            assert ex._splits(f, p) == (_enumerated_roots(lambda x: x * x - tm * x + 1, p) == 2)
             delta = (tm * tm - 4) % p
             f = [delta, 0, 1]
-            assert ex._root_count(f, p) == _enumerated_roots(lambda x: x * x + delta, p)
+            assert ex._splits(f, p) == (_enumerated_roots(lambda x: x * x + delta, p) == 2)
         for m in ms:
             # C_m at every residue by the fast-doubling ladder, not the coefficients;
             # the roots of C_m(x) - shift are the residues where it takes the value shift
@@ -403,7 +420,7 @@ def test_root_count_matches_enumeration():
             for shift in [0, *tms]:
                 f = [c % p for c in coeffs[m]]
                 f[0] = (f[0] - shift) % p
-                assert ex._root_count(f, p) == values.count(shift), (m, shift, p)
+                assert ex._splits(f, p) == (values.count(shift) == m), (m, shift, p)
 
 
 def _phi_roots(p: int, r: int, j_max: int):
@@ -430,14 +447,16 @@ def _phi_roots(p: int, r: int, j_max: int):
 def test_phi_verdicts_match_brute_force(r):
     # Phi_{r^j} splits linearly when all its roots are in F_p, quadratically
     # when none is but all are in F_{p^2}; K_j reads the linear split when
-    # x**2 - t*x + 1 has a root (t = 2) or t**2 - 4 is a square, else the
-    # quadratic one
+    # x**2 - t*x + 1 splits (t**2 - 4 a nonzero square mod p, the suite's
+    # primes divide no num(t**2 - 4)) or t**2 - 4 is a rational square, else
+    # the quadratic one
     for p in iter_primes(60, start=5):
         if p == r:
             continue
         in_p, in_p2 = _phi_roots(p, r, 3)
+        root = next(tm for tm in range(p) if ring.legendre(tm * tm - 4, p) == 1)
         no_root = next(tm for tm in range(p) if ring.legendre(tm * tm - 4, p) == -1)
-        k_root = ex._splitting_verdicts(2, r, p, 0, 3, "odd", {})[0]
+        k_root = ex._splitting_verdicts(root, r, p, 0, 3, "odd", {})[0]
         k_no_root = ex._splitting_verdicts(no_root, r, p, 0, 3, "odd", {})[0]
         k_reducible = ex._splitting_verdicts(0, r, p, 0, 3, "reducible", {})[0]
         for j in (1, 2, 3):
@@ -454,22 +473,23 @@ def test_phi_verdicts_match_brute_force(r):
     st.lists(st.tuples(st.integers(0, 198), st.integers(1, 4)), min_size=0, max_size=4),
     st.lists(st.integers(0, 198), min_size=1, max_size=6),
 )
-def test_root_count_repeated_roots(p, roots, tail):
-    # f = prod (x - a)**e * (a monic cofactor of degree >= 1): repeated roots count once
+def test_splits_repeated_roots(p, roots, tail):
+    # f = prod (x - a)**e * (a monic cofactor of degree >= 1): f splits exactly
+    # when its distinct roots number deg f, so a repeated root never splits
     f = tail[:] + [1]
     for a, e in roots:
         for _ in range(e):
             f = [(shifted - a * c) % p for shifted, c in zip([0] + f, f + [0])]  # f * (x - a)
     f = [c % p for c in f]
-    want = _enumerated_roots(lambda x: _horner(f, x, p), p)
-    assert ex._root_count(f, p) == want
+    distinct = _enumerated_roots(lambda x: _horner(f, x, p), p)
+    assert ex._splits(f, p) == (distinct == len(f) - 1)
 
 
 @pytest.mark.parametrize("t, r", [(F(3), 3), (F(3), 2), (F(5, 2), 3)])
 def test_splitting_theorems_catch_a_miscounting_counter(monkeypatch, t, r):
-    # one root too many must show as violations in every variant
-    count = ex._root_count
-    monkeypatch.setattr(ex, "_root_count", lambda f, p: count(f, p) + 1)
+    # a split test that answers wrong must show as violations in every variant
+    splits = ex._splits
+    monkeypatch.setattr(ex, "_splits", lambda f, p: not splits(f, p))
     rep = ex.verify_splitting_theorems(t, r, 300)
     assert rep.violation_count > 0
 

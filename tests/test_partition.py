@@ -681,13 +681,14 @@ def test_compare_exact_match_is_zero():
 
 
 def test_compare_without_support_gives_bare_counts():
-    # -7 is in the r = 2 gap: 2 - t is a square and no rule applies
+    # -7 is in the r = 2 gap: 2 - t is a square and no rule applies, so no
+    # row has a prediction, an error or a z-score (an exact fit reads 0.0)
     rep = compute_partition(-7, 2, 100, j_max=2)
     pred = predicted_densities(classify(-7), 2, 2)
     assert not pred.supported
     assert compare(rep, pred) == [
         ComparisonRow(
-            j=j, count=c, empirical=c / rep.total, predicted=None, abs_error=0.0, z_score=0.0
+            j=j, count=c, empirical=c / rep.total, predicted=None, abs_error=None, z_score=None
         )
         for j, c in enumerate(rep.j_counts)
     ]
