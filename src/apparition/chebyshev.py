@@ -7,13 +7,17 @@ W_{2m+1} = U_{m+1} + U_m and V_{2m+1} = U_{m+1} - U_m.
 Modular evaluation uses pair fast-doubling, on (U_n, U_{n+1}) or on
 (C_n, C_{n+1}), so the index can be huge (orbit checks need n up to
 ~10**12); exact evaluation walks the recursion with Fractions and is
-meant for small n only.
+meant for small n only.  For an integer t the first steps of every
+(C_n, C_{n+1}) ladder give the same integers C_k(t) at every p:
+`cheb_c_table` computes them once, and `cheb_c_mod` handed the table
+starts its ladder from C_k(t) mod p, k the top bits of the index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from typing import Optional
 
 # n/d for coprime n and d > 0, built with no gcd (the constructor is
 # private: _from_coprime_ints from Python 3.12, _normalize before)
@@ -44,19 +48,56 @@ def cheb_u_mod(n: int, x: int, p: int) -> int:
     return lucas_pair_mod(x, 1, n, p)[0]
 
 
-def cheb_c_mod(n: int, x: int, p: int) -> int:
+def cheb_c_mod(n: int, x: int, p: int, table: Optional[list] = None) -> int:
     """C_n(x) mod p, even in n, by the (C_k, C_{k+1}) trace ladder:
-    C_{2k} = C_k**2 - 2 and C_{2k+1} = C_k*C_{k+1} - x, 2 mults per bit."""
-    if n == 0:
-        return 2
+    C_{2k} = C_k**2 - 2 and C_{2k+1} = C_k*C_{k+1} - x, 2 mults per bit.
+
+    With no table the ladder starts at (C_1, C_2), the leading bit of |n|.
+    A table of `cheb_c_table(t)` for an integer t = x mod p, C_0(t) to
+    C_{2**w + 1}(t), starts it at (C_k, C_{k+1}) mod p for k the top w
+    bits of |n|, or gives C_n mod p itself where |n| <= 2**w + 1.
+    """
+    n = abs(n)
     x = x % p
-    a, b = x, (x * x - 2) % p  # (C_1, C_2): the leading bit of |n|
-    for bit in bin(abs(n))[3:]:
+    if table is None:
+        if n == 0:
+            return 2
+        a, b, bits = x, (x * x - 2) % p, bin(n)[3:]
+    elif n < len(table):
+        return table[n] % p
+    else:
+        w = (len(table) - 2).bit_length() - 1
+        k = n >> (n.bit_length() - w)
+        a, b, bits = table[k] % p, table[k + 1] % p, bin(n)[2 + w :]
+    for bit in bits:
         if bit == "1":
             a, b = (a * b - x) % p, (b * b - 2) % p
         else:
             a, b = (a * a - 2) % p, (a * b - x) % p
     return a
+
+
+def cheb_c_table(t: int) -> Optional[list]:
+    """[C_0(t), ..., C_{2**w + 1}(t)] exactly for an integer t, the start
+    of `cheb_c_mod`'s ladder at any p; None where w < 2 (no step saved).
+
+    w is the largest width up to 10 with C_{2**w}(t) within 512 bits:
+    past that, reducing two table entries mod p costs more than the
+    ladder steps they save.  C_k(t) stays bounded for |t| <= 2, so there
+    the cap of 10 alone stops w.
+    """
+    w, c = 0, t  # c = C_{2**w}(t)
+    while w < 10:
+        c = c * c - 2  # C_{2m} = C_m**2 - 2
+        if c.bit_length() > 512:
+            break
+        w += 1
+    if w < 2:
+        return None
+    table = [2, t]
+    for _ in range(2**w):
+        table.append(t * table[-1] - table[-2])
+    return table
 
 
 def cheb_w_mod(m: int, x: int, p: int) -> int:

@@ -3,15 +3,17 @@
 Exit codes: 0 success, 1 invalid input (parse errors, excluded or
 inadmissible parameters, a suite that checks no prime) or no stdout to
 write to, 2 verification failure (a suite reported violations).  All
-configuration is via flags; rationals use the strict "a/b" format;
-decimals are fixed at six places.
+configuration is via flags; rationals use the strict "a/b" format and
+the p of `index` plain digits, both in ASCII digits alone; decimals are
+fixed at six places.
 
 `partition` sweeps one t, or every t of a --batch file (not both, and not
 a file with no t; a malformed or excluded t there is refused as
 FILE:LINE: ...), and prints the rows of `partition.compare`; for a t
 with no supported prediction it first writes a `note:` line on stderr,
-and the rows carry no prediction.  `verify all` is one row of the suite
-table `_VERIFY`, with its own limit cap, like every suite.
+and the rows carry no prediction.  A sweep that counts no prime has no
+fit to print, and exits 1 naming its t.  `verify all` is one row of the
+suite table `_VERIFY`, with its own limit cap, like every suite.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -32,7 +34,7 @@ from typing import Optional
 from . import experiments, partition, ring
 from .classify import classify, parameter, predicted_densities, to_json_dict
 from .errors import ApparitionError, ExcludedParameter
-from .exactnum import parse_rational
+from .exactnum import parse_decimal, parse_rational
 
 LIMIT_CAP = 10**8
 
@@ -53,7 +55,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_index(args) -> int:
     t = parse_rational(args.t)
-    p = int(args.p)
+    p = parse_decimal(args.p)
     chi = ring.index(t, p)
     print(f"chi({t},{p}) = {chi}")
     return 0
@@ -70,6 +72,8 @@ def _partition_one(t: Fraction, pred, args):
     report = partition.compute_partition(
         t, args.r, args.limit, j_max=args.jmax, threads=args.threads
     )
+    if report.total == 0:  # every prime up to the limit is excluded: no fit to print
+        raise ValueError(f"t={t}: no prime counted up to {args.limit}")
     if not pred.supported:
         print(f"note: no supported prediction for t={t} ({pred.source})", file=sys.stderr)
     return report, partition.compare(report, pred)

@@ -14,12 +14,15 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: \d, and int(), also take the digits of other scripts
+_DIGITS = "[0-9]+"
+_RATIONAL_RE = re.compile(rf"[+-]?{_DIGITS}(?:/{_DIGITS})?")
+_DECIMAL_RE = re.compile(_DIGITS)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the strict "a/b" / "a" wire format (no whitespace, no decimals)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -27,6 +30,14 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def parse_decimal(text: str) -> int:
+    """Parse a natural number written in ASCII digits alone, the digits
+    rule of `parse_rational` (no sign, underscore or whitespace)."""
+    if not isinstance(text, str) or not _DECIMAL_RE.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

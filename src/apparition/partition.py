@@ -11,9 +11,11 @@ otherwise the ladder kernel `ring.chi_valuations_by_ladder` does: the
 trace ladder on t mod p, or, for a reducible t = xi + 1/xi (chi(t, p) is
 then the order of xi mod p), builtin pow on xi mod p.  The sweep
 composes none of this: one `ring.ChiValuation` reader of t, built once
-per sweep, holds disc, plus2 and the ladder's x, and applies the rule to
-characters the sweep has read: its `walk` buckets a whole residue class
-in one kernel call, and its `at` one prime of the per-prime loop.
+per sweep, holds disc, plus2, the ladder's x and, for an integer t, the
+table of exact C_k(t) every trace ladder starts from, and applies the
+rule to characters the sweep has read: its `walk` buckets a whole
+residue class in one kernel call, and its `at` one prime of the
+per-prime loop.
 
 With t = a/b, both characters are characters of integers:
 ((t**2 - 4)/p) = (disc/p) for disc = a**2 - 4b**2 and

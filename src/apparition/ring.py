@@ -10,7 +10,9 @@ of appearance chi(t, p) is the order of D in that group.
 A power Y**n is read off the Lucas pair (L_n, L_{n+1}) of the trace and
 determinant of Y (Cayley-Hamilton), computed by the one fast-doubling
 ladder `chebyshev.lucas_pair_mod`; the trace ladder `cheb_c_mod`, two
-multiplications per bit, serves the chi kernels.
+multiplications per bit, serves the chi kernels, and for an integer t
+the v_r(chi) reader hands it one table of exact C_k(t), built once, from
+which every ladder starts at the top bits of its index.
 
 `ChiValuation(t, r)` is the one v_r(chi) reader, built once per
 parameter, and it factors nothing: called on p, it reads the character
@@ -48,7 +50,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .chebyshev import cheb_c_mod, lucas_pair_mod
+from .chebyshev import cheb_c_mod, cheb_c_table, lucas_pair_mod
 from .errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
 from .primes import distinct_prime_factors, is_prime, valuation
 
@@ -236,7 +238,9 @@ class ChiValuation:
       1, else None).  x is t, or, for a reducible t = xi + 1/xi (disc a
       square), xi, whose powers builtin pow takes.  num(xi) * den(xi) =
       +-b, so xi is a unit at every admissible p, and it is taken as an
-      integer when xi or 1/xi is one.
+      integer when xi or 1/xi is one.  For an integer t that is not
+      reducible the reader builds `chebyshev.cheb_c_table(t)` once, and
+      the kernel's C_m ladder starts from it at every p.
 
     `walk(ps, p0, modulus, delta_char, plus2_char, counts)` buckets the
     primes of one residue class p0 mod modulus, whose characters the
@@ -261,6 +265,8 @@ class ChiValuation:
                 xi = 1 / xi  # an integer, with no inverse to take per prime
             num, den = xi.numerator, xi.denominator
         self.num, self.den, self.reducible = num, den, reducible
+        # exact C_k(t), the start of every C_m(t) ladder at any p
+        self.table = table = cheb_c_table(num) if den == 1 and not reducible else None
         lift = 0 if den == 1 else None
 
         def at(p: int, delta_char: int, plus2_char: int) -> int:
@@ -270,7 +276,9 @@ class ChiValuation:
             if j is not None:
                 return j
             counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
-            chi_valuations_by_ladder((p,), r, delta_char, 0, reducible, num, den, lift, counts)
+            chi_valuations_by_ladder(
+                (p,), r, delta_char, 0, reducible, num, den, lift, counts, table
+            )
             return counts.index(1)
 
         self.at = at
@@ -287,7 +295,7 @@ class ChiValuation:
         # which the class fixes when den | modulus
         lift = num * (-pow(p0, -1, den) % den) if modulus % den == 0 else None
         chi_valuations_by_ladder(
-            ps, self.r, delta_char, plus2_char, self.reducible, num, den, lift, counts
+            ps, self.r, delta_char, plus2_char, self.reducible, num, den, lift, counts, self.table
         )
 
 
@@ -319,7 +327,7 @@ def chi_valuation_by_order(p: int, r: int, delta_char: int, plus2_char: int) -> 
 
 def chi_valuations_by_ladder(
     ps, r: int, delta_char: int, plus2_char: int, reducible: bool,
-    num: int, den: int, lift: Optional[int], counts: list,
+    num: int, den: int, lift: Optional[int], counts: list, table: Optional[list] = None,
 ) -> None:
     """Add v_r(chi) at each prime p of ps to counts (the last slot takes
     every larger j): the ladder kernel, for primes that share delta_char =
@@ -333,9 +341,11 @@ def chi_valuations_by_ladder(
     (delta_char = 1), and builtin pow takes the powers.  For any other t
     the trace does: C_e(t) = xi**e + xi**-e is 2 exactly when xi**e = 1,
     so v_r(chi) is the number of steps y -> C_r(y) that take y = C_m(t)
-    (`cheb_c_mod`, the one trace ladder) to 2.  A delta_char that does not
-    fit x, or an x that is no unit, never gets there within v_r(n) steps
-    and raises ValueError.
+    (`cheb_c_mod`, the one trace ladder) to 2.  The C_m ladder starts
+    from table, a `chebyshev.cheb_c_table` of an integer t, where the
+    caller has one; the steps y -> C_r(y) take none, as y is not t.  A
+    delta_char that does not fit x, or an x that is no unit, never gets
+    there within v_r(n) steps and raises ValueError.
 
     What every prime shares is settled once, outside the loop: r = 2 or
     odd r, reducible or not, and plus2_char = -1 (r = 2): t + 2 is then a
@@ -365,7 +375,7 @@ def chi_valuations_by_ladder(
                 m //= r
                 v += 1
         x = (num + lift * p) // den % p if lift is not None else num * pow(den, -1, p) % p
-        y = pow(x, m, p) if reducible else cheb_c_mod(m, x, p)
+        y = pow(x, m, p) if reducible else cheb_c_mod(m, x, p, table)
         j = 0
         while y != one:
             if j == v:

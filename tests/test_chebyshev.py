@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from apparition.chebyshev import (
     cheb_c_exact,
     cheb_c_mod,
+    cheb_c_table,
     cheb_u_exact,
     cheb_u_mod,
     cheb_v_exact,
@@ -17,7 +18,7 @@ from apparition.chebyshev import (
     u_table_exact,
 )
 from apparition.experiments import identity_suite
-from apparition.primes import sieve
+from apparition.primes import is_prime, sieve
 
 PRIMES = [p for p in sieve(200) if p > 2]
 
@@ -77,6 +78,73 @@ def test_doubling_consistency_huge(n, x, p):
     # C_{2n} = C_n**2 - 2 and U_{2n} = U_n*C_n must hold for huge n
     assert cheb_c_mod(2 * n, x, p) == (cheb_c_mod(n, x, p) ** 2 - 2) % p
     assert cheb_u_mod(2 * n, x, p) == cheb_u_mod(n, x, p) * cheb_c_mod(n, x, p) % p
+
+
+def _prime_from(n):
+    """The least odd prime >= n; 2**61 - 1 is prime, so it stays below 2**61."""
+    n = max(n, 3) | 1
+    while not is_prime(n):
+        n += 2
+    return n
+
+
+@st.composite
+def _table_starts(draw):
+    """(n, t, p, table) with an integer t up to 10**9 in size, and n at the
+    table's edges, past 2**40, or negative."""
+    p = draw(st.one_of(st.sampled_from(PRIMES), st.integers(3, 2**61 - 1).map(_prime_from)))
+    t = draw(
+        st.one_of(
+            st.integers(-(10**9), 10**9),
+            st.integers(-2, 2),
+            st.integers(-(10**9) // p, 10**9 // p).map(lambda k: k * p),  # t = 0 mod p
+        )
+    )
+    table = cheb_c_table(t)
+    size = 2 if table is None else len(table) - 2  # 2**w
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 1, size - 1, size, size + 1, size + 2]),
+            st.integers(0, 4 * size),
+            st.integers(2**40, 2**64),
+        )
+    )
+    return n * draw(st.sampled_from([1, -1])), t, p, table
+
+
+@settings(max_examples=300)
+@given(_table_starts())
+def test_c_table_start_matches_plain_ladder(case):
+    # the ladder started from exact C_k(t) mod p, k the top w bits of |n|,
+    # or C_n(t) read off the table, is the ladder started from (C_1, C_2)
+    n, t, p, table = case
+    assert cheb_c_mod(n, t, p, table) == cheb_c_mod(n, t, p)
+    assert cheb_c_mod(n, t % p, p, table) == cheb_c_mod(n, t, p)  # x = t mod p
+
+
+@pytest.mark.parametrize(
+    "t,w", [(3, 8), (-3, 8), (7, 7), (6, 7), (101, 6), (10**9, 4),
+     pytest.param(2**128, 2, id="2**128"), pytest.param(2**129, None, id="2**129")],
+    ids=str,
+)
+def test_c_table_width(t, w):
+    # C_{2**w}(t) within 512 bits and C_{2**(w+1)}(t) past them, the table
+    # C_0(t), ..., C_{2**w + 1}(t) exactly; no table below w = 2
+    table = cheb_c_table(t)
+    if w is None:
+        assert table is None and cheb_c_exact(2, t).numerator.bit_length() <= 512
+        return
+    assert table == [cheb_c_exact(k, t) for k in range(2**w + 2)]
+    past = cheb_c_exact(2 ** (w + 1), t).numerator
+    assert table[2**w].bit_length() <= 512 < past.bit_length()
+
+
+@pytest.mark.parametrize("t", [-2, -1, 0, 1, 2])
+def test_c_table_width_is_capped_where_c_is_bounded(t):
+    # |C_k(t)| <= 2 for |t| <= 2, so only the cap of 10 stops the width
+    table = cheb_c_table(t)
+    assert len(table) == 2**10 + 2 and max(abs(c) for c in table) <= 2
+    assert table == [cheb_c_exact(k, t) for k in range(len(table))]
 
 
 def test_u_table():

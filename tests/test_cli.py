@@ -33,6 +33,29 @@ def test_index_invalid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "\uff13"], "not a rational literal: '\uff13'"),
+        (["classify", "3\n"], "not a rational literal: '3\\n'"),
+        (["index", "\u0663/\u0664", "7"], "not a rational literal: '\u0663/\u0664'"),
+        (["index", "3", "1_000_003"], "not a decimal integer: '1_000_003'"),
+        (["index", "3", " 7"], "not a decimal integer: ' 7'"),
+        (["index", "3", "+7"], "not a decimal integer: '+7'"),
+        (["index", "3", "-7"], "not a decimal integer: '-7'"),
+        (["index", "3", "\uff17"], "not a decimal integer: '\uff17'"),
+        (["partition", "\uff13", "--limit", "100"], "not a rational literal: '\uff13'"),
+    ],
+    ids=str,
+)
+def test_literals_take_ascii_digits_alone(argv, message, capsys):
+    # int() reads each of these; an answer for one would be an answer to
+    # a question nobody wrote
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_classify(capsys):
     assert main(["classify", "2/7"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -396,6 +419,34 @@ def test_calls_after_a_usage_error_match_a_fresh_process(capsys):
         captured = capsys.readouterr()
         fresh = _run_cli(argv, timeout=60)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [(["--limit", "2"], 2), (["--r", "3", "--limit", "3"], 3),
+     (["--limit", "2", "--format", "json"], 2)],
+    ids=str,
+)
+def test_partition_that_counts_no_prime_exits_1(argv, limit, capsys):
+    # 2 is never counted and 3 = r is excluded: with no prime there is no
+    # fit, and a z_score of 0 for each row would read as a perfect one
+    assert main(["partition", "3", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: t=3: no prime counted up to {limit}\n"
+
+
+def test_partition_batch_names_the_t_that_counts_no_prime(tmp_path, capsys):
+    # 3 counts 5; for 2/5 the 5 divides den(t) and 3 = r, so nothing is
+    # counted, and nothing is printed for either t
+    batch = tmp_path / "b.txt"
+    batch.write_text("3\n2/5\n", encoding="utf-8")
+    for fmt in ("csv", "json"):
+        argv = ["partition", "--batch", str(batch), "--r", "3", "--limit", "5", "--format", fmt]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: t=2/5: no prime counted up to 5\n"
+    assert main(["partition", "--batch", str(batch), "--r", "3", "--limit", "7"]) == 0
+    capsys.readouterr()
 
 
 def test_partition_limit_cap(capsys):

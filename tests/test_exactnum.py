@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apparition.exactnum import is_square, parse_rational, rth_root
+from apparition.exactnum import is_square, parse_decimal, parse_rational, rth_root
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -23,6 +23,23 @@ def test_parse(text, value):
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["3\n", "3/4\n", "1_000", "\uff13", "\u0663/\u0664", "3/\u0664", "\uff13/4"]
+)
+def test_parse_takes_ascii_digits_alone(bad):
+    # a trailing newline, an underscore, a fullwidth 3 and Arabic-Indic
+    # digits are refused, though int() reads them all
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(bad)
+
+
+def test_parse_decimal():
+    assert parse_decimal("1000003") == 1000003 and parse_decimal("007") == 7
+    for bad in ["", "+7", "-7", " 7", "7 ", "7\n", "1_000_003", "\uff17", "\u0667", "7/1", None]:
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            parse_decimal(bad)
 
 
 def test_is_square_examples():

@@ -446,6 +446,25 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     assert bool(walked) == ((t, r, j_max) == (3, 2, 8)), t
 
 
+@pytest.mark.parametrize("segment", [None, 4096], ids=["class-pass", "per-prime-loop"])
+def test_table_start_below_the_cli_cap(monkeypatch, segment):
+    # t = 3 below 10**8: every C_m(3) ladder starts from the reader's table
+    # of C_0(3), ..., C_258(3), in the class walks of default segments, and
+    # in the per-prime loop of segments 4096 wide, too short for the class
+    # pass (8L = 2560 for L = 320 exceeds their 2048-byte masks); the
+    # reference factors p -+ 1 and reads chi itself, with no table
+    if segment is not None:
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        assert 8 * _fixed_classes(3, 2, 8).modulus > segment // 2
+    lo, hi = 10**8 - 2 * 10**4, 10**8 - 1
+    rep = compute_partition(3, 2, hi, start=lo)
+    counts = [0] * (rep.j_max + 2)
+    for p in iter_primes(hi, start=lo):
+        counts[min(valuation(index(3, p), 2), rep.j_max + 1)] += 1
+    assert rep.j_counts + [rep.overflow] == counts
+    assert rep.total == sum(counts) > 1000
+
+
 def test_per_prime_loop_where_no_class_count_pays(monkeypatch):
     # L = 45632 for -27/2 (r = 2) and 49476 for -25/3 (r = 7): 8L exceeds
     # a default segment's mask, so the class pass judges no class and the
@@ -472,10 +491,10 @@ def test_ladder_only_where_group_order_leaves_v_open(monkeypatch, r):
     ladders = []
     cheb_c_mod = ring.cheb_c_mod
 
-    def counting(n, x, p):
+    def counting(n, x, p, table=None):
         if n != r:
             ladders.append(p)
-        return cheb_c_mod(n, x, p)
+        return cheb_c_mod(n, x, p, table)
 
     monkeypatch.setattr(ring, "cheb_c_mod", counting)
     rep = compute_partition(t, r, limit)
@@ -542,11 +561,11 @@ def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     powers = []
     kernel = ring.chi_valuations_by_ladder
 
-    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts):
+    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table):
         # one prime at a time, x = 4099 with nothing to invert
         assert reducible and (len(ps), num, den, lift) == (1, 4099, 1, 0)
         powers.extend(ps)
-        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts)
+        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table)
 
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     rep = compute_partition(t, 3, hi, start=lo)
@@ -600,10 +619,10 @@ def test_class_walk_inverse_matches_scan_oracle(monkeypatch, t, r, j_max, hoiste
     lifts = []
     kernel = ring.chi_valuations_by_ladder
 
-    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts):
+    def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table):
         if not isinstance(ps, tuple):  # a class walk, not the loop's one prime (p,)
             lifts.append(lift)
-        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts)
+        return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table)
 
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     rep = compute_partition(t, r, 3000, j_max=j_max)

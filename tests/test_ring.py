@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apparition.chebyshev import cheb_c_mod
+from apparition.chebyshev import cheb_c_mod, cheb_c_table
 from apparition.errors import BoundViolation, DenominatorDivisible, NotUnitDeterminant
 from apparition.primes import factorize, is_prime, iter_primes, sieve, valuation
 from apparition.ring import (
@@ -188,6 +188,43 @@ def test_chi_valuation_edge_cases():
     # p == r off the delta = 0 line: r does not divide p -+ 1, so v_r(chi) = 0
     assert index_by_scan(3, 7) == 8 and ChiValuation(3, 7)(7) == 0
     assert ChiValuation(3, 2)(7) == 3
+
+
+@pytest.mark.parametrize(
+    "t,tabled",
+    [(3, True), (-3, True), (7, True), (123456789, True), pytest.param(2**600, False, id="2**600"),
+     (F(2, 7), False), (F(48, 25), False), (F(-27, 2), False),
+     (F(10, 3), False), (F(5, 2), False), (F(-5, 2), False), (F(13, 6), False)],
+    ids=str,
+)
+def test_reader_tables_only_an_integer_t_that_is_not_reducible(monkeypatch, t, tabled):
+    # an integer t gets one table of exact C_k(t), unless it is past the
+    # table's 512 bits; a rational t, and the reducible 10/3 and 5/2, whose
+    # xi or 1/xi is an integer, get none.  Every C_m(t) ladder of the
+    # kernel starts from the reader's table, and no step y -> C_r(y) does
+    from apparition import ring
+
+    t = F(t)
+    reader = ChiValuation(t, 5)
+    assert (reader.table is not None) == tabled
+    if tabled:
+        assert reader.table == cheb_c_table(t.numerator)
+    ps = [p for p in iter_primes(3000, start=7) if t.denominator % p]
+    want = [valuation(chi_from_residue(residue(t, p), p), 5) for p in ps]
+    seen = []
+    ladder = ring.cheb_c_mod
+
+    def spy(n, x, p, table=None):
+        seen.append((n, table))
+        return ladder(n, x, p, table)
+
+    monkeypatch.setattr(ring, "cheb_c_mod", spy)
+    assert [reader(p) for p in ps] == want
+    if reader.reducible:
+        assert seen == []
+    else:
+        assert {n for n, _ in seen} - {5} and (5, None) in seen
+        assert all(table is (None if n == 5 else reader.table) for n, table in seen)
 
 
 def test_legendre():
