@@ -388,9 +388,11 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
 
     L_0 ... L_{r*k_max} are built exactly, so r * k_max * h, h the bit
     length of max(|num(t)|, den(t)), is capped at BALLOT_BITS_CAP.  At the
-    cap a run to 10**4 took at most 0.95 s and 45 MB ((T, Q) = (1, -1),
-    (2, -1), (3, 2), (7, 5), (100, 3) and (1, 1000003), k_max 30 and 60;
-    2 vCPUs, Python 3.11.7); the memory grows as the square of r * k_max.
+    cap a run to 10**4 took 0.12-0.24 s and a peak RSS of 20-44 MB, of
+    which the interpreter and package take 18 MB ((T, Q) = (1, -1),
+    (2, -1), (3, 2), (7, 5), (100, 3) and (1, 1000003), k_max 30 and 60,
+    the largest prime r within the cap; best of three runs, 2 vCPUs,
+    Python 3.11.7); the memory grows as the square of r * k_max.
     """
     _require_prime(r)
     if not 1 <= k_max <= 60:

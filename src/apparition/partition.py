@@ -9,12 +9,13 @@ order n = p - delta, delta = ((t**2 - 4)/p), and for r = 2 the character
 (r does not divide n; for r = 2, t + 2 a non-square, or v_2(n) = 1), and
 otherwise the ladder kernel `ring.chi_valuations_by_ladder` does: the
 trace ladder on t mod p, or, for a reducible t = xi + 1/xi (chi(t, p) is
-then the order of xi mod p), builtin pow on xi mod p.  The sweep
-composes none of this: one `ring.ChiValuation` reader of t, built once
-per sweep, holds disc, plus2, the ladder's x and, for an integer t, the
-table of exact C_k(t) every trace ladder starts from, and applies the
-rule to characters the sweep has read: its `walk` buckets a whole
-residue class in one kernel call, and its `at` one prime of the
+then the order of xi mod p), builtin pow on xi mod p.  The sweep applies
+the rule to characters it has read and composes nothing else: one
+`ring.ChiValuation` reader of t, built once per sweep, holds disc,
+plus2, the ladder's x and, for an integer t, the table of exact C_k(t)
+every trace ladder starts from, and its `walk` hands the kernel, in one
+call, primes that share their characters: a residue class of the class
+pass, or one character pair's ladder primes from a segment of the
 per-prime loop.
 
 With t = a/b, both characters are characters of integers:
@@ -62,17 +63,20 @@ sweep works in two passes over each segment's odd-only sieve mask
   other prime the loop reads the characters from per-segment dicts
   keyed by p mod 4|k|, the periods the class pass puts into L (or, when
   a period is at least the segment width, where a cache could never
-  hit, from Euler's criterion), and hands them to `at`, which applies
-  the same two rules as the class pass: `chi_valuation_by_order`, then
-  the ladder kernel where the rule leaves v_r(chi) open.  So each
+  hit, from Euler's criterion), and applies the same two rules as the
+  class pass.  Where `chi_valuation_by_order` fixes v_r(chi) it buckets
+  p; otherwise p joins the segment's list for its character pair, and
+  when the segment ends each list goes to the reader's `walk` in one
+  kernel call.  That walk has modulus 1, which fixes no class mod den,
+  so x takes pow(den, -1, p) per prime unless den = 1.  So each
   segment's mask is read once, by the class pass or by the loop.
 
 The sweep walks its range one `primes._SEGMENT`-wide piece at a time, so
-memory stays bounded by one segment's mask and its class caches however
-wide the range or large L.  Work is sharded over contiguous prime
-ranges, so reports merge by exact addition and any worker count gives
-identical output; `multiprocessing` is imported only when the work fans
-out.
+memory stays bounded by one segment's mask, its class caches and its
+ladder lists however wide the range or large L.  Work is sharded over
+contiguous prime ranges, so reports merge by exact addition and any
+worker count gives identical output; `multiprocessing` is imported only
+when the work fans out.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class _FixedClasses:
 def _sweep_range(args) -> PartitionReport:
     t, r, j_max, lo, hi = args
     fixed = _FixedClasses(t, r, j_max)
-    b, disc, plus2, at = fixed.b, fixed.reader.disc, fixed.reader.plus2, fixed.reader.at
+    b, disc, plus2, reader = fixed.b, fixed.reader.disc, fixed.reader.plus2, fixed.reader
     disc_period, plus2_period = fixed.char_periods
     # a period at least the segment width puts each prime of a segment in a
     # class of its own, where a cache could never hit
@@ -229,6 +233,7 @@ def _sweep_range(args) -> PartitionReport:
         # residue class -> character, for this segment's primes only
         disc_chars: dict = {}
         plus2_chars: dict = {}
+        pending: dict = {}  # (delta_char, plus2_char) -> this segment's ladder primes
         for p in primes._segment_primes(first, mask) if specials is None else specials:
             if barred % p == 0:
                 excluded[p] = "equals_r" if p == r else "divides_denominator"
@@ -236,7 +241,7 @@ def _sweep_range(args) -> PartitionReport:
             if disc % p == 0:
                 # t = +-2 mod p; such a p can share its class with other
                 # primes, so it reads no cache
-                delta_char = plus2_char = 0
+                j = reader.at(p, 0, 0)
             else:
                 # each character is now +-1, so only a cache miss (None) reads false
                 if cache_disc:
@@ -251,8 +256,13 @@ def _sweep_range(args) -> PartitionReport:
                     plus2_char = plus2_chars.get(c) or plus2_chars.setdefault(c, legendre(plus2, p))
                 else:
                     plus2_char = legendre(plus2, p)
-            j = at(p, delta_char, plus2_char)
+                j = chi_valuation_by_order(p, r, delta_char, plus2_char)
+                if j is None:  # a ladder prime, walked when the segment ends
+                    pending.setdefault((delta_char, plus2_char), []).append(p)
+                    continue
             counts[j if j < top else top] += 1
+        for chars, ps in pending.items():
+            reader.walk(ps, 1, 1, *chars, counts)
     return PartitionReport(
         t=t, r=r, limit=hi, j_max=j_max, j_counts=counts[:-1],
         overflow=counts[-1], total=sum(counts), excluded=excluded, start=lo,

@@ -27,9 +27,11 @@ a run of primes sharing their characters: per prime it splits off the
 r-part of p -+ 1 and then runs the trace ladder on t mod p, or, for a
 reducible t = xi + 1/xi with xi rational (chi(t, p) is then the order of
 xi mod p), builtin pow on xi mod p, while what the run shares is settled
-once.  The reader's `at` hands it one prime, and its `walk` one residue
-class of the partition sweep at a time.  The partition sweep and the
-exact suites that need only v_r(chi) read v_r(chi) through a reader.
+once.  Only the reader's `walk` calls it: with the one prime of `at`, a
+residue class of the partition sweep's class pass, or one character
+pair's ladder primes from a segment of its per-prime loop.  The
+partition sweep and the exact suites that need only v_r(chi) read
+v_r(chi) through a reader.
 `chi_from_residue` gives chi itself, by factoring p -+ 1; the exact suites
 that need chi itself call it on `residue(t, p)` at primes their sieve has
 already vouched for.  `chi_with_primes` gives chi together with the
@@ -232,24 +234,23 @@ class ChiValuation:
     - the +-2 case: a delta_char of 0 means t = +-2 mod p, and chi = p,
       or 2p where p | plus2 (t = -2 mod p);
     - then the no-ladder rule `chi_valuation_by_order`;
-    - then, where the rule leaves v_r(chi) open, the ladder kernel
-      `chi_valuations_by_ladder`, handed the one prime p and x =
-      num/den, which only the kernel reduces mod p (lift 0 where den =
-      1, else None).  x is t, or, for a reducible t = xi + 1/xi (disc a
-      square), xi, whose powers builtin pow takes.  num(xi) * den(xi) =
-      +-b, so xi is a unit at every admissible p, and it is taken as an
-      integer when xi or 1/xi is one.  For an integer t that is not
-      reducible the reader builds `chebyshev.cheb_c_table(t)` once, and
-      the kernel's C_m ladder starts from it at every p.
+    - then, where the rule leaves v_r(chi) open, `walk` of the one prime
+      p, with modulus 1.
 
-    `walk(ps, p0, modulus, delta_char, plus2_char, counts)` buckets the
-    primes of one residue class p0 mod modulus, whose characters the
-    class fixes, with one call of the kernel and no rule first: for
-    plus2_char = -1 the kernel buckets the rule's v_2(p - delta_char).
-    Where den divides the modulus the class fixes p mod den, and the
-    inverse of den is hoisted out of the kernel's loop (see there).
-
-    `at` is a closure, so hot loops read no attribute per prime.
+    `walk(ps, p0, modulus, delta_char, plus2_char, counts)` buckets
+    primes that share the characters given and lie in the residue class
+    p0 mod modulus, with one call of the ladder kernel
+    `chi_valuations_by_ladder` and no rule first: for plus2_char = -1 the
+    kernel buckets the rule's v_2(p - delta_char).  The kernel reduces x
+    = num/den mod p.  x is t, or, for a reducible t = xi + 1/xi (disc a
+    square), xi, whose powers builtin pow takes.  num(xi) * den(xi) =
+    +-b, so xi is a unit at every admissible p, and it is taken as an
+    integer when xi or 1/xi is one.  Where den divides the modulus (always
+    so for den = 1) the class fixes p mod den, and the inverse of den is
+    hoisted out of the kernel's loop (see there); modulus 1 fixes no
+    class mod den > 1.  For an integer t that is not reducible the reader
+    builds `chebyshev.cheb_c_table(t)` once, and the kernel's C_m ladder
+    starts from it at every p.
     """
 
     def __init__(self, t, r: int):
@@ -266,25 +267,21 @@ class ChiValuation:
             num, den = xi.numerator, xi.denominator
         self.num, self.den, self.reducible = num, den, reducible
         # exact C_k(t), the start of every C_m(t) ladder at any p
-        self.table = table = cheb_c_table(num) if den == 1 and not reducible else None
-        lift = 0 if den == 1 else None
-
-        def at(p: int, delta_char: int, plus2_char: int) -> int:
-            if delta_char == 0:
-                return valuation(2 * p if plus2 % p == 0 else p, r)
-            j = chi_valuation_by_order(p, r, delta_char, plus2_char)
-            if j is not None:
-                return j
-            counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
-            chi_valuations_by_ladder(
-                (p,), r, delta_char, 0, reducible, num, den, lift, counts, table
-            )
-            return counts.index(1)
-
-        self.at = at
+        self.table = cheb_c_table(num) if den == 1 and not reducible else None
 
     def __call__(self, p: int) -> int:
         return self.at(p, legendre(self.disc, p), legendre(self.plus2, p) if self.r == 2 else 0)
+
+    def at(self, p: int, delta_char: int, plus2_char: int) -> int:
+        """v_r(chi) at p, whose characters are given."""
+        if delta_char == 0:
+            return valuation(2 * p if self.plus2 % p == 0 else p, self.r)
+        j = chi_valuation_by_order(p, self.r, delta_char, plus2_char)
+        if j is not None:
+            return j
+        counts = [0] * (p.bit_length() + 1)  # v_r(p - delta_char) <= log2(p + 1)
+        self.walk((p,), 1, 1, delta_char, plus2_char, counts)
+        return counts.index(1)
 
     def walk(self, ps, p0: int, modulus: int, delta_char: int, plus2_char: int, counts: list) -> None:
         """Add v_r(chi) at each prime of ps, all = p0 mod modulus and
@@ -347,27 +344,25 @@ def chi_valuations_by_ladder(
     delta_char that does not fit x, or an x that is no unit, never gets
     there within v_r(n) steps and raises ValueError.
 
-    What every prime shares is settled once, outside the loop: r = 2 or
-    odd r, reducible or not, and plus2_char = -1 (r = 2): t + 2 is then a
-    non-square, each prime takes the verdict v_2(n) of
-    `chi_valuation_by_order`, and no ladder runs.  So is the inverse of
-    den, where every p of ps lies in one class mod den: the caller then
-    passes lift = num*k for k = -p**-1 mod den, and x = (num + lift*p)/den
-    exactly, with no pow per prime; otherwise lift is None and x takes
-    pow(den, -1, p).
+    With plus2_char = -1 (r = 2), t + 2 is a non-square: each prime is
+    bucketed by v_2(n), the verdict of `chi_valuation_by_order`, as soon
+    as the loop has split it off, and no ladder runs.  What every prime
+    shares is settled once, outside the loop: r = 2 or odd r, reducible
+    or not, and the inverse of den, where every p of ps lies in one class
+    mod den: the caller then passes lift = num*k for k = -p**-1 mod den,
+    and x = (num + lift*p)/den exactly, with no pow per prime; otherwise
+    lift is None and x takes pow(den, -1, p).
     """
     top = len(counts) - 1
-    if plus2_char == -1:
-        for p in ps:
-            j = chi_valuation_by_order(p, 2, delta_char, -1)
-            counts[j if j < top else top] += 1
-        return
     one = 1 if reducible else 2  # xi**e = 1, or C_e(t) = 2
     halving = r == 2
     for p in ps:
         m = p - delta_char
         if halving:
             v = (m & -m).bit_length() - 1
+            if plus2_char == -1:  # t + 2 a non-square: the rule's v_2(chi) = v
+                counts[v if v < top else top] += 1
+                continue
             m >>= v
         else:
             v = 0

@@ -21,7 +21,14 @@ from apparition.partition import (
 )
 from apparition import partition, primes, ring
 from apparition.primes import iter_primes, sieve, valuation
-from apparition.ring import ChiValuation, index, index_by_scan, legendre, residue
+from apparition.ring import (
+    ChiValuation,
+    chi_valuation_by_order,
+    index,
+    index_by_scan,
+    legendre,
+    residue,
+)
 
 
 def test_example_t3_r2():
@@ -335,7 +342,7 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     # it judges, and the loop judges only the primes of the short last
     # segment.  (2/p) = 1 with 4 | p - (-1/p) leaves half the primes to a
     # ladder, which the kernel runs, class by class for the primes of the
-    # class pass's segments and one at a time for the loop's
+    # class pass's segments and by character pair for the loop's
     t, limit = F(48, 25), 20000
     monkeypatch.setattr(primes, "_SEGMENT", 512)
     calls = {"legendre": 0, "rule": 0, "ladder": 0}
@@ -383,9 +390,9 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     # hands the special primes to the per-prime loop, so no mask is read
     # twice.  Each special prime divides 2rb, and is excluded, or divides
     # disc, and is bucketed with no character, so the no-ladder rule sees
-    # only the class pass: the prime each class is judged on, and each
-    # walked prime of a class with a non-square t + 2 (r = 2, v_2(L) <=
-    # j_max), whose bucket v_2(p - delta) the kernel asks it for
+    # only the prime each class is judged on.  A walked class with a
+    # non-square t + 2 (r = 2, v_2(L) <= j_max) reaches the kernel, which
+    # buckets each prime by v_2(p - delta) with no ladder and no rule call
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
@@ -441,7 +448,7 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         p for p in iter_primes(hi)
         if p % fixed.modulus in by_rule and p not in fixed.specials
     ]
-    assert swept == sorted(judged + walked), t
+    assert swept == sorted(judged), t
     assert sorted(p for ps, plus2_char in walks if plus2_char == -1 for p in ps) == walked, t
     assert bool(walked) == ((t, r, j_max) == (3, 2, 8)), t
 
@@ -478,6 +485,44 @@ def test_per_prime_loop_where_no_class_count_pays(monkeypatch):
         rep = compute_partition(t, r, hi, start=lo)
         assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, 8, lo, hi), t
     assert judged == []
+
+
+@pytest.mark.parametrize("t,r", [(F(-27, 2), 2), (F(-25, 3), 7)], ids=str)
+def test_per_prime_loop_walks_each_character_pair_once_per_segment(monkeypatch, t, r):
+    # the per-prime loop keeps each prime the no-ladder rule leaves open
+    # until its segment ends, then walks each character pair's primes in
+    # one call: every walk holds primes of one segment with the characters
+    # it is given, none that the rule fixes, and every such prime once
+    lo = 10**6
+    hi = lo + 2 * primes._SEGMENT + 17
+    reader = ChiValuation(t, r)
+    want = _per_prime_counts(t, r, 8, lo, hi)
+    walks = []  # (segment, delta_char, plus2_char) of each walk
+    walked = []
+    walk = ring.ChiValuation.walk
+
+    def walking(self, ps, p0, modulus, delta_char, plus2_char, counts):
+        ps = list(ps)
+        (segment,) = {(p - lo) // primes._SEGMENT for p in ps}
+        walks.append((segment, delta_char, plus2_char))
+        for p in ps:
+            assert legendre(reader.disc, p) == delta_char, p
+            assert (legendre(reader.plus2, p) if r == 2 else 0) == plus2_char, p
+            assert chi_valuation_by_order(p, r, delta_char, plus2_char) is None, p
+        walked.extend(ps)
+        return walk(self, ps, p0, modulus, delta_char, plus2_char, counts)
+
+    monkeypatch.setattr(ring.ChiValuation, "walk", walking)
+    rep = compute_partition(t, r, hi, start=lo)
+    assert rep.j_counts + [rep.overflow] == want
+    assert len(walks) == len(set(walks)) <= 3 * 4  # segments times character pairs
+    open_primes = [
+        p for p in iter_primes(hi, start=lo)
+        if reader.disc % p and chi_valuation_by_order(
+            p, r, legendre(reader.disc, p), legendre(reader.plus2, p) if r == 2 else 0
+        ) is None
+    ]
+    assert sorted(walked) == open_primes and len(walks) >= 4
 
 
 @pytest.mark.parametrize("r", [2, 5, 7])
@@ -518,9 +563,9 @@ def test_reducible_sweep_runs_no_trace_ladder(monkeypatch, t):
     # t = xi + 1/xi with xi rational: where the no-ladder rule leaves
     # v_r(chi) open, the sweep reads v_r(ord_p xi) by builtin pow, in the
     # per-prime loop (below 3000) and in the class pass (to 3 * 10**5), and
-    # never calls cheb_c_mod, the trace ladder.  Both reach the kernel: the
-    # loop one prime per call of the reader's `at`, the class pass once per
-    # class walk
+    # never calls cheb_c_mod, the trace ladder.  Both reach the kernel
+    # through the reader's `walk`: the loop once per segment and character
+    # pair, the class pass once per class walk
     ladders, powers = [], []
     cheb_c_mod = ring.cheb_c_mod
     kernel = ring.chi_valuations_by_ladder
@@ -549,7 +594,8 @@ def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     # t = 4099 + 1/4099 has L = 4 * 4099 * 3 = 49188 for r = 3: 8L exceeds a
     # default segment's mask, so the per-prime loop buckets every prime by
     # the order of 4099 mod p, and agrees with the trace ladder of a reader
-    # of t mod p
+    # of t mod p.  disc is a square, so every ladder prime has the
+    # characters (1, 0), and the loop walks a segment's in one kernel call
     t = F(4099) + F(1, 4099)
     assert _fixed_classes(t, 3, 8).modulus == 49188 > primes._SEGMENT // 16
     judged = _record_class_verdicts(monkeypatch)
@@ -559,17 +605,22 @@ def test_per_prime_loop_reads_the_order_of_xi(monkeypatch):
     # before the spy that asserts the pow path
     want = _per_prime_counts(t, 3, 8, lo, hi)
     powers = []
+    segments = []  # the segment of each kernel call
     kernel = ring.chi_valuations_by_ladder
 
     def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table):
-        # one prime at a time, x = 4099 with nothing to invert
-        assert reducible and (len(ps), num, den, lift) == (1, 4099, 1, 0)
+        # x = 4099 with nothing to invert, on primes of one segment
+        assert reducible and (num, den, lift) == (4099, 1, 0)
+        assert (delta_char, plus2_char) == (1, 0)
+        (segment,) = {(p - lo) // primes._SEGMENT for p in ps}
+        segments.append(segment)
         powers.extend(ps)
         return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table)
 
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     rep = compute_partition(t, 3, hi, start=lo)
     assert rep.j_counts + [rep.overflow] == want
+    assert segments == sorted(set(segments)) and len(segments) >= 2
     assert judged == [] and 0.4 * rep.total < len(powers) < 0.6 * rep.total
 
 
@@ -612,18 +663,25 @@ def test_class_walk_inverse_matches_scan_oracle(monkeypatch, t, r, j_max, hoiste
     # each walked class fixes p mod den and the kernel reads x = t mod p as
     # (num + lift*p)/den; 48/25 has L = 8 at j_max = 1, prime to 25, and
     # takes pow(25, -1, p) per prime.  Segments 16 * L wide put every
-    # ladder prime below 3000 but the short last segment's in a class walk
+    # ladder prime below 3000 but the short last segment's in a class walk;
+    # the per-prime loop walks the rest with modulus 1, which fixes no p
+    # mod den > 1, so it never hoists
     fixed = _fixed_classes(t, r, j_max)
     assert (fixed.modulus % t.denominator == 0) == hoisted
     monkeypatch.setattr(primes, "_SEGMENT", 16 * fixed.modulus)
-    lifts = []
+    walks = []  # [modulus, lift] of each walk
+    walk = ring.ChiValuation.walk
     kernel = ring.chi_valuations_by_ladder
 
+    def walking(self, ps, p0, modulus, *args):
+        walks.append([modulus, None])
+        return walk(self, ps, p0, modulus, *args)
+
     def spy(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table):
-        if not isinstance(ps, tuple):  # a class walk, not the loop's one prime (p,)
-            lifts.append(lift)
+        walks[-1][1] = lift
         return kernel(ps, r, delta_char, plus2_char, reducible, num, den, lift, counts, table)
 
+    monkeypatch.setattr(ring.ChiValuation, "walk", walking)
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", spy)
     rep = compute_partition(t, r, 3000, j_max=j_max)
     counts = [0] * (j_max + 2)
@@ -631,7 +689,11 @@ def test_class_walk_inverse_matches_scan_oracle(monkeypatch, t, r, j_max, hoiste
         if p != r:
             counts[min(valuation(chi, r), j_max + 1)] += 1
     assert rep.j_counts + [rep.overflow] == counts
+    lifts = [lift for modulus, lift in walks if modulus == fixed.modulus]
+    loop = [lift for modulus, lift in walks if modulus == 1]
+    assert len(lifts) + len(loop) == len(walks)
     assert len(lifts) > 10 and all((lift is not None) == hoisted for lift in lifts)
+    assert loop and all(lift is None for lift in loop)
 
 
 @pytest.mark.parametrize("t", KERNEL_TS, ids=str)
