@@ -12,8 +12,15 @@ a file with no t; a malformed or excluded t there is refused as
 FILE:LINE: ...), and prints the rows of `partition.compare`; for a t
 with no supported prediction it first writes a `note:` line on stderr,
 and the rows carry no prediction.  A sweep that counts no prime has no
-fit to print, and exits 1 naming its t.  `verify all` is one row of the
-suite table `_VERIFY`, with its own limit cap, like every suite.
+fit to print, and exits 1 naming its t.
+
+Every command that prints suite reports is a table row, (call, cap), run
+by the one handler `_cmd_verify`: `_VERIFY` holds the `verify` suites,
+`verify all` among them, `_DYNAMICS` the `dynamics` kinds and
+`_NONDIVISOR` the `nondivisor` suite.  The handler checks the limit
+against [3, LIMIT_CAP], then against the row's cap, then prints the
+reports.  A suite that reads no t (`verify bridge`, `ballot`, `all`)
+refuses one, rather than running its defaults.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -117,12 +124,6 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _check_limit(limit: int) -> None:
-    # below 3 no odd prime is checked, and the suite would pass vacuously
-    if not 3 <= limit <= LIMIT_CAP:
-        raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {limit}")
-
-
 def _required(text: Optional[str], name: str) -> Fraction:
     # an optional positional left out arrives as None
     if text is None:
@@ -157,6 +158,9 @@ def _t(args) -> Fraction:
 
 
 def _spec(args):
+    # bridge, ballot and all read no t: one given is refused, not dropped
+    if args.t is not None:
+        raise ValueError(f"verify {args.suite} takes no t")
     return experiments.LucasSpec(args.T, args.Q)
 
 
@@ -168,7 +172,11 @@ def _spec(args):
 # 10**7: 8-11 s for circular, 15-21 s for cubic, 20-33 s for ballot, prop11
 # and twin, 30-40 s for bridge); `all` runs every suite once, both bridges
 # to the limit (20-25 s at 10**6); splitting and sequences refuse past their
-# own caps in experiments.
+# own caps in experiments.  The `dynamics` and `nondivisor` rows take
+# LIMIT_CAP: their cost is one pass over the primes (two runs each at 10**7:
+# 24.1-24.8 s for `dynamics chebyshev 3 --nmax 64`, 12.6-13.1 s for
+# `nondivisor 3 -8/19 -33/19 --r 3`), so a run at the cap ends within
+# minutes; quadmap refuses past ENUMERATION_CAP in experiments.
 _VERIFY = {
     "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7),
     "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7),
@@ -186,39 +194,39 @@ _VERIFY = {
         lambda a: [experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r)],
         LIMIT_CAP,
     ),
-    "all": (lambda a: experiments.all_suites(a.limit), 10**6),
+    "all": (lambda a: experiments.all_suites(a.limit) if a.t is None else _spec(a), 10**6),
+}
+_DYNAMICS = {
+    "chebyshev": (
+        lambda a: [
+            experiments.chebyshev_orbit_divisors(_required(a.x0, "x0"), a.k, a.nmax, a.limit)
+        ],
+        LIMIT_CAP,
+    ),
+    "quadmap": (
+        lambda a: [experiments.quadmap_divisor_check(_required(a.x0, "t"), a.limit)], LIMIT_CAP
+    ),
+}
+_NONDIVISOR = {
+    "nondivisor": (
+        lambda a: [
+            experiments.nondivisor_density(
+                parse_rational(a.t), parse_rational(a.y0), parse_rational(a.y1), a.r, a.limit
+            )
+        ],
+        LIMIT_CAP,
+    ),
 }
 
 
 def _cmd_verify(args) -> int:
-    _check_limit(args.limit)
-    run, cap = _VERIFY[args.suite]
+    # below 3 no odd prime is checked, and the suite would pass vacuously
+    if not 3 <= args.limit <= LIMIT_CAP:
+        raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {args.limit}")
+    run, cap = args.suites[args.suite]
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
     return _report_exit(run(args), args.limit, args.out)
-
-
-def _cmd_dynamics(args) -> int:
-    _check_limit(args.limit)
-    if args.kind == "chebyshev":
-        rep = experiments.chebyshev_orbit_divisors(
-            _required(args.x0, "x0"), args.k, args.nmax, args.limit
-        )
-    else:
-        rep = experiments.quadmap_divisor_check(_required(args.x0, "t"), args.limit)
-    return _report_exit([rep], args.limit, None)
-
-
-def _cmd_nondivisor(args) -> int:
-    _check_limit(args.limit)
-    rep = experiments.nondivisor_density(
-        parse_rational(args.t),
-        parse_rational(args.y0),
-        parse_rational(args.y1),
-        args.r,
-        args.limit,
-    )
-    return _report_exit([rep], args.limit, None)
 
 
 # let argparse accept negative rationals like -8/19 as positionals
@@ -274,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, default=3)
     p.add_argument("--kmax", type=int, default=30)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, suites=_VERIFY)
 
     p = sub.add_parser("dynamics", help="orbit divisor experiments")
-    p.add_argument("kind", choices=("chebyshev", "quadmap"))
+    p.add_argument("suite", choices=tuple(_DYNAMICS))
     p.add_argument("x0", nargs="?", help="initial value (chebyshev) or parameter t (quadmap)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--limit", type=int, default=10**4)
-    p.set_defaults(func=_cmd_dynamics)
+    p.set_defaults(func=_cmd_verify, suites=_DYNAMICS, out=None)
 
     p = sub.add_parser("nondivisor", help="non-divisor witness density for Y = [y0, y1]")
     p.add_argument("t")
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y1")
     p.add_argument("--r", type=int, default=7)
     p.add_argument("--limit", type=int, default=10**6)
-    p.set_defaults(func=_cmd_nondivisor)
+    p.set_defaults(func=_cmd_verify, suites=_NONDIVISOR, suite="nondivisor", out=None)
 
     _allow_negative_rationals(ap)
     for action in ap._subparsers._group_actions:

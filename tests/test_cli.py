@@ -490,7 +490,8 @@ def test_verify_all_matches_checked_in_run():
 
 def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
     # every suite but "all" calls one public function of experiments,
-    # looked up at call time, and no two suites call the same one
+    # looked up at call time, and no two suites call the same one; bridge
+    # and ballot read (T, Q), not t
     called = []
     for name, fn in list(vars(experiments).items()):
         if inspect.isfunction(fn) and not name.startswith("_"):
@@ -504,7 +505,8 @@ def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
     seen = set()
     for suite in choices[:-1]:
         called.clear()
-        assert main(["verify", suite, "3", "--limit", "10"]) == 0, suite
+        t = [] if suite in ("bridge", "ballot") else ["3"]
+        assert main(["verify", suite, *t, "--limit", "10"]) == 0, suite
         assert len(called) == 1, (suite, called)
         assert capsys.readouterr().out == f"PASS {called[0]}: 1 primes checked, 0 violations\n"
         seen.add(called[0])
@@ -817,10 +819,16 @@ def test_splitting_limit_cap(capsys):
         (["verify", "splitting", "--r", "3"], "t is required"),
         (["dynamics", "quadmap"], "t is required"),
         (["dynamics", "chebyshev"], "x0 is required"),
+        (["verify", "bridge", "3"], "verify bridge takes no t"),
+        (["verify", "bridge", "2"], "verify bridge takes no t"),
+        (["verify", "ballot", "5/2"], "verify ballot takes no t"),
+        (["verify", "all", "3"], "verify all takes no t"),
     ],
 )
 def test_error_messages_name_the_problem(argv, message, capsys):
-    # these once printed only "error: t = 3" or "error: not a rational literal: None"
+    # these once printed only "error: t = 3" or "error: not a rational literal: None";
+    # bridge and ballot read (T, Q) and all its own parameters, and a t given
+    # to them once ran the defaults and passed
     assert main(argv + ["--limit", "100"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -342,8 +342,9 @@ def test_chi_with_primes():
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
-def test_chi_valuation_above_spf_cap(r):
-    # primes near 10**8, where chi_from_residue factors p -+ 1 by trial division
+def test_chi_valuation_near_the_cli_cap(r):
+    # primes just below 10**8, the CLI's limit cap; chi_from_residue factors
+    # p -+ 1 by trial division by the primes below 1000, then Brent's rho
     t = F(2, 7)
     for p in iter_primes(10**8, start=10**8 - 10**4):
         tm = residue(t, p)
