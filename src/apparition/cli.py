@@ -14,13 +14,15 @@ with no supported prediction it first writes a `note:` line on stderr,
 and the rows carry no prediction.  A sweep that counts no prime has no
 fit to print, and exits 1 naming its t.
 
-Every command that prints suite reports is a table row, (call, cap), run
-by the one handler `_cmd_verify`: `_VERIFY` holds the `verify` suites,
-`verify all` among them, `_DYNAMICS` the `dynamics` kinds and
-`_NONDIVISOR` the `nondivisor` suite.  The handler checks the limit
-against [3, LIMIT_CAP], then against the row's cap, then prints the
-reports.  A suite that reads no t (`verify bridge`, `ballot`, `all`)
-refuses one, rather than running its defaults.
+Every command that prints suite reports is a table row, (call, cap,
+flags), run by the one handler `_cmd_verify`: `_VERIFY` holds the
+`verify` suites, `verify all` among them, `_DYNAMICS` the `dynamics`
+kinds and `_NONDIVISOR` the `nondivisor` suite.  flags names the options
+the call reads besides --limit and --out.  The handler refuses a given
+option the row does not read, checks the limit against [3, LIMIT_CAP],
+then against the row's cap, then prints the reports.  Likewise a suite
+that reads no t (`verify bridge`, `ballot`, `all`) refuses one, rather
+than running its defaults.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -164,9 +166,10 @@ def _spec(args):
     return experiments.LucasSpec(args.T, args.Q)
 
 
-# suite name -> (its call, giving a list of reports, and the largest limit
-# it takes); experiments.<fn> is looked up at call time, so a patched
-# attribute (a test double, the benchmark tracer) is the one called.  The
+# suite name -> (its call, giving a list of reports, the largest limit it
+# takes, and the options it reads besides --limit and --out);
+# experiments.<fn> is looked up at call time, so a patched attribute (a
+# test double, the benchmark tracer) is the one called.  The
 # suites that compute chi or v_r(chi) at every prime are capped where a run
 # ends within about a minute (2 vCPUs, Python 3.11.7, two runs each at
 # 10**7: 8-11 s for circular, 15-21 s for cubic, 20-33 s for ballot, prop11
@@ -178,23 +181,29 @@ def _spec(args):
 # `nondivisor 3 -8/19 -33/19 --r 3`), so a run at the cap ends within
 # minutes; quadmap refuses past ENUMERATION_CAP in experiments.
 _VERIFY = {
-    "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7),
-    "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7),
-    "cubic": (lambda a: [experiments.verify_cubic_associates(_t(a), a.limit)], 10**7),
-    "circular": (lambda a: [experiments.verify_circular(_t(a), a.limit)], 10**7),
-    "bridge": (lambda a: [experiments.verify_bridge(_spec(a), a.limit)], 10**7),
+    "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7, ("--r",)),
+    "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7, ()),
+    "cubic": (lambda a: [experiments.verify_cubic_associates(_t(a), a.limit)], 10**7, ()),
+    "circular": (lambda a: [experiments.verify_circular(_t(a), a.limit)], 10**7, ()),
+    "bridge": (lambda a: [experiments.verify_bridge(_spec(a), a.limit)], 10**7, ("--T", "--Q")),
     "splitting": (
         lambda a: [
             experiments.verify_splitting_theorems(_t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax)
         ],
         LIMIT_CAP,
+        ("--r", "--nmax", "--jmax"),
     ),
-    "ballot": (lambda a: [experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax)], 10**7),
+    "ballot": (
+        lambda a: [experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax)],
+        10**7,
+        ("--T", "--Q", "--r", "--kmax"),
+    ),
     "sequences": (
         lambda a: [experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r)],
         LIMIT_CAP,
+        ("--family", "--r"),
     ),
-    "all": (lambda a: experiments.all_suites(a.limit) if a.t is None else _spec(a), 10**6),
+    "all": (lambda a: experiments.all_suites(a.limit) if a.t is None else _spec(a), 10**6, ()),
 }
 _DYNAMICS = {
     "chebyshev": (
@@ -202,9 +211,12 @@ _DYNAMICS = {
             experiments.chebyshev_orbit_divisors(_required(a.x0, "x0"), a.k, a.nmax, a.limit)
         ],
         LIMIT_CAP,
+        ("--k", "--nmax"),
     ),
     "quadmap": (
-        lambda a: [experiments.quadmap_divisor_check(_required(a.x0, "t"), a.limit)], LIMIT_CAP
+        lambda a: [experiments.quadmap_divisor_check(_required(a.x0, "t"), a.limit)],
+        LIMIT_CAP,
+        (),
     ),
 }
 _NONDIVISOR = {
@@ -215,15 +227,19 @@ _NONDIVISOR = {
             )
         ],
         LIMIT_CAP,
+        ("--r",),
     ),
 }
 
 
 def _cmd_verify(args) -> int:
+    run, cap, reads = args.suites[args.suite]
+    for flag in args.given:  # a flag the call would drop is refused, not ignored
+        if flag not in reads:
+            raise ValueError(f"{args.command} {args.suite} does not read {flag}")
     # below 3 no odd prime is checked, and the suite would pass vacuously
     if not 3 <= args.limit <= LIMIT_CAP:
         raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {args.limit}")
-    run, cap = args.suites[args.suite]
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
     return _report_exit(run(args), args.limit, args.out)
@@ -236,6 +252,15 @@ _NEG_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
     if hasattr(parser, "_negative_number_matcher"):
         parser._negative_number_matcher = _NEG_RATIONAL
+
+
+class _Given(argparse.Action):
+    """Store an option's value and note the option in the namespace's
+    `given`, so that a row can refuse one it does not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 @functools.cache
@@ -273,32 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact per-prime verification suites")
     p.add_argument("suite", choices=tuple(_VERIFY), help="one suite, or all of them")
     p.add_argument("t", nargs="?")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, default=2, action=_Given)
     p.add_argument("--limit", type=int, default=10**4)
-    p.add_argument("--T", type=int, default=1)
-    p.add_argument("--Q", type=int, default=-1)
-    p.add_argument("--family", choices=experiments.SEQUENCE_FAMILIES, default="W")
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--jmax", type=int, default=3)
-    p.add_argument("--kmax", type=int, default=30)
+    p.add_argument("--T", type=int, default=1, action=_Given)
+    p.add_argument("--Q", type=int, default=-1, action=_Given)
+    p.add_argument("--family", choices=experiments.SEQUENCE_FAMILIES, default="W", action=_Given)
+    p.add_argument("--nmax", type=int, default=2, action=_Given)
+    p.add_argument("--jmax", type=int, default=3, action=_Given)
+    p.add_argument("--kmax", type=int, default=30, action=_Given)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify, suites=_VERIFY)
+    p.set_defaults(func=_cmd_verify, suites=_VERIFY, given=())
 
     p = sub.add_parser("dynamics", help="orbit divisor experiments")
     p.add_argument("suite", choices=tuple(_DYNAMICS))
     p.add_argument("x0", nargs="?", help="initial value (chebyshev) or parameter t (quadmap)")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=20)
+    p.add_argument("--k", type=int, default=2, action=_Given)
+    p.add_argument("--nmax", type=int, default=20, action=_Given)
     p.add_argument("--limit", type=int, default=10**4)
-    p.set_defaults(func=_cmd_verify, suites=_DYNAMICS, out=None)
+    p.set_defaults(func=_cmd_verify, suites=_DYNAMICS, out=None, given=())
 
     p = sub.add_parser("nondivisor", help="non-divisor witness density for Y = [y0, y1]")
     p.add_argument("t")
     p.add_argument("y0")
     p.add_argument("y1")
-    p.add_argument("--r", type=int, default=7)
+    p.add_argument("--r", type=int, default=7, action=_Given)
     p.add_argument("--limit", type=int, default=10**6)
-    p.set_defaults(func=_cmd_verify, suites=_NONDIVISOR, suite="nondivisor", out=None)
+    p.set_defaults(func=_cmd_verify, suites=_NONDIVISOR, suite="nondivisor", out=None, given=())
 
     _allow_negative_rationals(ap)
     for action in ap._subparsers._group_actions:

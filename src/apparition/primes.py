@@ -15,12 +15,17 @@
   primes.  Nothing is cached between calls: the module holds no
   mutable state.
 - `is_prime`: deterministic Miller-Rabin for n < 3.3*10**24.  Each tier
-  of `_MR_TIERS` takes the first k primes as bases below the smallest
-  strong pseudoprime to all of them (k = 1, 2, 3, 4, 6, 7, 9, 12, 13), so
-  n below 3.5*10**12 takes at most six bases and only n past 3.2*10**23
-  takes all thirteen.
+  of `_MR_TIERS` takes a base set below the smallest strong pseudoprime
+  to all of its bases: 1, 2, 3, 3, 4, 6, 7, 9, 12 and 13 bases.  The
+  first three tiers and the last five take the first k primes; between
+  them, Jaeschke's {2, 7, 61} and {2, 13, 23, 1662803} serve n below
+  4.8*10**9 and 1.1*10**12, so n below 1.1*10**12 takes at most four
+  bases, and only n past 3.2*10**23 takes all thirteen.
 - `factorize`: trial division by the primes below 1000, then Brent's
   variant of Pollard rho on the cofactor, with `is_prime` on every piece.
+  From n = 10**6 on, one gcd of n with the product of those primes names
+  the ones that divide n, and the walk stops after the last of them;
+  below, it stops at sqrt of the cofactor, with no gcd.
   It answers for every n whose cofactor `is_prime` can decide (below
   3.3*10**24) and raises ValueError past that.  It is the package's one
   factoring path: `ring.chi_with_primes` factors p -+ 1 with it, and the
@@ -40,19 +45,23 @@
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 _SEGMENT = 1 << 19
 
 # (exclusive bound, bases): no strong pseudoprime to all the bases lies below
-# the bound (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang
-# and Deng 2014; Sorenson and Webster, Math. Comp. 2017).
+# the bound.  The sets {2, 7, 61} and {2, 13, 23, 1662803} and their bounds,
+# the least strong pseudoprimes to them, are G. Jaeschke's ("On strong
+# pseudoprimes to several bases", Math. Comp. 61, 1993); the other tiers take
+# the first k primes (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993;
+# Jiang and Deng 2014; Sorenson and Webster, Math. Comp. 2017).
 _MR_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
@@ -116,6 +125,8 @@ def primes_in_range(lo: int, hi: int) -> list:
 
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(primes_in_range(2, _TRIAL_LIMIT))  # trial divisors of factorize
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)  # gcd(n, it) names the trial divisors of n
+_TRIAL_SQUARE = _TRIAL_LIMIT**2  # the least n that factorize takes a gcd for
 
 
 def sieve(limit: int) -> list:
@@ -166,29 +177,47 @@ def factorize(n: int) -> dict:
     """Complete factorization {prime: exponent} of n >= 1, primes ascending.
 
     Trial division by the primes below 1000, then Brent's variant of
-    Pollard rho on the cofactor.  Raises ValueError ("cannot factor n")
-    when the cofactor is at or above the bound of `is_prime`, 3.3*10**24.
-    Below it a composite piece has a prime factor below 2**41, so rho
-    needs no iteration budget: in the worst case, two primes of about 40
-    bits, it took 0.2-0.9 s (Python 3.11 on 2 vCPUs).
+    Pollard rho on the cofactor.  Below 10**6 the walk stops at sqrt of
+    the cofactor.  From 10**6 on, gcd(n, `_SMALL_PRODUCT`) is the product
+    of the trial primes that divide n, and the walk stops after the last
+    of them.  Raises ValueError ("cannot factor n") when the cofactor is
+    at or above the bound of `is_prime`, 3.3*10**24.  Below it a composite
+    piece has a prime factor below 2**41, so rho needs no iteration
+    budget: in the worst case, two primes of about 40 bits, it took
+    0.2-0.9 s (Python 3.11 on 2 vCPUs).
     """
     if n < 1:
         raise ValueError("n must be positive")
     out: dict = {}
     m = n
+    if n < _TRIAL_SQUARE:  # the walk stops at sqrt(m), with no gcd
+        for q in _SMALL_PRIMES:
+            if q * q > m:
+                break
+            if m % q == 0:
+                e = 0
+                while m % q == 0:
+                    m //= q
+                    e += 1
+                out[q] = e
+        if m > 1:  # no prime up to sqrt(m) divides it
+            out[m] = 1
+        return out
+    rest = gcd(n, _SMALL_PRODUCT)  # the product of the trial primes that divide n
     for q in _SMALL_PRIMES:
-        if q * q > m:
-            if m > 1:
-                out[m] = 1  # no prime up to sqrt(m) divides it
-            return out
-        if m % q == 0:
+        if rest == 1:  # past the last of them
+            break
+        if rest % q == 0:
+            rest //= q
             e = 0
             while m % q == 0:
                 m //= q
                 e += 1
             out[q] = e
-    if m > 1:  # no prime below _TRIAL_LIMIT divides m, which may be composite
+    if m >= _TRIAL_SQUARE:  # no prime below _TRIAL_LIMIT divides m, which may be composite
         out.update(_cofactor_factors(n, m))
+    elif m > 1:  # no prime below _TRIAL_LIMIT, so none up to sqrt(m), divides it
+        out[m] = 1
     return out
 
 

@@ -38,6 +38,10 @@ already vouched for.  `chi_with_primes` gives chi together with the
 primes of p -+ 1 that divide it, for the bridge suite's rank certificate.
 `index` is the validating entry point of the CLI and library callers: it
 checks that p is an odd prime and reduces t with `reduce_param` first.
+For a reducible t it hands `chi_with_primes` xi mod p as well, and the
+one divide-out loop there tests xi**e = 1 by builtin pow in place of
+C_e(t) = 2 by the trace ladder.  `_eigenvalue` is the one reducibility
+rule, which `index` and `ChiValuation` share.
 `ModParam.from_residue` is the unvalidated constructor that
 `reduce_param` and the suites share, and `group_order` and
 `chi_with_primes` share one order rule on residues.
@@ -192,20 +196,22 @@ def element_order(a: RingElem, order_bound: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def chi_from_residue(tm: int, p: int) -> int:
+def chi_from_residue(tm: int, p: int, xi: Optional[int] = None) -> int:
     """chi for the residue tm = t mod p, by factoring the group order:
     the chi of `chi_with_primes`."""
-    return chi_with_primes(tm, p)[0]
+    return chi_with_primes(tm, p, xi)[0]
 
 
-def chi_with_primes(tm: int, p: int) -> tuple:
+def chi_with_primes(tm: int, p: int, xi: Optional[int] = None) -> tuple:
     """(chi, the primes dividing chi, ascending) for the residue tm = t mod p.
 
     Away from delta = 0, chi divides the group order n = p -+ 1.  With xi
     an eigenvalue of D, C_e(t) - 2 = (xi**e - 1)**2 / xi**e, so D**e = I
     exactly when C_e(t) = 2, whether xi lies in F_p (split) or in F_{p^2}
     (inert): primes are divided out of n while the trace stays 2, with
-    no square root, and the primes of n that are left divide chi.
+    no square root, and the primes of n that are left divide chi.  A
+    caller that holds xi mod p, for a reducible t = xi + 1/xi (where n is
+    p - 1), passes it, and the same loop tests xi**e = 1 by builtin pow.
     """
     d = (tm * tm - 4) % p
     o = _group_order(tm, d, p)
@@ -213,11 +219,23 @@ def chi_with_primes(tm: int, p: int) -> tuple:
         return o, [p] if o == p else [2, p]
     kept = []
     for q in distinct_prime_factors(o):
-        while o % q == 0 and cheb_c_mod(o // q, tm, p) == 2:
+        while o % q == 0 and (
+            cheb_c_mod(o // q, tm, p) == 2 if xi is None else pow(xi, o // q, p) == 1
+        ):
             o //= q
         if o % q == 0:
             kept.append(q)
     return o, kept
+
+
+def _eigenvalue(t) -> Optional[Fraction]:
+    """xi with t = xi + 1/xi when t**2 - 4 is the square of a nonzero
+    rational (t is reducible: D_t has the eigenvalues xi and 1/xi in Q),
+    else None; t is a rational or an int."""
+    a, b = t.numerator, t.denominator
+    disc = a * a - 4 * b * b  # t**2 - 4 = disc / b**2
+    root = isqrt(disc) if disc > 0 else -1
+    return Fraction(a + root, 2 * b) if root * root == disc else None
 
 
 class ChiValuation:
@@ -255,19 +273,15 @@ class ChiValuation:
 
     def __init__(self, t, r: int):
         a, b = t.numerator, t.denominator
-        disc, plus2 = a * a - 4 * b * b, (a + 2 * b) * b
-        self.r, self.disc, self.plus2 = r, disc, plus2
-        root = isqrt(disc) if disc > 0 else -1
-        reducible = root * root == disc  # t**2 - 4 = disc / b**2 is a square
-        num, den = a, b  # the rational the ladder reduces mod p
-        if reducible:
-            xi = Fraction(a + root, 2 * b)
-            if xi.denominator != 1 and abs(xi.numerator) == 1:
-                xi = 1 / xi  # an integer, with no inverse to take per prime
-            num, den = xi.numerator, xi.denominator
-        self.num, self.den, self.reducible = num, den, reducible
+        self.r, self.disc, self.plus2 = r, a * a - 4 * b * b, (a + 2 * b) * b
+        xi = _eigenvalue(t)
+        self.reducible = xi is not None
+        if self.reducible and xi.denominator != 1 and abs(xi.numerator) == 1:
+            xi = 1 / xi  # an integer, with no inverse to take per prime
+        x = xi if self.reducible else t  # the rational the ladder reduces mod p
+        self.num, self.den = x.numerator, x.denominator
         # exact C_k(t), the start of every C_m(t) ladder at any p
-        self.table = cheb_c_table(num) if den == 1 and not reducible else None
+        self.table = cheb_c_table(a) if b == 1 and not self.reducible else None
 
     def __call__(self, p: int) -> int:
         return self.at(p, legendre(self.disc, p), legendre(self.plus2, p) if self.r == 2 else 0)
@@ -391,11 +405,15 @@ def index(t, p: int) -> int:
     """The index of appearance chi(t, p): order of D_t mod p.
 
     Factors p -+ 1 with `primes.factorize`, which answers for every odd
-    prime p that `is_prime` decides (below 3.3*10**24); a caller that needs
-    only v_r(chi) reads it with a `ChiValuation` instead.
+    prime p that `is_prime` decides (below 3.3*10**24), and divides its
+    primes out by the trace ladder, or, for a reducible t = xi + 1/xi, by
+    builtin pow on xi mod p (the `_eigenvalue` rule that `ChiValuation`
+    shares).  A caller that needs only v_r(chi) reads it with a
+    `ChiValuation` instead.
     """
     m = reduce_param(t, p)
-    return chi_from_residue(m.t_mod, p)
+    xi = _eigenvalue(Fraction(t))
+    return chi_from_residue(m.t_mod, p, None if xi is None else residue(xi, p))
 
 
 def index_by_scan(t, p: int) -> int:

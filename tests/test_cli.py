@@ -488,6 +488,17 @@ def test_verify_all_matches_checked_in_run():
     assert proc.stdout == golden.read_text()
 
 
+def test_report_rows_name_the_options_of_their_command():
+    # every option a report row names is one its command parses and notes
+    # as given, and every such option is read by some row
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, rows in (("verify", cli._VERIFY), ("dynamics", cli._DYNAMICS),
+                          ("nondivisor", cli._NONDIVISOR)):
+        noted = {a.option_strings[0] for a in commands[command]._actions
+                 if isinstance(a, cli._Given)}
+        assert set().union(*(flags for _, _, flags in rows.values())) == noted, command
+
+
 def test_verify_choices_dispatch_to_experiments(monkeypatch, capsys):
     # every suite but "all" calls one public function of experiments,
     # looked up at call time, and no two suites call the same one; bridge
@@ -823,12 +834,15 @@ def test_splitting_limit_cap(capsys):
         (["verify", "bridge", "2"], "verify bridge takes no t"),
         (["verify", "ballot", "5/2"], "verify ballot takes no t"),
         (["verify", "all", "3"], "verify all takes no t"),
+        (["verify", "twin", "3", "--kmax", "5"], "verify twin does not read --kmax"),
+        (["dynamics", "quadmap", "5", "--k", "3"], "dynamics quadmap does not read --k"),
     ],
 )
 def test_error_messages_name_the_problem(argv, message, capsys):
     # these once printed only "error: t = 3" or "error: not a rational literal: None";
     # bridge and ballot read (T, Q) and all its own parameters, and a t given
-    # to them once ran the defaults and passed
+    # to them once ran the defaults and passed, as a flag the suite does not
+    # read once was dropped
     assert main(argv + ["--limit", "100"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -196,6 +196,24 @@ def test_factorize_matches_trial_division():
         assert fac == _trial_division(n, base) and list(fac) == sorted(fac), n
 
 
+def test_factorize_across_the_gcd_switch():
+    # from 10**6 on factorize reads its trial primes from one gcd; every n
+    # below 2*10**6 matches the walk down a smallest-prime-factor table, and
+    # the n around the switch match the frozen trial-division reference too
+    limit = 2 * 10**6
+    spf = spf_table(limit)
+    for n in range(1, limit):
+        want, m = {}, n
+        while m > 1:
+            q = spf[m]
+            want[q] = want.get(q, 0) + 1
+            m //= q
+        assert factorize(n) == want, n
+    base = sieve(1 << 11)
+    for n in range(10**6 - 3000, 10**6 + 3000):
+        assert factorize(n) == _trial_division(n, base), n
+
+
 def _check_factorization(n, fac):
     assert prod(q**e for q, e in fac.items()) == n, n
     assert all(is_prime(q) and e >= 1 for q, e in fac.items()), n
@@ -253,6 +271,8 @@ def test_factorize_carmichael_and_strong_pseudoprimes():
     assert factorize(1_373_653) == {829: 1, 1657: 1}
     assert factorize(25_326_001) == {2251: 1, 11251: 1}
     assert factorize(3_215_031_751) == {151: 1, 751: 1, 28351: 1}
+    assert factorize(4_759_123_141) == {48_781: 1, 97_561: 1}
+    assert factorize(1_122_004_669_633) == {611_557: 1, 1_834_669: 1}
     assert factorize(3_825_123_056_546_413_051) == {149491: 1, 747451: 1, 34233211: 1}
 
 
@@ -289,16 +309,22 @@ def test_is_prime_matches_sieve():
 
 
 def test_is_prime_tier_boundaries():
-    # strong pseudoprimes to every base of the tier below each boundary
-    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 3_474_749_660_383,
+    # strong pseudoprimes to every base of the tier below each boundary;
+    # 3_215_031_751, the least to bases 2, 3, 5 and 7, now lies inside
+    # Jaeschke's {2, 7, 61} tier
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 4_759_123_141,
+              1_122_004_669_633, 3_474_749_660_383,
               341_550_071_728_321, 3_825_123_056_546_413_051,
               318_665_857_834_031_151_167_461):
         assert not is_prime(n)
+    # Jaeschke's bounds are strong pseudoprimes to the bases of their tier
+    for n, bases in primes._MR_TIERS[3:5]:
+        assert _strong_probable_prime(n, bases), n
     # a strong pseudoprime to bases 2..11, inside the tier that adds 13
     assert not is_prime(2_152_302_898_747)
     # primes just past the new boundaries, each taking the next tier's bases
-    for n in (3_474_749_660_401, 341_550_071_728_361, 3_825_123_056_546_413_057,
-              318_665_857_834_031_151_167_483):
+    for n in (4_759_123_151, 1_122_004_669_637, 3_474_749_660_401, 341_550_071_728_361,
+              3_825_123_056_546_413_057, 318_665_857_834_031_151_167_483):
         assert is_prime(n)
     assert is_prime(2**61 - 1)
     assert is_prime(10**18 + 3)

@@ -159,6 +159,45 @@ def test_oracle_equivalence(t):
         assert index(t, p) == index_by_scan(t, p), (t, p)
 
 
+@pytest.mark.parametrize(
+    "t,delta_zero",
+    [(F(5, 2), [3]), (F(-5, 2), [3]), (F(10, 3), []), (F(-10, 3), []), (F(17, 4), [3, 5]),
+     (F(26, 5), [3])],
+    ids=str,
+)
+def test_reducible_index_matches_scan_oracle(t, delta_zero):
+    # a reducible t = xi + 1/xi takes chi as the order of xi mod p, by
+    # builtin pow; at the odd p dividing num(t**2 - 4) (9, 64, 225 and 576
+    # here), chi is p or 2p
+    assert [p for p in iter_primes(5000, start=3) if (t * t - 4).numerator % p == 0] == delta_zero
+    for p in iter_primes(5000, start=3):
+        if t.denominator % p:
+            assert index(t, p) == index_by_scan(t, p), (t, p)
+    assert all(index(t, p) in (p, 2 * p) for p in delta_zero)
+
+
+def test_reducible_index_matches_the_trace_ladder_at_large_p(monkeypatch):
+    # the builtin-pow route of index against chi_from_residue's trace
+    # ladder, which index no longer runs for these t
+    from apparition import ring
+
+    rng = random.Random(3061)
+    cases = []
+    for bits in range(30, 62):
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        while not is_prime(p):
+            p += 2
+        for t in (F(5, 2), F(-10, 3), F(17, 4), F(26, 5)):
+            cases.append((t, p, chi_from_residue(residue(t, p), p)))
+
+    def no_ladder(*args):
+        raise AssertionError("index of a reducible t ran the trace ladder")
+
+    monkeypatch.setattr(ring, "cheb_c_mod", no_ladder)
+    for t, p, chi in cases:
+        assert index(t, p) == chi, (t, p)
+
+
 def test_chi_valuation_matches_scan_oracle():
     # the ts of acceptance criterion 1 and the reducible -5/2 = -2 - 1/2 and
     # 13/6 = 2/3 + 3/2; each scan is shared by the four r.  The rational t
@@ -344,7 +383,9 @@ def test_chi_with_primes():
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
 def test_chi_valuation_near_the_cli_cap(r):
     # primes just below 10**8, the CLI's limit cap; chi_from_residue factors
-    # p -+ 1 by trial division by the primes below 1000, then Brent's rho
+    # p -+ 1 by one gcd with the product of the primes below 1000, trial
+    # division by those that divide it, then Brent's rho on any cofactor
+    # past 10**6
     t = F(2, 7)
     for p in iter_primes(10**8, start=10**8 - 10**4):
         tm = residue(t, p)
