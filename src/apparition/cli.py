@@ -20,9 +20,11 @@ flags), run by the one handler `_cmd_verify`: `_VERIFY` holds the
 kinds and `_NONDIVISOR` the `nondivisor` suite.  flags names the options
 the call reads besides --limit and --out.  The handler refuses a given
 option the row does not read, checks the limit against [3, LIMIT_CAP],
-then against the row's cap, then prints the reports.  Likewise a suite
+then against the row's cap, opens --out, and only then runs the suites
+and prints their reports, so a refused run prints none.  Likewise a suite
 that reads no t (`verify bridge`, `ballot`, `all`) refuses one, rather
-than running its defaults.
+than running its defaults, and `verify sequences` refuses --r for any
+family but subsequence, the one that reads it.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -37,6 +39,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -46,14 +49,6 @@ from .errors import ApparitionError, ExcludedParameter
 from .exactnum import parse_decimal, parse_rational
 
 LIMIT_CAP = 10**8
-
-
-def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_classify(args) -> int:
@@ -122,7 +117,8 @@ def _cmd_partition(args) -> int:
             (f"# t={report.t}\n" if args.batch else "") + partition.rows_to_csv(rows)
             for report, rows in results
         )
-    _write(text, args.out)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
     return 0
 
 
@@ -133,8 +129,9 @@ def _required(text: Optional[str], name: str) -> Fraction:
     return parse_rational(text)
 
 
-def _report_exit(reports, limit: int, out: Optional[str]) -> int:
-    """Print each report's summary as it comes; --out gets every violation.
+def _report_exit(reports, limit: int, out) -> int:
+    """Print each report's summary as it comes; the open --out file, if
+    any, gets every violation.
 
     A report that passed with no prime checked up to limit (its parameters
     exclude them all) passed vacuously, unless it is an identity suite,
@@ -151,12 +148,19 @@ def _report_exit(reports, limit: int, out: Optional[str]) -> int:
             continue
         print(rep.summary())
     if out:
-        _write("\n".join(lines) + "\n", out)
+        out.write("\n".join(lines) + "\n")
     return status
 
 
 def _t(args) -> Fraction:
     return _required(args.t, "t")
+
+
+def _sequences(args):
+    # --r is the subsequence family's alone, so another family refuses it
+    if "--r" in args.given and args.family != "subsequence":
+        raise ValueError("verify sequences reads --r only for --family subsequence")
+    return [experiments.sequence_divisor_check(_t(args), args.family, args.limit, subseq_r=args.r)]
 
 
 def _spec(args):
@@ -198,11 +202,7 @@ _VERIFY = {
         10**7,
         ("--T", "--Q", "--r", "--kmax"),
     ),
-    "sequences": (
-        lambda a: [experiments.sequence_divisor_check(_t(a), a.family, a.limit, subseq_r=a.r)],
-        LIMIT_CAP,
-        ("--family", "--r"),
-    ),
+    "sequences": (_sequences, LIMIT_CAP, ("--family", "--r")),
     "all": (lambda a: experiments.all_suites(a.limit) if a.t is None else _spec(a), 10**6, ()),
 }
 _DYNAMICS = {
@@ -242,7 +242,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {args.limit}")
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
-    return _report_exit(run(args), args.limit, args.out)
+    # opened before the first suite runs, so an unwritable path prints no report
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        return _report_exit(run(args), args.limit, out)
 
 
 # let argparse accept negative rationals like -8/19 as positionals

@@ -45,18 +45,17 @@ sweep works in two passes over each segment's odd-only sieve mask
   whole class only below v_2(L); at or above it the class overflows when
   v_2(L) > j_max and is otherwise walked, and the kernel then buckets
   each prime by v_2(n), the per-prime verdict of
-  `chi_valuation_by_order`, with no ladder.  The special
-  primes, the odd primes dividing L * b * disc, are held out of the
-  pass: each is excluded (it divides 2rb) or has a character 0 (it
-  divides disc).  They are listed once per sweep by trial up to
-  max(L, 999), since every prime factor of b * disc is below 1000 or
-  divides L; the pass clears those of a segment from its mask before
-  it counts and hands them back.  The pass is skipped for a segment
-  whose classes would hold fewer than 16 odd numbers each (8L above its
-  mask length), where a count could not pay.
-- The per-prime loop visits the special primes the pass hands back, or
-  every prime of a segment the pass skips; it excludes p = r and the
-  divisors of b.  A prime dividing disc has t = +-2 mod p, so both its
+  `chi_valuation_by_order`, with no ladder.  The pass leaves every
+  prime up to H = max(L, 1000) to the per-prime loop, clearing that head
+  of the mask with one slice assignment before it counts: every odd
+  prime dividing L * b * disc is at most H, since k keeps every prime
+  factor of b and disc from 1000 on, so no prime above H is excluded or
+  has a character 0.  The pass is skipped for a segment whose classes
+  would hold fewer than 16 odd numbers each (8L above its mask length),
+  where a count could not pay.
+- The per-prime loop visits the primes the pass hands back, those up to
+  H, or every prime of a segment the pass skips; it excludes p = r and
+  the divisors of b.  A prime dividing disc has t = +-2 mod p, so both its
   characters are 0 and the reader's `at` buckets it by chi = p or 2p.
   A prime p < 1000 with p**2 | disc shares its class mod 4|k| with
   other primes, so this comes before any cache is read.  For every
@@ -87,7 +86,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
 from math import gcd, lcm, sqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import primes
 from .classify import Prediction, parameter
@@ -159,6 +158,10 @@ class _FixedClasses:
             periods.append(r)
         self.modulus = lcm(*periods)
         self.exact_below = (self.modulus & -self.modulus).bit_length() - 1
+        # H: _strip_trial_squares divides out only squares of primes below
+        # _TRIAL_LIMIT, so each prime from there on that divides b * disc
+        # divides L, and every odd prime dividing L * b * disc is at most H
+        self.head = max(self.modulus, primes._TRIAL_LIMIT)
         self.verdicts: dict = {}  # class -> bucket (j_max + 1 is overflow), or characters
 
     @cached_property
@@ -166,25 +169,16 @@ class _FixedClasses:
         """The odd c < L prime to L."""
         return [c for c in range(1, self.modulus, 2) if gcd(c, self.modulus) == 1]
 
-    @cached_property
-    def specials(self) -> list:
-        """The odd primes dividing L * b * disc, which no class counts:
-        every prime factor of b * disc is below 1000 or divides L."""
-        held = self.modulus * self.b * self.reader.disc
-        odd = range(3, max(self.modulus, 999) + 1, 2)
-        return [q for q in odd if held % q == 0 and primes.is_prime(q)]
-
-    def count(self, first: int, mask: bytearray, counts: list) -> Optional[list]:
-        """Add the primes of each class to their buckets, a class with a
-        bucket by one count and any other prime by prime (mask[i] stands
-        for first + 2*i), and return the special primes of the piece,
-        which no class counts; None, counting nothing, for a piece too
-        short to pay."""
+    def count(self, first: int, mask: bytearray, counts: list) -> Iterator[int]:
+        """The primes of the piece (mask[i] stands for first + 2*i) that
+        the per-prime loop must visit: those up to H, after each class's
+        primes above H are added to their buckets, a class with a bucket by
+        one count and any other prime by prime; or, for a piece too short
+        to pay, all of them, with nothing counted."""
         if 8 * self.modulus > len(mask):  # a class of under 16 odd numbers: no count pays
-            return None
-        specials = [q for q in self.specials if first <= q < first + 2 * len(mask)]
-        for q in specials:
-            mask[(q - first) >> 1] = 0
+            return primes._segment_primes(first, mask)
+        head = mask[: max((self.head - first) // 2 + 1, 0)]  # a copy, for the odd numbers up to H
+        mask[: len(head)] = bytes(len(head))
         modulus, verdicts = self.modulus, self.verdicts
         for c in self.classes:
             p0 = first + (c - first) % modulus  # the first number of the piece in c
@@ -200,7 +194,7 @@ class _FixedClasses:
             else:  # the primes members marks, in one kernel call
                 walked = compress(range(p0, p0 + modulus * len(members), modulus), members)
                 self.reader.walk(walked, p0, modulus, *verdict, counts)
-        return specials
+        return primes._segment_primes(first, head)
 
     def _verdict(self, p: int):
         """The bucket of every prime in p's class, or, where the bucket
@@ -229,12 +223,11 @@ def _sweep_range(args) -> PartitionReport:
     counts = [0] * (top + 1)  # counts[top] is the overflow
     excluded = {2: "is_two"} if lo <= 2 <= hi else {}
     for first, mask in primes.segment_masks(lo, hi):
-        specials = fixed.count(first, mask, counts)
         # residue class -> character, for this segment's primes only
         disc_chars: dict = {}
         plus2_chars: dict = {}
         pending: dict = {}  # (delta_char, plus2_char) -> this segment's ladder primes
-        for p in primes._segment_primes(first, mask) if specials is None else specials:
+        for p in fixed.count(first, mask, counts):
             if barred % p == 0:
                 excluded[p] = "equals_r" if p == r else "divides_denominator"
                 continue

@@ -244,10 +244,23 @@ def test_no_stdout_partition_to_file(tmp_path, capsys):
     assert out.read_text() == written and capsys.readouterr().out == ""
 
 
-def test_unwritable_out_path_exits_1(tmp_path, capsys):
-    out = tmp_path / "missing" / "violations.csv"
-    assert main(["verify", "twin", "3", "--limit", "100", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+def test_unwritable_out_path_exits_1(tmp_path, monkeypatch, capsys):
+    # --out is opened after the flag and limit checks and before the first
+    # suite runs; the twin suite once ran and printed PASS, and only then
+    # did the write fail
+    ran = []
+    monkeypatch.setattr(experiments, "verify_twin", lambda t, limit: ran.append(t))
+    for out in (tmp_path / "missing" / "violations.csv", tmp_path):  # no directory; a directory
+        assert main(["verify", "twin", "3", "--limit", "100", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a refused flag or limit comes first, and creates no file
+    for argv in (["--kmax", "5", "--limit", "100"], ["--limit", "2"]):
+        path = tmp_path / "refused.csv"
+        assert main(["verify", "twin", "3", *argv, "--out", str(path)]) == 1
+        assert not path.exists() and ran == []
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [["index", "3", BELOW_BOUND], ["classify", BELOW_BOUND]])
@@ -836,13 +849,15 @@ def test_splitting_limit_cap(capsys):
         (["verify", "all", "3"], "verify all takes no t"),
         (["verify", "twin", "3", "--kmax", "5"], "verify twin does not read --kmax"),
         (["dynamics", "quadmap", "5", "--k", "3"], "dynamics quadmap does not read --k"),
+        (["verify", "sequences", "3", "--family", "W", "--r", "5"],
+         "verify sequences reads --r only for --family subsequence"),
     ],
 )
 def test_error_messages_name_the_problem(argv, message, capsys):
     # these once printed only "error: t = 3" or "error: not a rational literal: None";
     # bridge and ballot read (T, Q) and all its own parameters, and a t given
     # to them once ran the defaults and passed, as a flag the suite does not
-    # read once was dropped
+    # read once was dropped, and as the W family once dropped --r
     assert main(argv + ["--limit", "100"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -8,6 +8,8 @@ from functools import lru_cache
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apparition.classify import EXCLUDED, classify, predicted_densities
 from apparition.errors import ExcludedParameter
@@ -297,24 +299,36 @@ def _grid():
 def _class_pass_cases():
     # a seeded sample of the grid |a| <= 30, 1 <= b <= 30 with L <= 2048, so
     # that segments 16 * L wide stay small, plus the named showcase cases:
-    # 48/25 (5 | b and 7**2 | disc), 7 (t + 2 = 9) and 10/3 (disc = 64)
+    # 48/25 (5 | b and 7**2 | disc), 7 (t + 2 = 9), 10/3 (disc = 64) and
+    # 843 (13**2 and 29**2 divide disc, and both exceed L = 20)
     rng = random.Random(20261019)
     cases = [(t, r, j_max) for t in _grid() for r in (2, 3, 5, 7) for j_max in (0, 1, 5, 6, 8, 40)]
     cases = [c for c in cases if _fixed_classes(*c).modulus <= 2048]
     named = [(t, r, j) for t in (F(48, 25), F(7), F(10, 3)) for r in (2, 3) for j in (0, 5, 8)]
+    named += [(F(843), 2, 1), (F(843), 5, 8)]
     return named + rng.sample(cases, 24)
+
+
+def _special_primes(fixed):
+    """The odd primes dividing L * b * disc, by trial division up to
+    max(L, 999) and a primality test: an oracle for the primes the class
+    pass must leave to the per-prime loop."""
+    held = fixed.modulus * fixed.b * fixed.reader.disc
+    odd = range(3, max(fixed.modulus, 999) + 1, 2)
+    return [q for q in odd if held % q == 0 and primes.is_prime(q)]
 
 
 @pytest.mark.parametrize("t,r,j_max", _class_pass_cases(), ids=str)
 def test_class_pass_matches_per_prime_kernel(monkeypatch, t, r, j_max):
-    # segments 16 * L wide: each full one runs the class pass and the short
-    # last one does not; windows start at 2, at r, at each special prime and
-    # just below a segment edge, and each straddles two edges
+    # segments 16 * L wide: each full one runs the class pass on its primes
+    # above H = max(L, 1000) and the short last one does not; windows start
+    # at 2, at r, at each special prime, just below a segment edge and just
+    # below and above H, and each straddles two edges
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
     judged = _record_class_verdicts(monkeypatch)
-    for lo in (2, r, *fixed.specials, segment - 5):
+    for lo in (2, r, *_special_primes(fixed), segment - 5, fixed.head - 1, fixed.head + 1):
         hi = lo + 2 * segment + segment // 3
         rep = compute_partition(t, r, hi, j_max=j_max, start=lo)
         assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, r, j_max, lo, hi), lo
@@ -324,9 +338,10 @@ def test_class_pass_matches_per_prime_kernel(monkeypatch, t, r, j_max):
 def test_class_pass_leaves_large_denominator_primes_excluded(monkeypatch):
     # t = 1018082/1009 has disc = (1008 * 1010)**2, so its characters are
     # periodic mod 4 alone, and 1009 is past the trial primes: only the
-    # factor 1009 of L = 4 * 1009 * 3 keeps it out of every counted class
+    # factor 1009 of L = 4 * 1009 * 3 = H keeps it out of every counted
+    # class and in the head the class pass hands to the per-prime loop
     t = F(1018082, 1009)
-    assert _fixed_classes(t, 3, 8).modulus == 4 * 1009 * 3
+    assert _fixed_classes(t, 3, 8).modulus == _fixed_classes(t, 3, 8).head == 4 * 1009 * 3
     judged = _record_class_verdicts(monkeypatch)
     rep = compute_partition(t, 3, 200000)
     assert judged  # the class pass ran
@@ -334,15 +349,67 @@ def test_class_pass_leaves_large_denominator_primes_excluded(monkeypatch):
     assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 3, 8, 2, 200000)
 
 
+def _assert_head_holds_special_primes(t, r, j_max):
+    """Every odd prime dividing L * b * disc is at most H = max(L, 1000),
+    so the class pass counts none of them.  A prime of L is at most L;
+    those of b and of disc = (a - 2b)(a + 2b) come from `primes.factorize`."""
+    fixed = _fixed_classes(t, r, j_max)
+    a, b = t.numerator, t.denominator
+    assert fixed.reader.disc == (a - 2 * b) * (a + 2 * b)
+    held = {q for n in (b, a - 2 * b, a + 2 * b) for q in primes.factorize(abs(n))}
+    assert all(q <= fixed.head for q in held if q != 2), (t, r, j_max, fixed.head)
+
+
+@pytest.mark.parametrize("r,j_max", [(r, j) for r in (2, 3, 5, 7) for j in (4, 8)])
+def test_head_holds_every_special_prime_on_the_grid(r, j_max):
+    for t in _grid():
+        _assert_head_holds_special_primes(t, r, j_max)
+
+
+@pytest.mark.parametrize(
+    "t,r,modulus,head", [(F(1018082, 1009), 3, 12108, 12108), (F(843), 5, 20, 1000)], ids=str
+)
+def test_head_holds_special_primes_past_the_modulus_or_the_trial_primes(t, r, modulus, head):
+    # 1009 divides b and is no trial prime, so it divides L = 12108 = H;
+    # 843 = 29**2 + 2 has disc = 5 * 13**2 * 29**2 and L = 20, so its
+    # special primes 13 and 29 lie above L and below H = 1000
+    fixed = _fixed_classes(t, r, 8)
+    assert (fixed.modulus, fixed.head) == (modulus, head)
+    _assert_head_holds_special_primes(t, r, 8)
+
+
+_PRIMES_TO_1E5 = primes.primes_in_range(2, 10**5)
+_prime_powers = st.lists(
+    st.tuples(st.sampled_from(_PRIMES_TO_1E5), st.integers(1, 2)), min_size=1, max_size=2
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_powers, _prime_powers, st.booleans(), st.sampled_from([2, 3, 5, 7]),
+       st.sampled_from([4, 8]))
+def test_head_holds_every_special_prime_of_large_factors(den, shift, negative, r, j_max):
+    # t = 2 + s/b with b and s products of prime powers up to 10**5, squares
+    # included, so that a - 2b = s puts them in disc too
+    b = s = 1
+    for q, e in den:
+        b *= q**e
+    for q, e in shift:
+        s *= q**e
+    t = 2 + F(-s if negative else s, b)
+    assume(t not in EXCLUDED)
+    _assert_head_holds_special_primes(t, r, j_max)
+
+
 def test_class_pass_judges_each_class_once(monkeypatch):
     # t = 48/25: disc = -196 = -4 * 7**2 and plus2 = 2 * 5**2 * 7**2, so
     # L = 32 for r = 2, j_max = 4.  Each of the 16 classes prime to 32 is
     # judged once in the whole sweep, with one Euler test per character;
     # every other Euler test is the per-prime loop's, at most two per prime
-    # it judges, and the loop judges only the primes of the short last
-    # segment.  (2/p) = 1 with 4 | p - (-1/p) leaves half the primes to a
-    # ladder, which the kernel runs, class by class for the primes of the
-    # class pass's segments and by character pair for the loop's
+    # it judges, and the loop judges only the primes up to H = 1000 but 5
+    # (which divides b) and 7 (which divides disc), and the primes of the
+    # short last segment.  (2/p) = 1 with 4 | p - (-1/p) leaves half the
+    # primes to a ladder, which the kernel runs, class by class for the
+    # primes the class pass counts and by character pair for the loop's
     t, limit = F(48, 25), 20000
     monkeypatch.setattr(primes, "_SEGMENT", 512)
     calls = {"legendre": 0, "rule": 0, "ladder": 0}
@@ -372,7 +439,9 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     assert len(judged) == 16
     loop = calls["rule"] - len(judged)
     last = 2 + (limit - 2) // 512 * 512  # where the short last segment starts
-    assert loop == len(primes.primes_in_range(last, limit)) > 0
+    head = [p for p in primes.primes_in_range(3, 1000) if p not in (5, 7)]
+    assert _fixed_classes(t, 2, 4).head == 1000
+    assert loop == len(head) + len(primes.primes_in_range(last, limit)) == 165 + 5
     assert 2 * len(judged) < calls["legendre"] <= 2 * (len(judged) + loop)
     assert 0.4 * rep.total < calls["ladder"] < 0.6 * rep.total
     assert rep.j_counts + [rep.overflow] == _per_prime_counts(t, 2, 4, 2, limit)
@@ -385,14 +454,14 @@ def test_class_pass_judges_each_class_once(monkeypatch):
     ids=str,
 )
 def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
-    # segments 16 * L wide, all full: the class pass buckets every prime of
-    # them, with one kernel call for each class it walks in a segment, and
-    # hands the special primes to the per-prime loop, so no mask is read
-    # twice.  Each special prime divides 2rb, and is excluded, or divides
-    # disc, and is bucketed with no character, so the no-ladder rule sees
-    # only the prime each class is judged on.  A walked class with a
-    # non-square t + 2 (r = 2, v_2(L) <= j_max) reaches the kernel, which
-    # buckets each prime by v_2(p - delta) with no ladder and no rule call
+    # a window of three segments 16 * L wide, all full and all above H =
+    # max(L, 1000), so that the class pass hands no prime to the per-prime
+    # loop: it buckets every prime of them, with one kernel call for each
+    # class it walks in a segment, and no mask is read by prime, so the
+    # no-ladder rule sees only the prime each class is judged on.  A walked
+    # class with a non-square t + 2 (r = 2, v_2(L) <= j_max) reaches the
+    # kernel, which buckets each prime by v_2(p - delta) with no ladder and
+    # no rule call
     fixed = _fixed_classes(t, r, j_max)
     segment = 16 * fixed.modulus
     monkeypatch.setattr(primes, "_SEGMENT", segment)
@@ -425,8 +494,9 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
         class_walks.append(p0)
         return walk(self, ps, p0, *args)
 
-    hi = 1 + 3 * segment
-    want = _per_prime_counts(t, r, j_max, 2, hi)
+    lo = fixed.head + 1
+    hi = lo + 3 * segment - 1
+    want = _per_prime_counts(t, r, j_max, lo, hi)
     monkeypatch.setattr(partition, "chi_valuation_by_order", spy)
     monkeypatch.setattr(ring, "chi_valuation_by_order", spy)
     monkeypatch.setattr(ring, "chi_valuations_by_ladder", walking)
@@ -434,7 +504,7 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     monkeypatch.setattr(ring.ChiValuation, "walk", counting)
     verdict = partition._FixedClasses._verdict
     judged = _record_class_verdicts(monkeypatch)
-    rep = compute_partition(t, r, hi, j_max=j_max)
+    rep = compute_partition(t, r, hi, j_max=j_max, start=lo)
     # only the base sieve up to isqrt(hi) reads its masks by prime
     assert all(n < segment // 2 for n in read), t
     assert rep.j_counts + [rep.overflow] == want
@@ -444,10 +514,7 @@ def test_class_pass_walks_every_ordinary_prime(monkeypatch, t, r, j_max):
     for (ps, _), p0 in zip(walks, class_walks):
         assert all(p % fixed.modulus == p0 % fixed.modulus for p in ps), t
     by_rule = {q % fixed.modulus for q in judged if verdict(fixed, q) in ((1, -1), (-1, -1))}
-    walked = [
-        p for p in iter_primes(hi)
-        if p % fixed.modulus in by_rule and p not in fixed.specials
-    ]
+    walked = [p for p in iter_primes(hi, start=lo) if p % fixed.modulus in by_rule]
     assert swept == sorted(judged), t
     assert sorted(p for ps, plus2_char in walks if plus2_char == -1 for p in ps) == walked, t
     assert bool(walked) == ((t, r, j_max) == (3, 2, 8)), t
