@@ -7,16 +7,20 @@ W_{2m+1} = U_{m+1} + U_m and V_{2m+1} = U_{m+1} - U_m.
 Modular evaluation uses pair fast-doubling, on (U_n, U_{n+1}) or on
 (C_n, C_{n+1}), so the index can be huge (orbit checks need n up to
 ~10**12); exact evaluation walks the recursion with Fractions and is
-meant for small n only.  For an integer t the first steps of every
-(C_n, C_{n+1}) ladder give the same integers C_k(t) at every p:
-`cheb_c_table` computes them once, and `cheb_c_mod` handed the table
-starts its ladder from C_k(t) mod p, k the top bits of the index.
+meant for small n only.  Every exact list of a second-order sequence,
+x_{k+1} = T*x_k - Q*x_{k-1}, is built by the one loop of `lucas_table`:
+U_k(a/b) scaled by b**(k-1), C_k(t), and the Lucas sequences of the
+suites.  For an integer t the first steps of every (C_n, C_{n+1}) ladder
+give the same integers C_k(t) at every p: `cheb_c_table` computes them
+once, and `cheb_c_mod` handed the table starts its ladder from C_k(t)
+mod p, k the top bits of the index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, repeat
 from typing import Optional
 
 # n/d for coprime n and d > 0, built with no gcd (the constructor is
@@ -24,6 +28,16 @@ from typing import Optional
 _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
     Fraction, _normalize=False
 )
+
+
+def lucas_table(T, Q, n: int, x0=0, x1=1) -> list:
+    """[x_0, ..., x_n] exactly for x_{k+1} = T*x_k - Q*x_{k-1}, n >= 0;
+    T, Q, x0 and x1 may be ints or Fractions.  The default start gives
+    the Lucas sequence L(T, Q), and (2, t) with Q = 1 gives C_k(t)."""
+    table = [x0, x1]
+    for _ in range(n - 1):
+        table.append(T * table[-1] - Q * table[-2])
+    return table[: n + 1]
 
 
 def lucas_pair_mod(T: int, Q: int, n: int, p: int):
@@ -94,10 +108,7 @@ def cheb_c_table(t: int) -> Optional[list]:
         w += 1
     if w < 2:
         return None
-    table = [2, t]
-    for _ in range(2**w):
-        table.append(t * table[-1] - table[-2])
-    return table
+    return lucas_table(t, 1, 2**w + 1, 2, t)
 
 
 def cheb_w_mod(m: int, x: int, p: int) -> int:
@@ -119,20 +130,16 @@ def cheb_v_mod(m: int, x: int, p: int) -> int:
 def u_table_exact(x, n: int) -> list:
     """[U_0(x), ..., U_n(x)] exactly.
 
-    For x = a/b, U_k = N_k / b**(k-1) with N_0 = 0, N_1 = 1 and
-    N_{k+1} = a*N_k - b**2*N_{k-1}, a recurrence on integers.  N_k = a**(k-1)
-    mod b is prime to b, so each N_k / b**(k-1) is already in lowest terms
-    and is built with no gcd, where Fraction arithmetic would take one per
-    step on numbers of about k*bits(b) bits.
+    For x = a/b, U_k = N_k / b**(k-1) for the integer Lucas sequence
+    N = L(a, b**2).  N_k = a**(k-1) mod b is prime to b, so each
+    N_k / b**(k-1) is already in lowest terms and is built with no gcd,
+    where Fraction arithmetic would take one per step on numbers of about
+    k*bits(b) bits.
     """
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    b2 = b * b
-    table, prev, cur, scale = [Fraction(0)], 0, 1, 1
-    for _ in range(n):
-        table.append(_coprime_fraction(cur, scale))
-        prev, cur, scale = cur, a * cur - b2 * prev, scale * b
-    return table[: n + 1]
+    scales = accumulate(repeat(b, n - 1), int.__mul__, initial=1)  # b**(k-1) from k = 1
+    return [Fraction(0)] + list(map(_coprime_fraction, lucas_table(a, b * b, n)[1:], scales))
 
 
 def cheb_u_exact(n: int, x) -> Fraction:

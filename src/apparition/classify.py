@@ -3,6 +3,8 @@
 `parameter` is the one gate on the paper's t: it refuses the degenerate
 values 0, +-1, +-2 with ExcludedParameter, and every entry point whose
 subject is t (classify, the partition sweep, the exact suites) calls it.
+`prime_r` is the one gate on the prime r of the valuation partition, for
+the prediction, the sweep and the suites that take an r.
 A parameter t is classified by the square class
 of delta = t**2 - 4 (reducible / circular / cubic), by the r = 2
 non-genericity types A and B, by r-primitivity (does C_r(x) = t have a
@@ -39,6 +41,13 @@ def parameter(t) -> Fraction:
     if t in EXCLUDED:
         raise ExcludedParameter(f"t = {t} is excluded")
     return t
+
+
+def prime_r(r: int) -> int:
+    """r itself; raises ValueError unless r is prime."""
+    if not is_prime(r):
+        raise ValueError(f"r must be prime, got {r}")
+    return r
 
 
 class Genericity(Enum):
@@ -328,8 +337,7 @@ def predicted_densities(c: ParamClass, r: int, j_max: int) -> Prediction:
     Unsupported parameters yield a record with supported=False rather
     than an exception; the circular tower case is flagged conjectural.
     """
-    if not is_prime(r):
-        raise ValueError(f"r must be prime, got {r}")
+    prime_r(r)
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     return _predict(c, r, j_max)

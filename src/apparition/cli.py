@@ -14,17 +14,23 @@ with no supported prediction it first writes a `note:` line on stderr,
 and the rows carry no prediction.  A sweep that counts no prime has no
 fit to print, and exits 1 naming its t.
 
+Every refusal, argparse's parse errors among them (`_Parser`), reaches
+the one handler of `main` and prints one `error:` line.
+
 Every command that prints suite reports is a table row, (call, cap,
-flags), run by the one handler `_cmd_verify`: `_VERIFY` holds the
+reads), run by the one handler `_cmd_verify`: `_VERIFY` holds the
 `verify` suites, `verify all` among them, `_DYNAMICS` the `dynamics`
-kinds and `_NONDIVISOR` the `nondivisor` suite.  flags names the options
-the call reads besides --limit and --out.  The handler refuses a given
-option the row does not read, checks the limit against [3, LIMIT_CAP],
-then against the row's cap, opens --out, and only then runs the suites
-and prints their reports, so a refused run prints none.  Likewise a suite
-that reads no t (`verify bridge`, `ballot`, `all`) refuses one, rather
-than running its defaults, and `verify sequences` refuses --r for any
-family but subsequence, the one that reads it.
+kinds and `_NONDIVISOR` the `nondivisor` suite.  reads names the options
+the call reads besides --limit and --out, and for `verify` the positional
+t where the call reads it.  The handler refuses a given t or option the
+row does not read (`verify bridge 3` exits with "verify bridge takes no
+t", rather than running its defaults), checks the limit against
+[3, LIMIT_CAP], then against the row's cap, opens --out, and only then
+runs the suites and prints their reports, so a refused run prints none.
+--out is emptied only as the violations are written: a run refused
+inside its suites leaves an existing file as it was, and removes the one
+it created.  `verify sequences` refuses --r for any family but
+subsequence, the one that reads it.
 
 The classification JSON record has the schema produced by
 classify.to_json_dict: scalar flags plus "per_r" keyed by the prime r,
@@ -148,6 +154,8 @@ def _report_exit(reports, limit: int, out) -> int:
             continue
         print(rep.summary())
     if out:
+        if os.path.isfile(out.name):  # a device or a pipe has nothing to empty
+            out.truncate(0)
         out.write("\n".join(lines) + "\n")
     return status
 
@@ -164,14 +172,12 @@ def _sequences(args):
 
 
 def _spec(args):
-    # bridge, ballot and all read no t: one given is refused, not dropped
-    if args.t is not None:
-        raise ValueError(f"verify {args.suite} takes no t")
     return experiments.LucasSpec(args.T, args.Q)
 
 
 # suite name -> (its call, giving a list of reports, the largest limit it
-# takes, and the options it reads besides --limit and --out);
+# takes, and the positional t and the options it reads besides --limit
+# and --out);
 # experiments.<fn> is looked up at call time, so a patched attribute (a
 # test double, the benchmark tracer) is the one called.  The
 # suites that compute chi or v_r(chi) at every prime are capped where a run
@@ -185,25 +191,25 @@ def _spec(args):
 # `nondivisor 3 -8/19 -33/19 --r 3`), so a run at the cap ends within
 # minutes; quadmap refuses past ENUMERATION_CAP in experiments.
 _VERIFY = {
-    "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7, ("--r",)),
-    "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7, ()),
-    "cubic": (lambda a: [experiments.verify_cubic_associates(_t(a), a.limit)], 10**7, ()),
-    "circular": (lambda a: [experiments.verify_circular(_t(a), a.limit)], 10**7, ()),
+    "prop11": (lambda a: [experiments.verify_prop11(_t(a), a.r, a.limit)], 10**7, ("t", "--r")),
+    "twin": (lambda a: [experiments.verify_twin(_t(a), a.limit)], 10**7, ("t",)),
+    "cubic": (lambda a: [experiments.verify_cubic_associates(_t(a), a.limit)], 10**7, ("t",)),
+    "circular": (lambda a: [experiments.verify_circular(_t(a), a.limit)], 10**7, ("t",)),
     "bridge": (lambda a: [experiments.verify_bridge(_spec(a), a.limit)], 10**7, ("--T", "--Q")),
     "splitting": (
         lambda a: [
             experiments.verify_splitting_theorems(_t(a), a.r, a.limit, n_max=a.nmax, j_max=a.jmax)
         ],
         LIMIT_CAP,
-        ("--r", "--nmax", "--jmax"),
+        ("t", "--r", "--nmax", "--jmax"),
     ),
     "ballot": (
         lambda a: [experiments.ballot_check(_spec(a), a.r, a.limit, k_max=a.kmax)],
         10**7,
         ("--T", "--Q", "--r", "--kmax"),
     ),
-    "sequences": (_sequences, LIMIT_CAP, ("--family", "--r")),
-    "all": (lambda a: experiments.all_suites(a.limit) if a.t is None else _spec(a), 10**6, ()),
+    "sequences": (_sequences, LIMIT_CAP, ("t", "--family", "--r")),
+    "all": (lambda a: experiments.all_suites(a.limit), 10**6, ()),
 }
 _DYNAMICS = {
     "chebyshev": (
@@ -234,17 +240,25 @@ _NONDIVISOR = {
 
 def _cmd_verify(args) -> int:
     run, cap, reads = args.suites[args.suite]
-    for flag in args.given:  # a flag the call would drop is refused, not ignored
-        if flag not in reads:
-            raise ValueError(f"{args.command} {args.suite} does not read {flag}")
+    for name in args.given:  # a t or flag the call would drop is refused, not ignored
+        if name not in reads:
+            what = f"does not read {name}" if name.startswith("-") else f"takes no {name}"
+            raise ValueError(f"{args.command} {args.suite} {what}")
     # below 3 no odd prime is checked, and the suite would pass vacuously
     if not 3 <= args.limit <= LIMIT_CAP:
         raise ValueError(f"limit must be in [3, {LIMIT_CAP}], got {args.limit}")
     if args.limit > cap:
         raise ValueError(f"limit capped at {cap} for verify {args.suite}")
-    # opened before the first suite runs, so an unwritable path prints no report
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
-        return _report_exit(run(args), args.limit, out)
+    # --out is opened before the first suite runs, so an unwritable path
+    # prints no report; a run refused after that leaves it as it was
+    created = bool(args.out) and not os.path.exists(args.out)
+    try:
+        with open(args.out, "a", encoding="utf-8") if args.out else nullcontext() as out:
+            return _report_exit(run(args), args.limit, out)
+    except BaseException:
+        if created and os.path.exists(args.out):  # not where the open failed
+            os.remove(args.out)
+        raise
 
 
 # let argparse accept negative rationals like -8/19 as positionals
@@ -256,19 +270,30 @@ def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
         parser._negative_number_matcher = _NEG_RATIONAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error raises ValueError, which `main` prints as it prints
+    every refusal, one `error:` line, rather than a usage block."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 class _Given(argparse.Action):
-    """Store an option's value and note the option in the namespace's
-    `given`, so that a row can refuse one it does not read."""
+    """Store an option's or a positional's value and note its name (the
+    option string, or the positional's dest) in the namespace's `given`,
+    so that a row can refuse one it does not read.  A positional left out
+    arrives as None, and is not noted."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, self.option_strings[0])
+        if values is not None:
+            namespace.given = (*namespace.given, (self.option_strings or [self.dest])[0])
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each parse returns a new namespace."""
-    ap = argparse.ArgumentParser(prog="apparition")
+    ap = _Parser(prog="apparition")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classification record of t as JSON")
@@ -299,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact per-prime verification suites")
     p.add_argument("suite", choices=tuple(_VERIFY), help="one suite, or all of them")
-    p.add_argument("t", nargs="?")
+    p.add_argument("t", nargs="?", action=_Given)
     p.add_argument("--r", type=int, default=2, action=_Given)
     p.add_argument("--limit", type=int, default=10**4)
     p.add_argument("--T", type=int, default=1, action=_Given)
@@ -335,16 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:  # argparse printed a usage error (or --help)
-        return 1 if exc.code else 0
-    if sys.stdout is None and not (args.command == "partition" and args.out):
-        # the process started without fd 1, and print would drop every line
-        print("error: stdout is closed", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
+        if sys.stdout is None and not (args.command == "partition" and args.out):
+            # the process started without fd 1, and print would drop every line
+            raise OSError("stdout is closed")
         status = args.func(args)
         if sys.stdout is not None:  # None for `partition --out` without fd 1
             sys.stdout.flush()

@@ -37,9 +37,10 @@ from .chebyshev import (
     cheb_w_exact,
     lucas_lift,
     lucas_pair_mod,
+    lucas_table,
     u_table_exact,
 )
-from .classify import EXCLUDED, classify, parameter
+from .classify import EXCLUDED, classify, parameter, prime_r
 from .errors import (
     BadPrime,
     NotCircular,
@@ -130,11 +131,6 @@ def _chi(t, p: int) -> int:
     return ring.chi_from_residue(ring.residue(t, p), p)
 
 
-def _require_prime(r: int) -> None:
-    if not primes.is_prime(r):
-        raise ValueError(f"r must be prime, got {r}")
-
-
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
 
@@ -153,7 +149,7 @@ def verify_prop11(t, r: int, limit: int) -> CheckReport:
     (U_r, U_{r+1}) = `lucas_pair_mod(t, 1, r, p)`, so p | num(U_r(t))
     exactly when U_r = 0, and C_r(t) = 2 U_{r+1} - t U_r.
     """
-    _require_prime(r)
+    prime_r(r)
     t = parameter(t)
     rep = CheckReport(name=f"prop11(t={t}, r={r})")
     for p in primes.iter_primes(limit, start=3):
@@ -279,9 +275,7 @@ def identity_suite(t) -> CheckReport:
 
     T, Q = lucas_lift(t)
     delta_lift = T * T - 4 * Q
-    lucas = [0, 1]
-    for _ in range(n_max - 1):
-        lucas.append(T * lucas[-1] - Q * lucas[-2])
+    lucas = lucas_table(T, Q, n_max)
     for n in range(1, n_max + 1):
         check("lucas-square", (n,), c(n) - 2, Fraction(delta_lift, Q**n) * lucas[n] ** 2)
         check("pell", (n,), c(n) ** 2 - (t * t - 4) * u[n] ** 2, Fraction(4))
@@ -394,7 +388,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     the largest prime r within the cap; best of three runs, 2 vCPUs,
     Python 3.11.7); the memory grows as the square of r * k_max.
     """
-    _require_prime(r)
+    prime_r(r)
     if not 1 <= k_max <= 60:
         raise ValueError(f"k_max must be in [1, 60] (exact values), got {k_max}")
     t = parameter(spec.t)
@@ -406,9 +400,7 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
     T, Q = spec.T, spec.Q
     rep = CheckReport(name=f"ballot(T={T}, Q={Q}, r={r})")
 
-    lucas = [0, 1]
-    for _ in range(r * k_max):
-        lucas.append(T * lucas[-1] - Q * lucas[-2])
+    lucas = lucas_table(T, Q, r * k_max)
 
     bs = [None]  # 1-indexed
     for k in range(1, k_max + 1):
@@ -434,14 +426,15 @@ def ballot_check(spec: LucasSpec, r: int, limit: int, k_max: int = 30) -> CheckR
 
     for p in _admissible(rep, limit, 2 * abs(Q), r):
         chi = _chi(t, p)
-        if chi % r == 0:
+        if chi % r == 0:  # certify p | B_{chi/r}; no p | B_k can contradict r | chi
             k = chi // r
             l_rk = lucas_pair_mod(T, Q, r * k, p)[0]
             l_k = lucas_pair_mod(T, Q, k, p)[0]
             if not (l_rk == 0 and l_k != 0):
                 rep.record(p, f"p | B_{k}", f"L_rk={l_rk}, L_k={l_k}")
+            continue
         for k in range(1, k_max + 1):
-            if bs[k] % p == 0 and chi % r != 0:
+            if bs[k] % p == 0:
                 rep.record(p, f"r | chi since p | B_{k}", f"chi={chi}")
                 break
     return rep
@@ -487,7 +480,7 @@ def sequence_divisor_check(t, family: str, limit: int, subseq_r: int = 3) -> Che
         raise ValueError(f"unknown family {family!r}")
     skip = [t.denominator]
     if family == "subsequence":
-        _require_prime(subseq_r)
+        prime_r(subseq_r)
         if (subseq_r - 1) * (limit + 1) ** 2 > 2 * (ENUMERATION_CAP + 1) ** 2:
             cap = f"2 * {ENUMERATION_CAP + 1}**2"
             raise PrimeTooLarge(f"(r - 1) * (limit + 1)**2 capped at {cap} for subsequence scans")
@@ -635,7 +628,7 @@ def verify_splitting_theorems(
     have r ∤ chi; leaving M at level n with r^{n+m-1} || phat forces
     v_r(chi) = m.
     """
-    _require_prime(r)
+    prime_r(r)
     j_cap = (SPLITTING_LIMIT_CAP + 1).bit_length()
     if not 1 <= j_max <= j_cap or n_max < 0:
         raise ValueError(
@@ -828,11 +821,10 @@ def nondivisor_density(t, y0, y1, r: int, limit: int) -> CheckReport:
     if b in EXCLUDED:
         raise TorsionTimesPower(f"trace {b} is a torsion trace")
     terms = 2 + max(abs(y0.numerator), y0.denominator).bit_length()
-    for sign, (u, w) in ((1, (y0, y1)), (-1, (y0, t * y0 - y1))):  # y_0, y_(+-1), ...
-        for n in range(terms):
-            if u == 0:
-                raise TorsionTimesPower(f"sequence element {sign * n} is zero: Y = +-D^k")
-            u, w = w, t * w - u
+    for sign, y_next in ((1, y1), (-1, t * y0 - y1)):  # y_0, y_(+-1), ...
+        ys = lucas_table(t, 1, terms - 1, y0, y_next)
+        if 0 in ys:
+            raise TorsionTimesPower(f"sequence element {sign * ys.index(0)} is zero: Y = +-D^k")
     if r == 2 or not primes.is_prime(r):
         raise ValueError("r must be an odd prime")
 

@@ -89,7 +89,7 @@ from math import gcd, lcm, sqrt
 from typing import Iterator, Optional
 
 from . import primes
-from .classify import Prediction, parameter
+from .classify import Prediction, parameter, prime_r
 from .ring import chi_from_residue  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .ring import ChiValuation, chi_valuation_by_order, legendre
 
@@ -269,8 +269,7 @@ def check_partition_args(t, r: int, limit: int, j_max: int, threads: int) -> Fra
         raise ValueError("need limit >= 2, threads >= 1, j_max >= 0")
     if j_max > J_MAX_CAP:
         raise ValueError(f"j_max capped at {J_MAX_CAP}")
-    if not primes.is_prime(r):
-        raise ValueError(f"r must be prime, got {r}")
+    prime_r(r)
     return t
 
 

@@ -15,6 +15,7 @@ from apparition.chebyshev import (
     cheb_w_exact,
     cheb_w_mod,
     lucas_lift,
+    lucas_table,
     u_table_exact,
 )
 from apparition.experiments import identity_suite
@@ -167,6 +168,24 @@ def test_u_table_matches_fraction_recurrence(a, b, n):
         (u.numerator, u.denominator) for u in want[: n + 1]
     ]
     assert all(type(u) is F and u.denominator > 0 for u in got)
+
+
+_TERMS = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50))
+
+
+@settings(max_examples=100)
+@given(_TERMS, _TERMS, st.integers(0, 40), st.none() | st.tuples(_TERMS, _TERMS))
+def test_lucas_table_matches_the_pair_recurrence(T, Q, n, start):
+    # the loops it replaced: the Lucas lists of the identity and Ballot
+    # suites, C_k(t) from (2, t), U_k(a/b) scaled to L(a, b**2), and the
+    # (u, w) -> (w, t*w - u) zero search of the non-divisor suite
+    x0, x1 = start or (0, 1)
+    want, (u, w) = [], (x0, x1)
+    for _ in range(n + 1):
+        want.append(u)
+        u, w = w, T * w - Q * u
+    got = lucas_table(T, Q, n) if start is None else lucas_table(T, Q, n, x0, x1)
+    assert got == want
 
 
 def test_lucas_lift():

@@ -263,6 +263,61 @@ def test_unwritable_out_path_exits_1(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # refused by the row's own call, in the suite, and before --out is opened
+        (["verify", "sequences", "3", "--family", "W", "--r", "5"],
+         "verify sequences reads --r only for --family subsequence"),
+        (["verify", "twin", "0"], "t = 0 is excluded"),
+        (["verify", "prop11", "3", "--r", "4"], "r must be prime, got 4"),
+        (["verify", "ballot", "--r", "100003"],
+         "r * k_max * height bits of t capped at 48000, got 3000090 * 2"),
+        (["verify", "bridge", "3"], "verify bridge takes no t"),
+    ],
+)
+def test_refused_run_leaves_out_as_it_was(argv, message, tmp_path, capsys):
+    # --out was once opened with mode "w": a refusal raised in the suite
+    # emptied an existing file and left a new one behind
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("keep\n" * 3)
+    for path in (new, old):
+        assert main([*argv, "--limit", "100", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not new.exists() and old.read_text() == "keep\n" * 3
+    # a run that writes its violations replaces the old content; a device
+    # such as os.devnull, which cannot be emptied, takes them as before
+    for path in (old, os.devnull):
+        assert main(["verify", "twin", "3", "--limit", "100", "--out", str(path)]) == 0
+    assert old.read_text() == "p,expected,actual\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "3", "--r", "x"], "argument --r: invalid int value: 'x'"),
+        (["verify", "twin", "3", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["index", "3"], "the following arguments are required: p"),
+        (["verify", "nosuch"], None),
+        ([], None),
+    ],
+)
+def test_parse_errors_print_one_error_line(argv, message, capsys):
+    # argparse once printed its usage block before the error line
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message is None or captured.err == f"error: {message}\n"
+
+
+def test_help_exits_0():
+    proc = _run_cli(["partition", "-h"], timeout=20)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: apparition partition")
+
+
 @pytest.mark.parametrize("argv", [["index", "3", BELOW_BOUND], ["classify", BELOW_BOUND]])
 def test_answers_below_primality_bound(argv):
     # factoring p + 1 and num(t) near 10**18 is rho work, not a refusal
@@ -502,12 +557,12 @@ def test_verify_all_matches_checked_in_run():
 
 
 def test_report_rows_name_the_options_of_their_command():
-    # every option a report row names is one its command parses and notes
-    # as given, and every such option is read by some row
+    # every option or positional a report row names is one its command
+    # parses and notes as given, and every such name is read by some row
     commands = cli.build_parser()._subparsers._group_actions[0].choices
     for command, rows in (("verify", cli._VERIFY), ("dynamics", cli._DYNAMICS),
                           ("nondivisor", cli._NONDIVISOR)):
-        noted = {a.option_strings[0] for a in commands[command]._actions
+        noted = {(a.option_strings or [a.dest])[0] for a in commands[command]._actions
                  if isinstance(a, cli._Given)}
         assert set().union(*(flags for _, _, flags in rows.values())) == noted, command
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apparition import experiments as ex
-from apparition import primes, ring
+from apparition import partition, primes, ring
 from apparition.chebyshev import cheb_c_coeffs, cheb_c_mod, cheb_u_exact, lucas_pair_mod
-from apparition.classify import EXCLUDED
+from apparition.classify import EXCLUDED, classify, predicted_densities
 from apparition.errors import (
     BadPrime,
     ExcludedParameter,
@@ -815,3 +815,21 @@ def test_dynamics_failures_go_through_record(monkeypatch):
     assert rep.violation_count > ex.VIOLATION_CAP
     assert len(rep.violations) == ex.VIOLATION_CAP
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partition.compute_partition(3, 4, 100),
+        lambda: predicted_densities(classify(F(3)), 4, 4),
+        lambda: ex.verify_prop11(3, 4, 100),
+        lambda: ex.ballot_check(FIB, 4, 100),
+        lambda: ex.sequence_divisor_check(3, "subsequence", 100, subseq_r=4),
+        lambda: ex.verify_splitting_theorems(3, 4, 100),
+    ],
+    ids=["partition", "classify", "prop11", "ballot", "subsequence", "splitting"],
+)
+def test_every_r_is_refused_by_one_gate(call):
+    # classify.prime_r is the one check that r is prime
+    with pytest.raises(ValueError, match=r"^r must be prime, got 4$"):
+        call()
