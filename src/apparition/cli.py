@@ -14,6 +14,12 @@ with no supported prediction it first writes a `note:` line on stderr,
 and the rows carry no prediction.  A sweep that counts no prime has no
 fit to print, and exits 1 naming its t.
 
+Each call makes one argparse pass: an argv that starts with a command
+name goes to that command's own parser, and any other (empty, -h, an
+unknown word, an option first) to the top-level parser, for its help or
+its error.  `verify` and `dynamics` parse intermixed, so an option may
+come before their optional positional (`verify twin --limit 100 3`), as
+it may before `partition`'s t; the other commands parse plainly.
 Every refusal, argparse's parse errors among them (`_Parser`), reaches
 the one handler of `main` and prints one `error:` line.
 
@@ -353,15 +359,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify, suites=_NONDIVISOR, suite="nondivisor", out=None, given=())
 
     _allow_negative_rationals(ap)
-    for action in ap._subparsers._group_actions:
-        for sp in action.choices.values():
-            _allow_negative_rationals(sp)
+    for sp in sub.choices.values():
+        _allow_negative_rationals(sp)
+    # command name -> the parse `main` hands the rest of argv to; verify and
+    # dynamics read options between `suite` and their optional positional,
+    # which only an intermixed parse does; it costs several plain parses, so
+    # the other commands, `index` first, keep the plain one
+    ap.commands = {
+        name: sp.parse_intermixed_args if name in ("verify", "dynamics") else sp.parse_args
+        for name, sp in sub.choices.items()
+    }
     return ap
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of argv, from one argparse pass (see the module docstring)."""
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parse = ap.commands.get(argv[0]) if argv else None
+    if parse is None:
+        return ap.parse_args(argv)
+    args = parse(argv[1:])
+    args.command = argv[0]  # as the top-level parse sets it
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         if sys.stdout is None and not (args.command == "partition" and args.out):
             # the process started without fd 1, and print would drop every line
             raise OSError("stdout is closed")

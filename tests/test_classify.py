@@ -284,6 +284,29 @@ def test_prediction_not_twin_primitive_unsupported():
     assert not p.supported
 
 
+def test_twin_rule_holds_where_both_twins_are_predicted():
+    # the eigenvalues of D_{-t} are -xi: the order of -xi doubles an odd
+    # order, halves one = 2 mod 4 and keeps one divisible by 4, so t's r = 2
+    # prediction is -t's with d_0 and d_1 swapped, and an odd r's is -t's
+    grid = {F(a, b) for a in range(-30, 31) for b in range(1, 31)} - {0, 1, -1, 2, -2}
+    preds = {(t, r): _dens(t, r, 6) for t in grid for r in (2, 3, 5, 7)}
+    pairs, gaps = 0, set()
+    for (t, r), p in preds.items():
+        twin = preds[-t, r]
+        if not p.supported:
+            gaps.add((t, r))
+        elif twin.supported:
+            d = twin.densities
+            assert p.densities == ([d[1], d[0], *d[2:]] if r == 2 else d), (t, r)
+            pairs += 1
+    assert pairs == 4396
+    # the r = 2 gaps, each with 2 - t a square and a supported -t, that the
+    # twin rule would fill; the odd r have none
+    assert gaps == {(F(t), 2) for t in ("-23", "-14", "-7", "-17/4", "-17/16", "-7/9", "-1/4",
+                                        "1/25", "2/9", "7/16", "23/16", "14/9", "7/4", "17/9")}
+    assert all(preds[-t, r].supported for t, r in gaps)
+
+
 def test_mass_is_one():
     cases = [
         (F(3), 2), (F(3), 3), (F(3), 5), (F(2, 7), 3), (F(2, 3), 2),

@@ -473,20 +473,89 @@ def test_parser_built_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_calls_after_a_usage_error_match_a_fresh_process(capsys):
-    # one parser serves every call; no call may leave state for the next
+def test_one_argparse_pass_per_call(monkeypatch, capsys):
+    # main hands argv to the named command's parser alone; the top-level
+    # parser once parsed it first and then called the command's parser
+    cli.build_parser()
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["index", "3", "11"]) == 0
+    assert parses == ["apparition index"]
+    capsys.readouterr()
+
+
+def _call(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # -h prints the help and exits 0
+        return exc.code
+
+
+def test_calls_after_a_usage_error_match_a_fresh_process(monkeypatch, capsys):
+    # one parser serves every call; no call may leave state for the next,
+    # and whichever parser reads an argv, it answers as a new process does
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
     calls = [
         ["index", "3"],
         ["index", "3", "11"],
+        ["index", "-8/19", "11"],
+        ["index", "--", "-3", "11"],
+        ["index", "-h"],
+        ["classify", "-8/19"],
+        ["partition", "--r", "3", "--limit", "100", "2/7"],
+        ["partition", "-8/19", "--limit", "100", "--format", "json"],
+        ["partition", "3", "--r", "x"],
+        ["verify", "twin", "--limit", "100", "-7"],
+        ["verify", "twin", "--limit", "100", "--", "-8/19"],
+        ["verify", "bridge", "--limit", "100", "3"],
+        ["verify", "twin", "3", "--bogus", "1"],
+        ["verify", "nosuch"],
         ["dynamics", "quadmap", "5", "--limit", "100"],
+        ["dynamics", "quadmap", "--limit", "100", "5"],
         ["dynamics", "chebyshev", "--limit", "100"],
         ["dynamics", "chebyshev", "3", "--k", "2", "--nmax", "12", "--limit", "1000"],
+        ["nondivisor", "--r", "3", "--limit", "1000", "3", "-8/19", "-33/19"],
+        ["-h"],
+        [],
+        ["nosuch", "3"],
+        ["--limit", "100", "index", "3", "11"],
     ]
     for argv in calls:
-        code = main(argv)
+        code = _call(argv)
         captured = capsys.readouterr()
         fresh = _run_cli(argv, timeout=60)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, moved, code",
+    [
+        (["verify", "twin", "3", "--limit", "100"], ["verify", "twin", "--limit", "100", "3"], 0),
+        (["dynamics", "quadmap", "5", "--limit", "100"],
+         ["dynamics", "quadmap", "--limit", "100", "5"], 0),
+        (["dynamics", "chebyshev", "3", "--nmax", "12", "--limit", "1000"],
+         ["dynamics", "chebyshev", "--nmax", "12", "--limit", "1000", "3"], 0),
+        (["verify", "twin", "-7", "--limit", "100"], ["verify", "twin", "--limit", "100", "-7"], 0),
+        (["verify", "bridge", "3", "--limit", "100"], ["verify", "bridge", "--limit", "100", "3"], 1),
+        (["verify", "twin", "3", "--kmax", "5", "--limit", "100"],
+         ["verify", "twin", "--limit", "100", "--kmax", "5", "3"], 1),
+    ],
+)
+def test_options_may_come_before_the_optional_positional(argv, moved, code, capsys):
+    # verify and dynamics parse intermixed: `verify twin --limit 100 3` once
+    # exited 1 with "unrecognized arguments: 3", though `partition --limit
+    # 100 3` ran
+    outcomes = []
+    for a in (argv, moved):
+        assert main(a) == code
+        outcomes.append(capsys.readouterr())
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
